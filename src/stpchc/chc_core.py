@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import (
     FALSE,
@@ -138,23 +138,42 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-def _read_sexp(toks: list[_Tok], pos: int):
-    if pos >= len(toks):
-        raise ParseError("unexpected end of input", 0, 0)
-    tok = toks[pos]
-    if tok.text == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("unbalanced parenthesis", tok.line, tok.col)
-            if toks[pos].text == ")":
-                return items, pos + 1
-            item, pos = _read_sexp(toks, pos)
-            items.append(item)
-    if tok.text == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    return tok, pos + 1
+class _Node(list):
+    """A parenthesised S-expression, located at its '('."""
+
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line = line
+        self.col = col
+
+
+def read_sexps(text: str) -> Iterator:
+    """The top-level S-expressions of `text`, in order: symbols as located
+    tokens, parenthesised forms as located lists.  Read with an explicit
+    stack, so nesting depth is bounded by memory, not by recursion."""
+    stack: list[_Node] = []
+    for tok in _tokenize(text):
+        if tok.text == "(":
+            stack.append(_Node(tok.line, tok.col))
+        elif tok.text == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", tok.line, tok.col)
+            node = stack.pop()
+            if stack:
+                stack[-1].append(node)
+            else:
+                yield node
+        elif stack:
+            stack[-1].append(tok)
+        else:
+            yield tok
+    if stack:
+        raise ParseError("unbalanced parenthesis", stack[-1].line, stack[-1].col)
+
+
+def symbol(node) -> Optional[str]:
+    """The text of a symbol node; None for a parenthesised one."""
+    return node.text if isinstance(node, _Tok) else None
 
 
 @dataclass
@@ -179,6 +198,8 @@ class _Parser:
         for item in node if isinstance(node, list) else []:
             if isinstance(item, _Tok):
                 return ParseError(msg, item.line, item.col)
+        if isinstance(node, _Node):
+            return ParseError(msg, node.line, node.col)
         return ParseError(msg)
 
     # -- sorts ------------------------------------------------------------
@@ -439,12 +460,9 @@ class _Parser:
             constraints.append(self.parse_formula(node, scope))
 
     def run(self, text: str) -> ChcSystem:
-        toks = _tokenize(text)
-        pos = 0
-        while pos < len(toks):
-            node, pos = _read_sexp(toks, pos)
+        for node in read_sexps(text):
             if not isinstance(node, list) or not node:
-                raise ParseError("expected a command")
+                raise self.fail("expected a command", node)
             try:
                 self.command(node)
             except (IndexError, AttributeError):
@@ -476,7 +494,10 @@ class _Parser:
         raise self.fail(f"unsupported command {cmd}", node)
 
 def parse_smtlib(text: str, nat_as_list: bool = False) -> ChcSystem:
-    return _Parser(nat_as_list=nat_as_list).run(text)
+    try:
+        return _Parser(nat_as_list=nat_as_list).run(text)
+    except RecursionError:
+        raise ParseError("expressions nested too deeply to parse") from None
 
 
 def render_smtlib(system: ChcSystem) -> str:

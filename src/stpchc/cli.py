@@ -116,7 +116,7 @@ def cmd_solve(ns) -> int:
     bounds = _parse_bounds(ns.bounds)
     cfg = SolverConfig(seed=ns.seed, bounds=bounds, timeout=ns.timeout)
     checker = (
-        ExternalSmtChecker(ns.smt_cmd.split(), verifier=BoundedChecker(bounds))
+        ExternalSmtChecker(ns.smt_cmd.split())
         if ns.smt_cmd
         else BoundedChecker(bounds)
     )
@@ -192,19 +192,17 @@ def _run_infer(ns, text: str, cfg: InferConfig) -> int:
             for line in _csv_rows(text)
         ]
         data = CollectionData(rows, mode)
-        if ns.all:
-            patterns = sorted(render_pattern(t) for t in infer_all_collection(data, cfg))
-        else:
-            patterns = [render_pattern(infer_collection(data, cfg))]
+        infer_one, infer_every = infer_collection, infer_all_collection
     else:
         data = LearningData.from_csv(text)
-        if ns.all:
-            result = infer_all(data, cfg)
-            patterns = sorted(render_pattern(t) for t in result.patterns)
-            if not result.complete:
-                print("; warning: state limit hit, pattern set is partial", file=sys.stderr)
-        else:
-            patterns = [render_pattern(infer(data, cfg))]
+        infer_one, infer_every = infer, infer_all
+    if ns.all:
+        result = infer_every(data, cfg)
+        patterns = sorted(render_pattern(t) for t in result.patterns)
+        if not result.complete:
+            print("; warning: state limit hit, pattern set is partial", file=sys.stderr)
+    else:
+        patterns = [render_pattern(infer_one(data, cfg))]
     if ns.json:
         print(json.dumps({"patterns": patterns}))
     else:

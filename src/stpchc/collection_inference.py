@@ -4,25 +4,30 @@ Concatenation is reinterpreted as disjoint union (sets) or multiset sum;
 the rewrite rules strip componentwise sub-collections instead of prefixes.
 Pattern elements are stored as sorted atom multisets and identified up to
 permutation.
+
+The rules are those of `pattern_core.RULE_TABLE`, restricted to the front
+rules with element and letter auxiliaries (collections have no back side and
+no reversal).  This module supplies the cell algebra of set and multiset
+data columns; the pattern side uses `pattern_core.BAGS`, and inference runs
+the rewrite loop and normal-form explorer of `stp_inference`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .pattern_core import (
+    BAGS,
+    DEFAULT_RULES,
+    Cells,
     Mode,
     NotSolvableError,
-    Rule,
     TuplePattern,
-    atom_is_const,
-    atom_is_var,
-    atom_letter,
-    const_atom,
-    var_atom,
+    bag_minus,
+    find_path,
+    replays,
 )
-from .stp_inference import InferConfig
+from .stp_inference import InferConfig, InferenceResult, final_state, infer_all
 
 # Collections are stored as sorted tuples of letters; set-mode cells simply
 # never contain duplicates.
@@ -75,198 +80,73 @@ class CollectionData:
     def columns(self) -> tuple[tuple[Coll, ...], ...]:
         return tuple(self.column(j) for j in range(self.n))
 
+    @property
+    def cells(self) -> Cells:
+        """The cell algebra of the columns."""
+        return _COLUMNS[self.mode]
 
-def _contains(big: Coll, small: Coll) -> bool:
-    return not Counter(small) - Counter(big)
+
+class _CollectionColumns(Cells):
+    """Set or multiset data columns: one sorted collection per sample row.
+    A rule applies when it applies in every row; the letter of the constant
+    rule is the smallest one every row holds."""
+
+    ordered = False
+    patterns = BAGS  # the algebra of the pattern elements inferred
+
+    def __init__(self, mode: Mode):
+        self.mode = mode
+
+    def is_empty(self, col) -> bool:
+        return not any(col)
+
+    def strip(self, col, aux, front: bool):
+        out = []
+        for cj, ci in zip(col, aux):
+            rest = bag_minus(cj, ci)
+            if rest is None:
+                return None
+            out.append(rest)
+        return tuple(out)
+
+    def end_letter(self, col, front: bool) -> Optional[int]:
+        if not all(col):
+            return None
+        shared = set(col[0])
+        for cell in col[1:]:
+            shared &= set(cell)
+        return min(shared) if shared else None
+
+    def letter(self, letter: int, like):
+        return ((letter,),) * len(like)
 
 
-def _diff(big: Coll, small: Coll) -> Coll:
-    c = Counter(big) - Counter(small)
-    return tuple(sorted(c.elements()))
+_COLUMNS = {mode: _CollectionColumns(mode) for mode in (Mode.SET, Mode.MULTISET)}
 
 
 # ---------------------------------------------------------------------------
-# rewriting on data
-
-def _descriptors(columns, cfg: InferConfig):
-    n = len(columns)
-    out = []
-    for j in range(n):
-        if all(not cell for cell in columns[j]):
-            out.append((Rule.EPSILON, j, None, None))
-    for j in range(n):
-        for i in range(n):
-            if i == j or all(not cell for cell in columns[i]):
-                continue
-            if all(
-                _contains(cj, ci) for cj, ci in zip(columns[j], columns[i])
-            ):
-                out.append((Rule.PREFIX, j, i, None))
-    if cfg.constants:
-        for j in range(n):
-            col = columns[j]
-            if all(col):
-                shared = set(col[0])
-                for cell in col[1:]:
-                    shared &= set(cell)
-                for a in sorted(shared):
-                    out.append((Rule.CPREFIX, j, None, a))
-                    break
-    return out
-
-
-def _apply(columns, desc):
-    rule, j, i, letter = desc
-    if rule is Rule.EPSILON:
-        return columns[:j] + columns[j + 1 :]
-    if rule is Rule.PREFIX:
-        new = tuple(_diff(cj, ci) for cj, ci in zip(columns[j], columns[i]))
-    else:
-        new = tuple(_diff(cell, (letter,)) for cell in columns[j])
-    return columns[:j] + (new,) + columns[j + 1 :]
-
-
-def _compose(desc, t, mode: Mode):
-    rule, j, i, letter = desc
-    if rule is Rule.EPSILON:
-        return t[:j] + ((),) + t[j:]
-    if rule is Rule.PREFIX:
-        merged = tuple(sorted(t[i] + t[j], key=_key))
-    else:
-        merged = tuple(sorted(t[j] + (const_atom(letter),), key=_key))
-    return t[:j] + (merged,) + t[j + 1 :]
-
-
-def _key(a):
-    return (0, atom_letter(a)) if atom_is_const(a) else (1, a)
-
+# inference
 
 def infer_collection(data: CollectionData, cfg: InferConfig = InferConfig()) -> TuplePattern:
     """Deterministic collection-mode inference: strip shared sub-collections
     (and shared elements, with constants enabled) until stuck."""
     if data.m == 0 or data.n == 0:
         raise ValueError("collection data must have at least one row and column")
-    columns = data.columns()
-    elements = [(var_atom(j),) for j in range(data.n)]
-    var_of = list(range(data.n))
-    fresh = data.n
-    while True:
-        descs = _descriptors(columns, cfg)
-        if not descs:
-            break
-        rule, j, i, letter = descs[0]
-        u = var_of[j]
-        if rule is Rule.EPSILON:
-            elements = [
-                tuple(a for a in el if not (atom_is_var(a) and a >> 1 == u))
-                for el in elements
-            ]
-            del var_of[j]
-        else:
-            if rule is Rule.PREFIX:
-                repl = (var_atom(var_of[i]), var_atom(fresh))
-            else:
-                repl = (const_atom(letter), var_atom(fresh))
-            elements = [
-                tuple(
-                    sorted(
-                        [a for a in el if not (atom_is_var(a) and a >> 1 == u)]
-                        + (list(repl) * sum(1 for a in el if atom_is_var(a) and a >> 1 == u)),
-                        key=_key,
-                    )
-                )
-                for el in elements
-            ]
-            var_of[j] = fresh
-            fresh += 1
-        columns = _apply(columns, descs[0])
-    return TuplePattern(tuple(elements), data.mode)
+    return final_state(data, cfg).pattern
 
 
 def infer_all_collection(
     data: CollectionData, cfg: InferConfig = InferConfig()
-) -> frozenset[TuplePattern]:
-    """All normal forms over every reduction order."""
-    memo: dict = {}
-
-    def forms(columns):
-        if columns in memo:
-            return memo[columns]
-        memo[columns] = frozenset()
-        descs = _descriptors(columns, cfg)
-        if not descs:
-            res = frozenset({tuple((var_atom(k),) for k in range(len(columns)))})
-            memo[columns] = res
-            return res
-        out = set()
-        for d in descs:
-            for t in forms(_apply(columns, d)):
-                out.add(_compose(d, t, data.mode))
-        res = frozenset(out)
-        memo[columns] = res
-        return res
-
-    return frozenset(TuplePattern(els, data.mode) for els in forms(data.columns()))
+) -> InferenceResult:
+    """All normal forms over every reduction order (see `infer_all`)."""
+    return infer_all(data, cfg)
 
 
 # ---------------------------------------------------------------------------
-# decision procedures (residual method with containment comparisons)
-
-def _element_counter(el) -> Counter:
-    return Counter(el)
-
-
-def _coll_steps(elements):
-    n = len(elements)
-    for j in range(n):
-        if not elements[j]:
-            yield (Rule.EPSILON, j, None, None), elements[:j] + elements[j + 1 :]
-            continue
-        cj = _element_counter(elements[j])
-        for i in range(n):
-            if i == j or not elements[i]:
-                continue
-            ci = _element_counter(elements[i])
-            if not ci - cj:  # element i contained in element j
-                new = tuple(sorted((cj - ci).elements(), key=_key))
-                yield (Rule.PREFIX, j, i, None), elements[:j] + (new,) + elements[j + 1 :]
-        for a in elements[j]:
-            if atom_is_const(a):
-                rest = list(elements[j])
-                rest.remove(a)
-                yield (Rule.CPREFIX, j, None, atom_letter(a)), elements[:j] + (
-                    tuple(rest),
-                ) + elements[j + 1 :]
-                break
-
-
-def _coll_trivial(elements) -> bool:
-    seen = set()
-    for el in elements:
-        if len(el) != 1 or not atom_is_var(el[0]):
-            return False
-        seen.add(el[0])
-    return len(seen) == len(elements)
-
+# decision procedures (the residual method on atom bags)
 
 def collection_solving_path(t: TuplePattern) -> Optional[list]:
-    memo: dict = {}
-
-    def search(elements):
-        if _coll_trivial(elements):
-            return []
-        if elements in memo:
-            return memo[elements]
-        memo[elements] = None
-        for desc, succ in _coll_steps(elements):
-            rest = search(succ)
-            if rest is not None:
-                path = [(desc, succ)] + rest
-                memo[elements] = path
-                return path
-        return None
-
-    return search(t.elements)
+    return find_path(t.elements, BAGS, DEFAULT_RULES, exhaustive=True)
 
 
 def collection_solvable(t: TuplePattern) -> bool:
@@ -275,7 +155,7 @@ def collection_solvable(t: TuplePattern) -> bool:
 
 def collection_member(values: Sequence[Iterable[int]], t: TuplePattern) -> bool:
     """Tuple membership for set/multiset patterns: replay a solving reduction
-    of the pattern, mirroring each strip on the concrete collections."""
+    of the pattern on the values, as one-row data."""
     if t.mode not in (Mode.SET, Mode.MULTISET):
         raise ValueError("collection_member expects a set or multiset pattern")
     if len(values) != t.arity:
@@ -289,17 +169,4 @@ def collection_member(values: Sequence[Iterable[int]], t: TuplePattern) -> bool:
         for v, raw in zip(vals, values):
             if len(tuple(raw)) != len(v):
                 return False
-    for (rule, j, i, letter), _succ in path:
-        if rule is Rule.EPSILON:
-            if vals[j]:
-                return False
-            del vals[j]
-        elif rule is Rule.PREFIX:
-            if not _contains(vals[j], vals[i]):
-                return False
-            vals[j] = _diff(vals[j], vals[i])
-        else:
-            if letter not in vals[j]:
-                return False
-            vals[j] = _diff(vals[j], (letter,))
-    return True
+    return replays(tuple((v,) for v in vals), path, _COLUMNS[t.mode])

@@ -5,31 +5,43 @@ reversed variables; it denotes the set of tuples of sequences obtained by
 substituting sequences for the variables (component-wise disjoint union or
 multiset sum in the collection modes).
 
-This module provides the data model, the pattern-side reduction relation with
-its rule extensions (constants, postfix, reverse), and the polynomial
-decision procedures built on it: solvability, membership, inclusion,
-equivalence, and the construction of two-row identifying learning data.
+This module provides the data model, the rule table of the reduction
+relation with its extensions (constants, postfix, reverse), and the
+polynomial decision procedures built on it: solvability, membership,
+inclusion, equivalence, and the construction of two-row identifying
+learning data.
+
+The rule table
+--------------
+`RULE_TABLE` is the one statement of the rules.  The same table drives
+inference on learning data (`stp_inference`, `collection_inference`), the
+decision procedures on patterns (here) and the membership formulas of the
+solver.  It runs on any kind of cell that supplies the few operations of
+`Cells`; this module supplies the two pattern kinds, `STRINGS` (sequence
+pattern elements) and `BAGS` (set/multiset pattern elements, atoms sorted).
+`pattern_steps` and `data_steps` enumerate the applicable steps, `strip`
+applies one (a residual is a strip on another tuple) and `compose` undoes
+one on a normal form.
 
 Atom encoding
 -------------
-Atoms are packed into ints to keep the reduction loops allocation-light:
+An `Atom` is an int, which keeps the reduction loops allocation-light:
 constants are negative (`-(letter+1)`), variables are even non-negatives
-(`index << 1`), reversed variables odd (`index << 1 | 1`).  The experimental
-sort wrapper, which only exists for a regression test, is the one non-int
-atom: `('s', inner_atoms)`.
+(`index << 1`), reversed variables odd (`index << 1 | 1`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .alphabet import LETTER_A, LETTER_B, char_to_letter, letter_to_char
 from .data import Cell, LearningData
 
-Atom = object  # int, or ('s', tuple) for the test-only sort wrapper
+Atom = int
 Element = tuple
 
 
@@ -56,20 +68,12 @@ def var_atom(index: int, reverse: bool = False) -> int:
     return index << 1 | (1 if reverse else 0)
 
 
-def sort_atom(inner: Element) -> Atom:
-    return ("s", tuple(inner))
-
-
 def atom_is_const(a: Atom) -> bool:
-    return isinstance(a, int) and a < 0
+    return a < 0
 
 
 def atom_is_var(a: Atom) -> bool:
-    return isinstance(a, int) and a >= 0
-
-
-def atom_is_sort(a: Atom) -> bool:
-    return isinstance(a, tuple)
+    return a >= 0
 
 
 def atom_letter(a: int) -> int:
@@ -81,45 +85,22 @@ def atom_index(a: int) -> int:
 
 
 def atom_is_reversed(a: Atom) -> bool:
-    return isinstance(a, int) and a >= 0 and (a & 1) == 1
+    return a >= 0 and (a & 1) == 1
 
 
 def reverse_element(el: Element) -> Element:
     """Reverse of a pattern string: atoms reversed, each variable flipped."""
-    out = []
-    for a in reversed(el):
-        if atom_is_const(a):
-            out.append(a)
-        elif atom_is_var(a):
-            out.append(a ^ 1)
-        else:
-            raise ValueError("sorted groups have no reverse form")
-    return tuple(out)
-
-
-def _atom_vars(a: Atom):
-    if atom_is_var(a):
-        yield atom_index(a)
-    elif atom_is_sort(a):
-        for b in a[1]:
-            yield from _atom_vars(b)
+    return tuple(a if a < 0 else a ^ 1 for a in reversed(el))
 
 
 def _rename_atom(a: Atom, ren: Mapping[int, int]) -> Atom:
-    if atom_is_const(a):
-        return a
-    if atom_is_var(a):
-        return var_atom(ren[atom_index(a)], atom_is_reversed(a))
-    return sort_atom(tuple(_rename_atom(b, ren) for b in a[1]))
+    return a if a < 0 else var_atom(ren[atom_index(a)], atom_is_reversed(a))
 
 
 def _atom_key(a: Atom):
-    # canonical in-element order for collection modes: constants, then vars
-    if atom_is_const(a):
-        return (0, atom_letter(a), 0)
-    if atom_is_var(a):
-        return (1, atom_index(a), a & 1)
-    return (2, a[1], 0)
+    # canonical in-element order for collection modes: constants by letter,
+    # then variables
+    return (0, atom_letter(a)) if a < 0 else (1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +116,8 @@ def _variables(elements) -> list[int]:
     seen: list[int] = []
     for el in elements:
         for a in el:
-            for v in _atom_vars(a):
-                if v not in seen:
-                    seen.append(v)
+            if a >= 0 and a >> 1 not in seen:
+                seen.append(a >> 1)
     return seen
 
 
@@ -150,7 +130,9 @@ def _canonical_sequence(elements):
 def _canonical_collection(elements):
     # Elements are atom multisets; variable numbering is whatever renaming
     # makes the sorted form lexicographically least.  Falls back to
-    # first-occurrence order beyond 7 variables.
+    # first-occurrence order beyond 7 variables.  Reversal means nothing on
+    # a bag, so reversed variables become plain ones.
+    elements = tuple(tuple(a if a < 0 else a & ~1 for a in el) for el in elements)
     vars_ = _variables(elements)
     k = len(vars_)
 
@@ -210,11 +192,7 @@ class TuplePattern:
 def measure(t: TuplePattern | Sequence[Element]) -> int:
     """Total atom count plus arity."""
     elements = t.elements if isinstance(t, TuplePattern) else t
-
-    def atom_size(a: Atom) -> int:
-        return 1 if isinstance(a, int) else 1 + sum(atom_size(b) for b in a[1])
-
-    return sum(atom_size(a) for el in elements for a in el) + len(elements)
+    return sum(len(el) for el in elements) + len(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +296,7 @@ def _render_atom(a: Atom) -> str:
     if atom_is_const(a):
         ch = letter_to_char(atom_letter(a))
         return ch if ch.isdigit() or ch.isupper() or ch in _CONST_SINGLES else "'" + ch
-    if atom_is_var(a):
-        return f"x{atom_index(a)}" + ("^R" if atom_is_reversed(a) else "")
-    inner = " ".join(_render_atom(b) for b in a[1])
-    return f"({inner})^s"
+    return f"x{atom_index(a)}" + ("^R" if atom_is_reversed(a) else "")
 
 
 def render_pattern(t: TuplePattern) -> str:
@@ -347,28 +322,23 @@ def apply_substitution(
             for a in el:
                 if atom_is_const(a):
                     acc.append(atom_letter(a))
-                elif atom_is_var(a):
+                else:
                     try:
                         val = theta[atom_index(a)]
                     except KeyError:
                         raise KeyError(f"unbound variable x{atom_index(a)}") from None
                     acc.extend(reversed(val) if atom_is_reversed(a) else val)
-                else:
-                    val = _sorted_letters(a[1], theta)
-                    acc.extend(val)
             out.append(tuple(acc))
         else:
             parts: list[int] = []
             for a in el:
                 if atom_is_const(a):
                     piece: Iterable[int] = (atom_letter(a),)
-                elif atom_is_var(a):
+                else:
                     try:
                         piece = theta[atom_index(a)]
                     except KeyError:
                         raise KeyError(f"unbound variable x{atom_index(a)}") from None
-                else:
-                    raise ValueError("sorted groups only occur in sequence mode")
                 if t.mode is Mode.SET and set(piece) & set(parts):
                     raise ValueError("set-mode substitution parts must be disjoint")
                 parts.extend(piece)
@@ -381,21 +351,8 @@ def apply_substitution(
     return tuple(out)
 
 
-def _sorted_letters(inner: Element, theta: Mapping[int, tuple]) -> tuple[int, ...]:
-    flat: list[int] = []
-    for a in inner:
-        if atom_is_const(a):
-            flat.append(atom_letter(a))
-        elif atom_is_var(a):
-            val = theta[atom_index(a)]
-            flat.extend(reversed(val) if atom_is_reversed(a) else val)
-        else:
-            flat.extend(_sorted_letters(a[1], theta))
-    return tuple(sorted(flat))
-
-
 # ---------------------------------------------------------------------------
-# the reduction relation on patterns
+# the rule table
 
 class Rule(Enum):
     EPSILON = "epsilon"
@@ -405,7 +362,6 @@ class Rule(Enum):
     CPOSTFIX = "cpostfix"
     RPREFIX = "rprefix"
     RPOSTFIX = "rpostfix"
-    SPREFIX = "sprefix"  # data-side only, behind a private flag
 
 
 @dataclass(frozen=True)
@@ -431,65 +387,243 @@ class PredStep:
     letter: Optional[int] = None
 
 
-def _steps_at(elements, j: int, rules: RuleSet):
-    """Steps with principal element j, in rule order."""
-    el = elements[j]
-    n = len(elements)
-    if not el:
-        yield PredStep(Rule.EPSILON, j), elements[:j] + elements[j + 1 :]
-        return
-    for i in range(n):
-        if i == j:
-            continue
-        aux = elements[i]
-        if aux and el[: len(aux)] == aux:
-            yield PredStep(Rule.PREFIX, j, i), _replace(elements, j, el[len(aux) :])
-    if rules.constants and atom_is_const(el[0]):
-        yield (
-            PredStep(Rule.CPREFIX, j, letter=atom_letter(el[0])),
-            _replace(elements, j, el[1:]),
+FRONT, BACK = True, False
+# where the auxiliary of a rule comes from
+ELEMENT, REVERSED, LETTER = "element", "reversed", "letter"
+
+# Every rule but epsilon (which drops an empty principal) strips its
+# auxiliary from one side of the principal: rule -> (side, auxiliary).
+# The order of the entries is the enumeration order of the rules.
+RULE_TABLE = {
+    Rule.PREFIX: (FRONT, ELEMENT),
+    Rule.CPREFIX: (FRONT, LETTER),
+    Rule.POSTFIX: (BACK, ELEMENT),
+    Rule.CPOSTFIX: (BACK, LETTER),
+    Rule.RPREFIX: (FRONT, REVERSED),
+    Rule.RPOSTFIX: (BACK, REVERSED),
+}
+
+
+class Cells:
+    """One kind of cell the rule table runs on: a pattern element, a data
+    column (one value per sample row) or a solver term.  Unordered kinds
+    (sets, multisets) have no back side and no reversal, so only the front
+    rules with element and letter auxiliaries apply to them."""
+
+    mode = Mode.SEQUENCE
+    ordered = True
+
+    def is_empty(self, cell) -> bool:
+        raise NotImplementedError
+
+    def strip(self, cell, aux, front: bool):
+        """`cell` without `aux` on the given side, or None if it lacks it."""
+        raise NotImplementedError
+
+    def reverse(self, cell):
+        """The cell read backwards; unordered kinds are their own reverse."""
+        return cell
+
+    def end_letter(self, cell, front: bool) -> Optional[int]:
+        """The letter the cell surely has on the given side, or None."""
+        raise NotImplementedError
+
+    def letter(self, letter: int, like):
+        """The auxiliary of a constant rule, shaped like the cell `like`."""
+        raise NotImplementedError
+
+    def rebuild(self, atoms):
+        """A pattern element from an atom sequence."""
+        return tuple(atoms)
+
+    def join(self, aux, rest, front: bool):
+        """Inverse of `strip`."""
+        return self.rebuild(aux + rest if front else rest + aux)
+
+
+class _Strings(Cells):
+    """Sequence pattern elements: tuples of atoms."""
+
+    def is_empty(self, el) -> bool:
+        return not el
+
+    def strip(self, el, aux, front: bool):
+        k = len(el) - len(aux)
+        if front:
+            return el[len(aux) :] if el[: len(aux)] == aux else None
+        return el[:k] if k >= 0 and el[k:] == aux else None
+
+    def reverse(self, el):
+        return reverse_element(el)
+
+    def end_letter(self, el, front: bool) -> Optional[int]:
+        a = el[0] if front else el[-1]
+        return atom_letter(a) if a < 0 else None
+
+    def letter(self, letter: int, like):
+        return (const_atom(letter),)
+
+
+def bag_minus(big: tuple, small: tuple) -> Optional[tuple]:
+    """Multiset difference of two tuples sorted the same way, or None
+    unless `small` is contained in `big`."""
+    out = []
+    k, n = 0, len(small)
+    for a in big:
+        if k < n and a == small[k]:
+            k += 1
+        else:
+            out.append(a)
+    return tuple(out) if k == n else None
+
+
+class _Bags(Cells):
+    """Set/multiset pattern elements: atom tuples sorted by `_atom_key`, so
+    the constants come first, smallest letter first."""
+
+    ordered = False
+
+    def is_empty(self, el) -> bool:
+        return not el
+
+    def strip(self, el, aux, front: bool):
+        return bag_minus(el, aux)
+
+    def end_letter(self, el, front: bool) -> Optional[int]:
+        return atom_letter(el[0]) if el[0] < 0 else None
+
+    def letter(self, letter: int, like):
+        return (const_atom(letter),)
+
+    def rebuild(self, atoms):
+        return tuple(sorted(atoms, key=_atom_key))
+
+
+STRINGS = _Strings()
+BAGS = _Bags()
+
+
+@functools.lru_cache(maxsize=None)
+def _groups(rules, ordered: bool):
+    """The rules that `rules` enables on cells that are `ordered` or not, as
+    (auxiliary, ((rule, side), ...)) groups: rules next to each other in the
+    table with the same auxiliary share a group, and on the pattern side one
+    loop over the auxiliary element."""
+    out = []
+    for source, entries in itertools.groupby(RULE_TABLE.items(), key=lambda e: e[1][1]):
+        sides = tuple(
+            (rule, front)
+            for rule, (front, _) in entries
+            if (front or rules.postfix and ordered)
+            and (source != LETTER or rules.constants)
+            and (source != REVERSED or rules.reverse and ordered)
         )
-    if rules.postfix:
-        for i in range(n):
-            if i == j:
-                continue
-            aux = elements[i]
-            if aux and el[len(el) - len(aux) :] == aux:
-                yield (
-                    PredStep(Rule.POSTFIX, j, i),
-                    _replace(elements, j, el[: len(el) - len(aux)]),
-                )
-        if rules.constants and atom_is_const(el[-1]):
-            yield (
-                PredStep(Rule.CPOSTFIX, j, letter=atom_letter(el[-1])),
-                _replace(elements, j, el[:-1]),
-            )
-    if rules.reverse:
-        for i in range(n):
-            if i == j:
-                continue
-            aux = elements[i]
-            if not aux:
-                continue
-            try:
-                rev = reverse_element(aux)
-            except ValueError:
-                continue
-            if el[: len(rev)] == rev:
-                yield (
-                    PredStep(Rule.RPREFIX, j, i),
-                    _replace(elements, j, el[len(rev) :]),
-                )
-            if rules.postfix and el[len(el) - len(rev) :] == rev:
-                yield (
-                    PredStep(Rule.RPOSTFIX, j, i),
-                    _replace(elements, j, el[: len(el) - len(rev)]),
-                )
+        if sides:
+            out.append((source, sides))
+    return tuple(out)
 
 
-def _replace(elements, j: int, el: Element):
-    return elements[:j] + (el,) + elements[j + 1 :]
+def _rule_steps(cells, j: int, source, sides, alg: Cells):
+    """The applicable steps of the rules `sides` (rule, side pairs sharing
+    the auxiliary `source`) with principal j, with the new principal."""
+    cell = cells[j]
+    if alg.is_empty(cell):
+        return
+    if source is LETTER:
+        for rule, front in sides:
+            letter = alg.end_letter(cell, front)
+            if letter is not None:
+                yield PredStep(rule, j, letter=letter), alg.strip(
+                    cell, alg.letter(letter, cell), front
+                )
+        return
+    for i, aux in enumerate(cells):
+        if i == j or alg.is_empty(aux):
+            continue
+        if source is REVERSED:
+            aux = alg.reverse(aux)
+        for rule, front in sides:
+            new = alg.strip(cell, aux, front)
+            if new is not None:
+                yield PredStep(rule, j, i), new
 
+
+def _drop(cells, j: int):
+    return cells[:j] + cells[j + 1 :]
+
+
+def _replace(cells, j: int, cell):
+    return cells[:j] + (cell,) + cells[j + 1 :]
+
+
+def pattern_steps(cells: tuple, alg: Cells, rules) -> Iterator[tuple[PredStep, tuple]]:
+    """Applicable steps with their successors, principal-major: for each
+    principal, epsilon alone if it is empty, otherwise the rules in table
+    order, rules with the same auxiliary interleaved per auxiliary."""
+    groups = _groups(rules, alg.ordered)
+    for j, cell in enumerate(cells):
+        if alg.is_empty(cell):
+            yield PredStep(Rule.EPSILON, j), _drop(cells, j)
+            continue
+        for source, sides in groups:
+            for step, new in _rule_steps(cells, j, source, sides, alg):
+                yield step, _replace(cells, j, new)
+
+
+def data_steps(cells: tuple, alg: Cells, rules) -> Iterator[tuple[PredStep, tuple]]:
+    """Applicable steps with their successors, rule-major: epsilon, then
+    each rule in table order; within a rule, principal then auxiliary
+    ascending."""
+    for j, cell in enumerate(cells):
+        if alg.is_empty(cell):
+            yield PredStep(Rule.EPSILON, j), _drop(cells, j)
+    for source, sides in _groups(rules, alg.ordered):
+        for side in sides:
+            for j in range(len(cells)):
+                for step, new in _rule_steps(cells, j, source, (side,), alg):
+                    yield step, _replace(cells, j, new)
+
+
+def _aux(cells, step: PredStep, source, alg: Cells):
+    if source is LETTER:
+        return alg.letter(step.letter, cells[step.j])
+    aux = cells[step.i]
+    return alg.reverse(aux) if source is REVERSED else aux
+
+
+def strip(cells: tuple, step: PredStep, alg: Cells) -> Optional[tuple]:
+    """`cells` after `step`, or None when the principal lacks the shape.
+    Applied to a tuple other than the one the step was found on, this is the
+    residual of the step."""
+    j = step.j
+    if step.rule is Rule.EPSILON:
+        return _drop(cells, j) if alg.is_empty(cells[j]) else None
+    front, source = RULE_TABLE[step.rule]
+    new = alg.strip(cells[j], _aux(cells, step, source, alg), front)
+    return None if new is None else _replace(cells, j, new)
+
+
+def compose(step: PredStep, rest: tuple, alg: Cells) -> tuple:
+    """Inverse of `strip` on pattern elements: from the elements after the
+    step, rebuild those before it (element j regains what was stripped)."""
+    j = step.j
+    if step.rule is Rule.EPSILON:
+        return rest[:j] + ((),) + rest[j:]
+    front, source = RULE_TABLE[step.rule]
+    return _replace(rest, j, alg.join(_aux(rest, step, source, alg), rest[j], front))
+
+
+def replays(cells: tuple, path, alg: Cells) -> bool:
+    """Whether every step of `path` strips in turn from `cells`."""
+    for step, _succ in path:
+        cells = strip(cells, step, alg)
+        if cells is None:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# solving paths
 
 def pred_steps(
     t: TuplePattern | Sequence[Element], rules: RuleSet = DEFAULT_RULES
@@ -497,57 +631,47 @@ def pred_steps(
     """All applicable single reduction steps with their successor patterns,
     principal index ascending."""
     elements = t.elements if isinstance(t, TuplePattern) else tuple(t)
-    out = []
-    for j in range(len(elements)):
-        for step, succ in _steps_at(elements, j, rules):
-            out.append((step, TuplePattern(succ)))
-    return out
+    return [
+        (step, TuplePattern(succ)) for step, succ in pattern_steps(elements, STRINGS, rules)
+    ]
 
 
-def _is_trivial(elements) -> bool:
+def is_trivial(cells) -> bool:
+    """A tuple of distinct plain variables: the end of a solving path."""
     seen = set()
-    for el in elements:
-        if len(el) != 1:
+    for el in cells:
+        if len(el) != 1 or el[0] < 0 or el[0] & 1:
             return False
-        a = el[0]
-        if not atom_is_var(a) or atom_is_reversed(a):
-            return False
-        seen.add(a)
-    return len(seen) == len(elements)
+        seen.add(el[0])
+    return len(seen) == len(cells)
 
 
-def _greedy_path(elements, rules: RuleSet):
-    path = []
-    while True:
-        found = None
-        for j in range(len(elements)):
-            for step, succ in _steps_at(elements, j, rules):
-                found = (step, succ)
-                break
-            if found:
-                break
-        if found is None:
-            return path if _is_trivial(elements) else None
-        path.append(found)
-        elements = found[1]
-
-
-def _search_path(elements, rules: RuleSet, memo) -> Optional[list]:
-    """Exhaustive path search; needed because reverse atoms break weak
-    confluence, so a stuck greedy reduction proves nothing."""
-    if _is_trivial(elements):
+def find_path(cells: tuple, alg: Cells, rules, exhaustive: bool) -> Optional[list]:
+    """A reduction sequence from `cells` to a trivial tuple, as (step,
+    successor) pairs, or None.  Depth-first in step order; without
+    `exhaustive` only the first step of each state is tried (greedy
+    reduction)."""
+    if is_trivial(cells):
         return []
-    if elements in memo:
-        return memo[elements]
-    memo[elements] = None  # cycle guard (measure decreases, but be safe)
-    for j in range(len(elements)):
-        for step, succ in _steps_at(elements, j, rules):
-            rest = _search_path(succ, rules, memo)
-            if rest is not None:
-                result = [(step, succ)] + rest
-                memo[elements] = result
-                return result
-    memo[elements] = None
+    path: list = []
+    pending = [pattern_steps(cells, alg, rules)]
+    failed = set()
+    while pending:
+        taken = next(pending[-1], None)
+        if taken is None:
+            if not exhaustive:
+                return None
+            pending.pop()
+            if path:
+                failed.add(path.pop()[1])
+            continue
+        succ = taken[1]
+        if succ in failed:
+            continue
+        path.append(taken)
+        if is_trivial(succ):
+            return path
+        pending.append(pattern_steps(succ, alg, rules))
     return None
 
 
@@ -556,12 +680,11 @@ def solving_path(
 ) -> Optional[list[tuple[PredStep, tuple]]]:
     """A reduction sequence from `t` to a tuple of distinct variables, or
     None if there is none.  Greedy reduction suffices without reverse atoms;
-    with them the search is exhaustive."""
+    with them the search is exhaustive, because reverse atoms break weak
+    confluence, so a stuck greedy reduction proves nothing."""
     elements = t.elements if isinstance(t, TuplePattern) else tuple(t)
     has_rev = any(atom_is_reversed(a) for el in elements for a in el)
-    if rules.reverse and has_rev:
-        return _search_path(elements, rules, {})
-    return _greedy_path(elements, rules)
+    return find_path(elements, STRINGS, rules, exhaustive=rules.reverse and has_rev)
 
 
 def is_solvable(
@@ -573,44 +696,6 @@ def is_solvable(
 # ---------------------------------------------------------------------------
 # residuals and the inclusion procedure
 
-def _residual_elements(t0, step: PredStep):
-    j = step.j
-    el = t0[j]
-    if step.rule is Rule.EPSILON:
-        return t0[:j] + t0[j + 1 :] if el == () else None
-    if step.rule is Rule.PREFIX:
-        aux = t0[step.i]
-        return _replace(t0, j, el[len(aux) :]) if el[: len(aux)] == aux else None
-    if step.rule is Rule.CPREFIX:
-        a = const_atom(step.letter)
-        return _replace(t0, j, el[1:]) if el and el[0] == a else None
-    if step.rule is Rule.POSTFIX:
-        aux = t0[step.i]
-        if len(aux) <= len(el) and el[len(el) - len(aux) :] == aux:
-            return _replace(t0, j, el[: len(el) - len(aux)])
-        return None
-    if step.rule is Rule.CPOSTFIX:
-        a = const_atom(step.letter)
-        return _replace(t0, j, el[:-1]) if el and el[-1] == a else None
-    if step.rule is Rule.RPREFIX:
-        try:
-            rev = reverse_element(t0[step.i])
-        except ValueError:
-            return None
-        if len(rev) <= len(el) and el[: len(rev)] == rev:
-            return _replace(t0, j, el[len(rev) :])
-        return None
-    if step.rule is Rule.RPOSTFIX:
-        try:
-            rev = reverse_element(t0[step.i])
-        except ValueError:
-            return None
-        if len(rev) <= len(el) and el[len(el) - len(rev) :] == rev:
-            return _replace(t0, j, el[: len(el) - len(rev)])
-        return None
-    raise ValueError(f"no residual case for {step.rule}")
-
-
 def residual(
     t0: TuplePattern, t1: TuplePattern, step: PredStep
 ) -> Optional[TuplePattern]:
@@ -618,7 +703,7 @@ def residual(
     t0's principal element lacks the required shape."""
     if t0.arity != t1.arity:
         raise ValueError("residual requires equal arities")
-    res = _residual_elements(t0.elements, step)
+    res = strip(t0.elements, step, STRINGS)
     return None if res is None else TuplePattern(res)
 
 
@@ -628,11 +713,7 @@ def _includes_elements(t1, t2, rules: RuleSet) -> bool:
     path = solving_path(t2, rules)
     if path is None:
         raise NotSolvableError("inclusion requires a solvable right-hand pattern")
-    for step, _succ in path:
-        t1 = _residual_elements(t1, step)
-        if t1 is None:
-            return False
-    return True
+    return replays(t1, path, STRINGS)
 
 
 def includes(
@@ -691,8 +772,6 @@ def brute_force_member(values: Sequence[Cell], t: TuplePattern, max_len: int) ->
             if pos < len(target) and target[pos] == atom_letter(a):
                 return match_atoms(k, ai + 1, pos + 1)
             return False
-        if atom_is_sort(a):
-            raise ValueError("sorted groups are not supported by the oracle")
         v = atom_index(a)
         rev = atom_is_reversed(a)
         if v in binding:
@@ -774,8 +853,8 @@ def canonical_data(
         counts = {v: 0 for v in variables}
         for el in t.elements:
             for a in el:
-                for v in _atom_vars(a):
-                    counts[v] += 1
+                if a >= 0:
+                    counts[a >> 1] += 1
         variables = sorted(variables, key=lambda v: (-counts[v], variables.index(v)))
         codes = sorted(codes, key=len)
     alpha = {

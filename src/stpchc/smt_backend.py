@@ -17,6 +17,7 @@ from typing import Optional
 
 from collections import Counter
 
+from .chc_core import read_sexps, symbol
 from .formulas import (
     FAnd,
     FEq,
@@ -564,12 +565,10 @@ class ExternalSmtChecker:
     """Child-process SMT provider speaking SMT-LIB 2 with the sequence
     theory; validity of f is checked as unsatisfiability of (not f)."""
 
-    def __init__(self, cmd, timeout: float = 10.0, native_reverse: bool = False,
-                 verifier: Optional[BoundedChecker] = None):
+    def __init__(self, cmd, timeout: float = 10.0, native_reverse: bool = False):
         self.cmd = cmd if isinstance(cmd, list) else [cmd]
         self.timeout = timeout
         self.native_reverse = native_reverse
-        self.verifier = verifier or BoundedChecker()
 
     def script(self, f: Formula) -> str:
         variables = formula_vars(f)
@@ -631,7 +630,7 @@ class ExternalSmtChecker:
 
 def _parse_model(text: str, variables: dict) -> Optional[dict]:
     try:
-        sexp = _read_all(text)
+        sexp = list(read_sexps(text))
     except ValueError:
         return None
     pairs = []
@@ -642,7 +641,7 @@ def _parse_model(text: str, variables: dict) -> Optional[dict]:
                     pairs.append(item)
     out = {}
     for name_node, value_node in pairs:
-        name = name_node if isinstance(name_node, str) else None
+        name = symbol(name_node)
         if name not in variables:
             continue
         value = _decode_value(value_node)
@@ -655,16 +654,15 @@ def _parse_model(text: str, variables: dict) -> Optional[dict]:
 
 
 def _decode_value(node):
-    if isinstance(node, str):
-        if node.lstrip("-").isdigit():
-            return int(node)
-        return None
+    text = symbol(node)
+    if text is not None:
+        return int(text) if text.lstrip("-").isdigit() else None
     if not node:
         return None
-    head = node[0]
-    if head == "-" and len(node) == 2 and isinstance(node[1], str):
-        return -int(node[1])
-    if head == "as" and len(node) >= 2 and node[1] == "seq.empty":
+    head = symbol(node[0])
+    if head == "-" and len(node) == 2 and (symbol(node[1]) or "").isdigit():
+        return -int(symbol(node[1]))
+    if head == "as" and len(node) >= 2 and symbol(node[1]) == "seq.empty":
         return ()
     if head == "seq.unit":
         v = _decode_value(node[1])
@@ -678,24 +676,6 @@ def _decode_value(node):
             out += v
         return out
     return None
-
-
-def _read_all(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    items, stack = [], []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise ValueError("unbalanced")
-            done = stack.pop()
-            (stack[-1] if stack else items).append(done)
-        else:
-            (stack[-1] if stack else items).append(tok)
-    if stack:
-        raise ValueError("unbalanced")
-    return items
 
 
 def check_validity(f: Formula, provider=None, bounds: Bounds | None = None) -> ValidityResult:

@@ -29,7 +29,9 @@ from .chc_core import (
     collect_samples,
     derivable,
     match_term,
+    read_sexps,
     render_smtlib,
+    symbol,
 )
 from .collection_inference import (
     CollectionData,
@@ -47,6 +49,7 @@ from .formulas import (
     FLt,
     FNot,
     FOr,
+    FSubset,
     FTrue,
     Formula,
     Sort,
@@ -76,9 +79,9 @@ from .formulas import (
     subst_formula,
 )
 from .pattern_core import (
+    Cells,
     Mode,
     NotSolvableError,
-    Rule,
     RuleSet,
     TuplePattern,
     atom_index,
@@ -86,6 +89,7 @@ from .pattern_core import (
     atom_is_reversed,
     atom_letter,
     solving_path,
+    strip,
 )
 from .smt_backend import Bounds, BoundedChecker, ValidityKind
 from .stp_inference import InferConfig, infer
@@ -157,6 +161,48 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # patterns as formulas
 
+class _SequenceTerms(Cells):
+    """Sequence terms: a strip is an ldiff/rdiff term and always succeeds;
+    the final equalities of the translation check what it assumed."""
+
+    def is_empty(self, term) -> bool:
+        return True
+
+    def strip(self, term, aux, front: bool):
+        return TLdiff(aux, term) if front else TRdiff(term, aux)
+
+    def reverse(self, term):
+        return TRev(term)
+
+    def letter(self, letter: int, like):
+        return TSeq((letter,))
+
+
+_TERMS = _SequenceTerms()
+
+
+class _CollectionTerms(Cells):
+    """Set or multiset terms: a strip is a difference term, and each strip
+    records the condition it assumed (containment, or emptiness)."""
+
+    ordered = False
+
+    def __init__(self, style: str):
+        self.style = style
+        self.conditions: list[Formula] = []
+
+    def is_empty(self, term) -> bool:
+        self.conditions.append(FEq(term, TCollOf(TSeq(()), self.style)))
+        return True
+
+    def strip(self, term, aux, front: bool):
+        self.conditions.append(FSubset(aux, term))
+        return TCollDiff(term, aux)
+
+    def letter(self, letter: int, like):
+        return TCollOf(TSeq((letter,)), self.style)
+
+
 def pattern_to_formula(
     t: TuplePattern, args: Sequence[Term], rules: RuleSet = RuleSet()
 ) -> Formula:
@@ -170,26 +216,9 @@ def pattern_to_formula(
     path = solving_path(t, rules)
     if path is None:
         raise NotSolvableError("only solvable patterns translate to formulas")
-    terms = list(args)
+    terms = tuple(args)
     for step, _succ in path:
-        j = step.j
-        if step.rule is Rule.EPSILON:
-            del terms[j]
-            continue
-        if step.rule is Rule.PREFIX:
-            terms[j] = TLdiff(terms[step.i], terms[j])
-        elif step.rule is Rule.CPREFIX:
-            terms[j] = TLdiff(TSeq((step.letter,)), terms[j])
-        elif step.rule is Rule.POSTFIX:
-            terms[j] = TRdiff(terms[j], terms[step.i])
-        elif step.rule is Rule.CPOSTFIX:
-            terms[j] = TRdiff(terms[j], TSeq((step.letter,)))
-        elif step.rule is Rule.RPREFIX:
-            terms[j] = TLdiff(TRev(terms[step.i]), terms[j])
-        elif step.rule is Rule.RPOSTFIX:
-            terms[j] = TRdiff(terms[j], TRev(terms[step.i]))
-        else:
-            raise ValueError(f"no formula translation for {step.rule}")
+        terms = strip(terms, step, _TERMS)
     final = path[-1][1] if path else t.elements
     solution = {atom_index(el[0]): term for el, term in zip(final, terms)}
 
@@ -230,24 +259,11 @@ def collection_pattern_to_formula(
     path = collection_solving_path(t)
     if path is None:
         raise NotSolvableError("only solvable patterns translate to formulas")
-    style = "set" if t.mode is Mode.SET else "multiset"
-    empty = TCollOf(TSeq(()), style)
-    terms = [TCollOf(a, style) for a in args]
-    conditions: list[Formula] = []
-    from .formulas import FSubset
-
-    for (rule, j, i, letter), _succ in path:
-        if rule is Rule.EPSILON:
-            conditions.append(FEq(terms[j], empty))
-            del terms[j]
-        elif rule is Rule.PREFIX:
-            conditions.append(FSubset(terms[i], terms[j]))
-            terms[j] = TCollDiff(terms[j], terms[i])
-        else:
-            single = TCollOf(TSeq((letter,)), style)
-            conditions.append(FSubset(single, terms[j]))
-            terms[j] = TCollDiff(terms[j], single)
-    return fand(conditions)
+    cells = _CollectionTerms("set" if t.mode is Mode.SET else "multiset")
+    terms = tuple(TCollOf(a, cells.style) for a in args)
+    for step, _succ in path:
+        terms = strip(terms, step, cells)
+    return fand(cells.conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -932,35 +948,33 @@ class ExternalIntChc:
 
 
 def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]:
-    from .smt_backend import _read_all
-
     try:
-        nodes = _read_all(text)
+        nodes = list(read_sexps(text))
     except ValueError:
         return None
     defs = []
-
-    def walk(node):
+    pending = nodes[::-1]
+    while pending:
+        node = pending.pop()
         if isinstance(node, list):
-            if node and node[0] == "define-fun":
+            if node and symbol(node[0]) == "define-fun":
                 defs.append(node)
             else:
-                for sub in node:
-                    walk(sub)
-
-    for node in nodes:
-        walk(node)
+                pending.extend(reversed(node))
     out: dict[str, Formula] = {}
     for node in defs:
         try:
-            _, name, params, _ret, body = node
+            _, name_node, params, _ret, body = node
         except ValueError:
             return None
+        name = symbol(name_node)
         if name not in predicates:
             continue
+        if not isinstance(params, list) or not all(isinstance(p, list) and p for p in params):
+            return None
         mapping = {}
         for idx, param in enumerate(params):
-            mapping[param[0]] = _formal(idx)
+            mapping[symbol(param[0])] = _formal(idx)
         f = _sexp_formula(body, mapping)
         if f is None:
             return None
@@ -971,16 +985,17 @@ def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]
 
 
 def _sexp_term(node, mapping) -> Optional[Term]:
-    if isinstance(node, str):
-        if node.lstrip("-").isdigit():
-            return TInt(int(node))
-        return mapping.get(node)
+    text = symbol(node)
+    if text is not None:
+        if text.lstrip("-").isdigit():
+            return TInt(int(text))
+        return mapping.get(text)
     if not node:
         return None
-    op = node[0]
+    op = symbol(node[0])
     args = [_sexp_term(a, mapping) for a in node[1:]]
-    if op == "-" and len(node) == 2 and isinstance(node[1], str) and node[1].isdigit():
-        return TInt(-int(node[1]))
+    if op == "-" and len(node) == 2 and (symbol(node[1]) or "").isdigit():
+        return TInt(-int(symbol(node[1])))
     if any(a is None for a in args):
         if op == "ite":
             cond = _sexp_formula(node[1], mapping)
@@ -1015,15 +1030,16 @@ def _sexp_term(node, mapping) -> Optional[Term]:
 
 
 def _sexp_formula(node, mapping) -> Optional[Formula]:
-    if isinstance(node, str):
-        if node == "true":
+    text = symbol(node)
+    if text is not None:
+        if text == "true":
             return TRUE
-        if node == "false":
+        if text == "false":
             return FALSE
         return None
     if not node:
         return None
-    op = node[0]
+    op = symbol(node[0])
     if op == "and":
         parts = [_sexp_formula(a, mapping) for a in node[1:]]
         if any(p is None for p in parts):

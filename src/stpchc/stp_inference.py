@@ -3,8 +3,14 @@
 States pair a working pattern with a witness substitution; rewrite rules
 strip shared column content (prefixes, postfixes, reversed columns, leading
 constants, all-empty columns) until no rule applies.  The deterministic
-strategy fixes a total rule order; `infer_all` explores every reduction order
-and returns the full set of normal forms.
+strategy takes the first applicable step in the fixed rule order;
+`infer_all` explores every reduction order and returns the full set of
+normal forms.
+
+The rules are those of `pattern_core.RULE_TABLE`; this module supplies the
+cell algebra of sequence data columns (`COLUMNS`), and the rewrite loop and
+normal-form explorer that `collection_inference` runs on its set and
+multiset columns too.
 """
 
 from __future__ import annotations
@@ -14,11 +20,17 @@ from typing import Optional
 
 from .data import Cell, LearningData, Substitution
 from .pattern_core import (
+    ELEMENT,
+    REVERSED,
+    RULE_TABLE,
+    STRINGS,
+    Cells,
+    PredStep,
     Rule,
     TuplePattern,
-    const_atom,
-    reverse_element,
-    sort_atom,
+    compose,
+    data_steps,
+    strip,
     var_atom,
 )
 
@@ -34,33 +46,59 @@ class InferConfig:
     postfix: bool = False
     reverse: bool = False
     exhaustive_limit: int = 50_000
-    # Experimental sorting rule; breaks minimality, kept only so the failure
-    # is demonstrable in tests.  Never exposed on the CLI.
-    _sort_rule: bool = False
 
 
-@dataclass(frozen=True)
-class RewriteDescriptor:
-    rule: Rule
-    j: int
-    i: Optional[int] = None
-    letter: Optional[int] = None
+class _Columns(Cells):
+    """Sequence data columns: one sequence per sample row.  A rule applies
+    when it applies in every row."""
+
+    patterns = STRINGS  # the algebra of the pattern elements inferred
+
+    def is_empty(self, col) -> bool:
+        return not any(col)
+
+    def strip(self, col, aux, front: bool):
+        if front:
+            if all(cj[: len(ci)] == ci for cj, ci in zip(col, aux)):
+                return tuple(cj[len(ci) :] for cj, ci in zip(col, aux))
+        elif all(len(ci) <= len(cj) and cj[len(cj) - len(ci) :] == ci for cj, ci in zip(col, aux)):
+            return tuple(cj[: len(cj) - len(ci)] for cj, ci in zip(col, aux))
+        return None
+
+    def reverse(self, col):
+        return tuple(cell[::-1] for cell in col)
+
+    def end_letter(self, col, front: bool) -> Optional[int]:
+        if not all(col):
+            return None
+        end = 0 if front else -1
+        letter = col[0][end]
+        return letter if all(cell[end] == letter for cell in col) else None
+
+    def letter(self, letter: int, like):
+        return ((letter,),) * len(like)
+
+
+COLUMNS = _Columns()
 
 
 @dataclass(frozen=True)
 class RewriteState:
     """Working pattern (elements over variable ids), one variable id per
     data column, and the column contents.  `rows` is the sample count, kept
-    explicitly because the last column removal would otherwise lose it."""
+    explicitly because the last column removal would otherwise lose it.
+    `cells` is the algebra of the columns."""
 
     elements: tuple
     var_ids: tuple[int, ...]
     columns: Columns
     next_id: int
     rows: int
+    cells: Cells = COLUMNS
 
     @classmethod
-    def initial(cls, data: LearningData) -> "RewriteState":
+    def initial(cls, data) -> "RewriteState":
+        """The start state on `data`: learning data, or collection data."""
         if data.m == 0 or data.n == 0:
             raise ValueError("learning data must have at least one row and column")
         n = data.n
@@ -70,11 +108,12 @@ class RewriteState:
             columns=data.columns(),
             next_id=n,
             rows=data.m,
+            cells=_cells_of(data),
         )
 
     @property
     def pattern(self) -> TuplePattern:
-        return TuplePattern(self.elements)
+        return TuplePattern(self.elements, self.cells.mode)
 
     @property
     def substitution(self) -> Substitution:
@@ -97,200 +136,80 @@ class RewriteState:
             for el in self.elements:
                 acc: list[int] = []
                 for a in el:
-                    acc.extend(_atom_letters(a, env))
+                    if a < 0:
+                        acc.append(-a - 1)
+                    else:
+                        acc.extend(env[a >> 1][::-1] if a & 1 else env[a >> 1])
                 row.append(tuple(acc))
             out.append(tuple(row))
         return tuple(out)
 
 
-def _atom_letters(a, env) -> list[int]:
-    if isinstance(a, tuple):
-        flat: list[int] = []
-        for b in a[1]:
-            flat.extend(_atom_letters(b, env))
-        return sorted(flat)
-    if a < 0:
-        return [-a - 1]
-    val = env[a >> 1]
-    return list(reversed(val)) if a & 1 else list(val)
+def _cells_of(data) -> Cells:
+    # collection data names the algebra of its columns
+    return getattr(data, "cells", COLUMNS)
 
 
-def _column_descriptors(columns: Columns, cfg: InferConfig):
-    """Applicable rewrites in deterministic order: rule-major (epsilon,
-    prefix, cprefix, postfix, cpostfix, rprefix, rpostfix), then principal
-    column ascending, then auxiliary ascending."""
-    n = len(columns)
-    out = []
-    for j in range(n):
-        if all(not cell for cell in columns[j]):
-            out.append(RewriteDescriptor(Rule.EPSILON, j))
-    for j in range(n):
-        for i in range(n):
-            if i == j or all(not cell for cell in columns[i]):
-                continue
-            if all(
-                cj[: len(ci)] == ci for cj, ci in zip(columns[j], columns[i])
-            ):
-                out.append(RewriteDescriptor(Rule.PREFIX, j, i))
-    if cfg.constants:
-        for j in range(n):
-            col = columns[j]
-            if all(cell for cell in col):
-                first = col[0][0]
-                if all(cell[0] == first for cell in col):
-                    out.append(RewriteDescriptor(Rule.CPREFIX, j, letter=first))
-    if cfg.postfix:
-        for j in range(n):
-            for i in range(n):
-                if i == j or all(not cell for cell in columns[i]):
-                    continue
-                if all(
-                    len(ci) <= len(cj) and cj[len(cj) - len(ci) :] == ci
-                    for cj, ci in zip(columns[j], columns[i])
-                ):
-                    out.append(RewriteDescriptor(Rule.POSTFIX, j, i))
-        if cfg.constants:
-            for j in range(n):
-                col = columns[j]
-                if all(cell for cell in col):
-                    last = col[0][-1]
-                    if all(cell[-1] == last for cell in col):
-                        out.append(RewriteDescriptor(Rule.CPOSTFIX, j, letter=last))
-    if cfg.reverse:
-        for j in range(n):
-            for i in range(n):
-                if i == j or all(not cell for cell in columns[i]):
-                    continue
-                if all(
-                    cj[: len(ci)] == ci[::-1]
-                    for cj, ci in zip(columns[j], columns[i])
-                ):
-                    out.append(RewriteDescriptor(Rule.RPREFIX, j, i))
-        for j in range(n):
-            for i in range(n):
-                if i == j or all(not cell for cell in columns[i]):
-                    continue
-                if all(
-                    len(ci) <= len(cj) and cj[len(cj) - len(ci) :] == ci[::-1]
-                    for cj, ci in zip(columns[j], columns[i])
-                ):
-                    out.append(RewriteDescriptor(Rule.RPOSTFIX, j, i))
-    if cfg._sort_rule:
-        for j in range(n):
-            for i in range(n):
-                if i == j or all(not cell for cell in columns[i]):
-                    continue
-                if all(
-                    cj[: len(ci)] == tuple(sorted(ci))
-                    for cj, ci in zip(columns[j], columns[i])
-                ):
-                    out.append(RewriteDescriptor(Rule.SPREFIX, j, i))
-    return out
-
-
-def _apply_to_columns(columns: Columns, d: RewriteDescriptor) -> Columns:
-    j = d.j
-    col = columns[j]
-    if d.rule is Rule.EPSILON:
-        return columns[:j] + columns[j + 1 :]
-    if d.rule is Rule.PREFIX:
-        aux = columns[d.i]
-        new = tuple(cj[len(ci) :] for cj, ci in zip(col, aux))
-    elif d.rule is Rule.CPREFIX:
-        new = tuple(cell[1:] for cell in col)
-    elif d.rule is Rule.POSTFIX:
-        aux = columns[d.i]
-        new = tuple(cj[: len(cj) - len(ci)] for cj, ci in zip(col, aux))
-    elif d.rule is Rule.CPOSTFIX:
-        new = tuple(cell[:-1] for cell in col)
-    elif d.rule is Rule.RPREFIX:
-        aux = columns[d.i]
-        new = tuple(cj[len(ci) :] for cj, ci in zip(col, aux))
-    elif d.rule is Rule.RPOSTFIX:
-        aux = columns[d.i]
-        new = tuple(cj[: len(cj) - len(ci)] for cj, ci in zip(col, aux))
-    elif d.rule is Rule.SPREFIX:
-        aux = columns[d.i]
-        new = tuple(cj[len(ci) :] for cj, ci in zip(col, aux))
-    else:
-        raise ValueError(f"unknown rule {d.rule}")
-    return columns[:j] + (new,) + columns[j + 1 :]
-
-
-def _subst_var(elements, target: int, repl: tuple):
+def _subst_var(elements, target: int, repl: tuple, alg: Cells):
     """Replace variable `target` by the atom string `repl` (reversed
     occurrences get the reversed string)."""
-
-    def sub_atom(a):
-        if isinstance(a, tuple):
-            out = []
-            for b in a[1]:
-                out.extend(sub_atom(b))
-            return [sort_atom(tuple(out))]
-        if a < 0:
-            return [a]
-        if a >> 1 == target:
-            return list(reverse_element(repl)) if a & 1 else list(repl)
-        return [a]
-
+    rev = alg.reverse(repl)
     new_elements = []
     for el in elements:
         acc = []
         for a in el:
-            acc.extend(sub_atom(a))
-        new_elements.append(tuple(acc))
+            if a >= 0 and a >> 1 == target:
+                acc.extend(rev if a & 1 else repl)
+            else:
+                acc.append(a)
+        new_elements.append(alg.rebuild(acc))
     return tuple(new_elements)
 
 
-def applicable_rewrites(state: RewriteState, cfg: InferConfig) -> list[RewriteDescriptor]:
-    return _column_descriptors(state.columns, cfg)
-
-
-_PERMISSIVE = InferConfig(constants=True, postfix=True, reverse=True, _sort_rule=True)
-
-
-def rewrite_step(state: RewriteState, d: RewriteDescriptor) -> RewriteState:
-    # re-validate against the permissive config: the descriptor must name a
-    # genuinely applicable rewrite on this state's columns
-    if d not in _column_descriptors(state.columns, _PERMISSIVE):
-        raise ValueError(f"descriptor {d} is not applicable")
-    u = state.var_ids[d.j]
-    if d.rule is Rule.EPSILON:
-        elements = _subst_var(state.elements, u, ())
-        return RewriteState(
-            elements,
-            state.var_ids[: d.j] + state.var_ids[d.j + 1 :],
-            _apply_to_columns(state.columns, d),
-            state.next_id,
-            state.rows,
-        )
-    fresh = state.next_id
-    w = state.var_ids[d.i] if d.i is not None else None
-    if d.rule is Rule.PREFIX:
-        repl = (var_atom(w), var_atom(fresh))
-    elif d.rule is Rule.CPREFIX:
-        repl = (const_atom(d.letter), var_atom(fresh))
-    elif d.rule is Rule.POSTFIX:
-        repl = (var_atom(fresh), var_atom(w))
-    elif d.rule is Rule.CPOSTFIX:
-        repl = (var_atom(fresh), const_atom(d.letter))
-    elif d.rule is Rule.RPREFIX:
-        repl = (var_atom(w, reverse=True), var_atom(fresh))
-    elif d.rule is Rule.RPOSTFIX:
-        repl = (var_atom(fresh), var_atom(w, reverse=True))
-    elif d.rule is Rule.SPREFIX:
-        repl = (sort_atom((var_atom(w),)), var_atom(fresh))
+def _advance(state: RewriteState, step: PredStep, columns: Columns) -> RewriteState:
+    """The state after `step`, whose columns are `columns`: the principal's
+    variable is replaced by what the step stripped plus a fresh variable
+    for the rest (nothing, for epsilon)."""
+    j = step.j
+    if step.rule is Rule.EPSILON:
+        var_ids = state.var_ids[:j] + state.var_ids[j + 1 :]
+        next_id = state.next_id
     else:
-        raise ValueError(f"unknown rule {d.rule}")
-    elements = _subst_var(state.elements, u, repl)
-    var_ids = state.var_ids[: d.j] + (fresh,) + state.var_ids[d.j + 1 :]
+        var_ids = state.var_ids[:j] + (state.next_id,) + state.var_ids[j + 1 :]
+        next_id = state.next_id + 1
+    alg = state.cells.patterns
+    repl = compose(step, tuple((var_atom(v),) for v in var_ids), alg)[j]
     return RewriteState(
-        elements,
+        _subst_var(state.elements, state.var_ids[j], repl, alg),
         var_ids,
-        _apply_to_columns(state.columns, d),
-        state.next_id + 1,
+        columns,
+        next_id,
         state.rows,
+        state.cells,
     )
+
+
+def applicable_rewrites(state: RewriteState, cfg: InferConfig) -> list[PredStep]:
+    """Every applicable step, in the order inference takes them."""
+    return [step for step, _ in data_steps(state.columns, state.cells, cfg)]
+
+
+def rewrite_step(state: RewriteState, step: PredStep) -> RewriteState:
+    """Apply `step`; ValueError unless it applies to the state's columns
+    under some rule set (an auxiliary column must differ from the principal
+    and not be all empty)."""
+    columns = state.columns
+    n = len(columns)
+    i = step.i
+    _front, source = RULE_TABLE.get(step.rule, (None, None))
+    applies = 0 <= step.j < n and (
+        source not in (ELEMENT, REVERSED)
+        or i is not None and 0 <= i < n and i != step.j and not state.cells.is_empty(columns[i])
+    )
+    new = strip(columns, step, state.cells) if applies else None
+    if new is None:
+        raise ValueError(f"step {step} is not applicable")
+    return _advance(state, step, new)
 
 
 def final_state(data: LearningData, cfg: InferConfig = InferConfig()) -> RewriteState:
@@ -299,10 +218,10 @@ def final_state(data: LearningData, cfg: InferConfig = InferConfig()) -> Rewrite
     substitution)."""
     state = RewriteState.initial(data)
     while True:
-        descs = _column_descriptors(state.columns, cfg)
-        if not descs:
+        first = next(data_steps(state.columns, state.cells, cfg), None)
+        if first is None:
             return state
-        state = rewrite_step(state, descs[0])
+        state = _advance(state, *first)
 
 
 def infer(data: LearningData, cfg: InferConfig = InferConfig()) -> TuplePattern:
@@ -327,14 +246,14 @@ def infer_all(
     was hit; the returned set is then a lower bound.
 
     A shared `memo` dict may be passed to amortize exploration across many
-    matrices; it must always be used with the same config.
+    matrices; it must always be used with the same config and kind of data.
     """
     if data.m == 0 or data.n == 0:
         raise ValueError("learning data must have at least one row and column")
+    cells = _cells_of(data)
     if memo is None:
         memo = {}
     limit = cfg.exhaustive_limit
-    start = data.columns()
     incomplete = False
 
     # memo maps columns -> frozenset of normal-form element tuples over the
@@ -351,21 +270,19 @@ def infer_all(
             memo[columns] = None
             return None
         memo[columns] = None  # reserve the slot before recursing
-        descs = _column_descriptors(columns, cfg)
-        if not descs:
-            result = frozenset({tuple((var_atom(s),) for s in range(len(columns)))})
-            memo[columns] = result
-            return result
         out = set()
         partial = False
-        for d in descs:
-            succ = _apply_to_columns(columns, d)
+        stuck = True
+        for step, succ in data_steps(columns, cells, cfg):
+            stuck = False
             sub = forms(succ)
             if sub is None:
                 partial = True
                 continue
             for t in sub:
-                out.add(_compose(d, t))
+                out.add(compose(step, t, cells.patterns))
+        if stuck:
+            out.add(tuple((var_atom(s),) for s in range(len(columns))))
         if partial:
             incomplete = True
             memo[columns] = None
@@ -374,35 +291,12 @@ def infer_all(
         memo[columns] = result
         return result
 
-    raw = forms(start)
-    patterns = frozenset(TuplePattern(els) for els in (raw or frozenset()))
+    raw = forms(data.columns())
+    patterns = frozenset(TuplePattern(els, cells.mode) for els in (raw or frozenset()))
     return InferenceResult(patterns, complete=not incomplete)
 
 
 _MISSING = object()
-
-
-def _compose(d: RewriteDescriptor, t: tuple) -> tuple:
-    """Given the normal forms of the successor state, rebuild this state's
-    normal form: element j regains what the step stripped."""
-    j = d.j
-    if d.rule is Rule.EPSILON:
-        return t[:j] + ((),) + t[j:]
-    if d.rule is Rule.PREFIX:
-        return t[:j] + (t[d.i] + t[j],) + t[j + 1 :]
-    if d.rule is Rule.CPREFIX:
-        return t[:j] + ((const_atom(d.letter),) + t[j],) + t[j + 1 :]
-    if d.rule is Rule.POSTFIX:
-        return t[:j] + (t[j] + t[d.i],) + t[j + 1 :]
-    if d.rule is Rule.CPOSTFIX:
-        return t[:j] + (t[j] + (const_atom(d.letter),),) + t[j + 1 :]
-    if d.rule is Rule.RPREFIX:
-        return t[:j] + (reverse_element(t[d.i]) + t[j],) + t[j + 1 :]
-    if d.rule is Rule.RPOSTFIX:
-        return t[:j] + (t[j] + reverse_element(t[d.i]),) + t[j + 1 :]
-    if d.rule is Rule.SPREFIX:
-        return t[:j] + ((sort_atom(t[d.i]),) + t[j],) + t[j + 1 :]
-    raise ValueError(f"unknown rule {d.rule}")
 
 
 def reachable_patterns(
@@ -418,9 +312,9 @@ def reachable_patterns(
         memo[columns] = frozenset()
         trivial = tuple((var_atom(k),) for k in range(len(columns)))
         out = {trivial}
-        for d in _column_descriptors(columns, cfg):
-            for t in reach(_apply_to_columns(columns, d)):
-                out.add(_compose(d, t))
+        for step, succ in data_steps(columns, COLUMNS, cfg):
+            for t in reach(succ):
+                out.add(compose(step, t, STRINGS))
         result = frozenset(out)
         memo[columns] = result
         return result

@@ -157,21 +157,20 @@ def random_tuple(rng: random.Random, arity, letters=(A, B), max_len=4):
 
 def exhaustive_solvable(elements, rules: RuleSet) -> bool:
     """Oracle: solvability by trying every reduction order."""
-    from stpchc.pattern_core import _is_trivial, _steps_at
+    from stpchc.pattern_core import STRINGS, is_trivial, pattern_steps
 
     memo = {}
 
     def rec(els):
-        if _is_trivial(els):
+        if is_trivial(els):
             return True
         if els in memo:
             return memo[els]
         memo[els] = False
-        for j in range(len(els)):
-            for _step, succ in _steps_at(els, j, rules):
-                if rec(succ):
-                    memo[els] = True
-                    return True
+        for _step, succ in pattern_steps(els, STRINGS, rules):
+            if rec(succ):
+                memo[els] = True
+                return True
         return memo[els]
 
     return rec(tuple(elements))

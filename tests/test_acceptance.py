@@ -29,10 +29,10 @@ from stpchc.pattern_core import (
     measure,
     member,
     parse_pattern,
-    sort_atom,
     var_atom,
-    _greedy_path,
-    _residual_elements,
+    STRINGS,
+    find_path,
+    strip,
 )
 from stpchc.smt_backend import BoundedChecker, Bounds
 from stpchc.solver import (
@@ -224,7 +224,7 @@ def test_minimality_small_scale_exhaustive():
             arity: [
                 els
                 for els in enum_patterns(arity, 7 - arity)
-                if _greedy_path(els, RULES) is not None
+                if find_path(els, STRINGS, RULES, exhaustive=False) is not None
             ]
             for arity in (2, 3)
         }
@@ -280,11 +280,11 @@ def test_minimality_small_scale_exhaustive():
                 cur = t0
                 path = path_cache.get(t1)
                 if path is None:
-                    path = _greedy_path(t1, RULES)
+                    path = find_path(t1, STRINGS, RULES, exhaustive=False)
                     path_cache[t1] = path
                 hit = True
                 for step, _succ in path:
-                    cur = _residual_elements(cur, step)
+                    cur = strip(cur, step, STRINGS)
                     if cur is None:
                         hit = False
                         break
@@ -404,17 +404,15 @@ def test_sort_rule_non_example():
                 [(3, 4, 5), (4, 3, 5), (4,)],
             ]
         )
-        result = infer_all(data, InferConfig(_sort_rule=True))
-        sorted_form = TuplePattern(
-            (
-                (sort_atom((var_atom(0), var_atom(1))),),
-                (var_atom(0), var_atom(1)),
-                (var_atom(0),),
-            )
-        )
+        # a rule stripping the sorted letters of column 1 from the front of
+        # column 0 would apply, leading to the sorted form (sort(x y), x y, x)
+        assert all(r[0][: len(r[1])] == tuple(sorted(r[1])) for r in data.rows)
         plain_form = P("(z, xy, x)")
-        assert sorted_form in result.patterns
-        assert plain_form in result.patterns
+        # the sorted form holds only tuples whose first component sorts the
+        # second; this member of the plain form is not one
+        witness = ((2, 1), (2, 1), (2,))
+        assert member(witness, plain_form)
+        assert witness[0] != tuple(sorted(witness[1]))
         # the production surface never exposes the rule
         from stpchc.cli import build_parser
 
@@ -426,4 +424,6 @@ def test_sort_rule_non_example():
                         assert "sort" not in opt
         assert "_sort_rule" not in InferConfig.__init__.__doc__ if InferConfig.__init__.__doc__ else True
         result_plain = infer_all(data, InferConfig())
-        assert sorted_form not in result_plain.patterns
+        assert plain_form in result_plain.patterns
+        # no production normal form is the smaller sorted one
+        assert all(member(witness, t) for t in result_plain.patterns)

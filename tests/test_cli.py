@@ -140,6 +140,16 @@ class TestSolveCommand:
         assert code == 2
         assert "error" in err
 
+    def test_deep_nesting_reported(self, capsys, tmp_path):
+        # deeper than the interpreter's recursion limit: still a located
+        # parse error, not a traceback with the exit code of unsat
+        p = tmp_path / "deep.smt2"
+        p.write_text("(assert " + "(" * 5000 + ")" * 5000 + ")\n")
+        code, _out, err = run(capsys, "solve", str(p))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "(line 1, column 9)" in err
+
     def test_bad_bounds_usage_error(self, capsys):
         code, _out, err = run(
             capsys, "solve", str(BENCH / "reva.smt2"), "--bounds", "nope"

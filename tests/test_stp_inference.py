@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stpchc.data import LearningData
-from stpchc.pattern_core import Rule, TuplePattern, is_solvable, parse_pattern
+from stpchc.pattern_core import PredStep, Rule, is_solvable, parse_pattern
 from stpchc.stp_inference import (
     InferConfig,
     reachable_patterns,
@@ -93,11 +93,17 @@ class TestRewriteStep:
             state = rewrite_step(state, descs[0])
 
     def test_inapplicable_descriptor_rejected(self):
-        from stpchc.stp_inference import RewriteDescriptor
-
         state = RewriteState.initial(M(["a", "b"]))
         with pytest.raises(ValueError):
-            rewrite_step(state, RewriteDescriptor(Rule.EPSILON, 0))
+            rewrite_step(state, PredStep(Rule.EPSILON, 0))
+        # stripping a column from itself would succeed, but the auxiliary
+        # must be another column
+        with pytest.raises(ValueError):
+            rewrite_step(state, PredStep(Rule.PREFIX, 0, 0))
+        # stripping an all-empty column would succeed, but it is no auxiliary
+        state = RewriteState.initial(M(["a", ""], ["b", ""]))
+        with pytest.raises(ValueError):
+            rewrite_step(state, PredStep(Rule.PREFIX, 0, 1))
 
 
 class TestInfer:
@@ -111,6 +117,13 @@ class TestInfer:
     def test_postfix_example(self):
         got = infer(M(["a", "baa"], ["bc", "abcbc"]), InferConfig(postfix=True))
         assert got == P("(x, y x x)")
+
+    def test_reverse_without_postfix_strips_no_suffix(self):
+        # rpostfix strips a suffix, so it needs the postfix extension too:
+        # the pattern then stays solvable under the rules that inferred it
+        data = M(["ab", "cba"], ["b", "ab"])
+        assert infer(data, InferConfig(reverse=True)) == P("(x, y)")
+        assert infer(data, InferConfig(postfix=True, reverse=True)) == P("(x, y x^R)")
 
     def test_model_example(self):
         assert infer(M(["a", "aa"], ["b", "bb"])) == P("(x, x x)")
@@ -223,28 +236,29 @@ class TestInferAll:
         assert found >= 30
 
 
-class TestSortRuleRegression:
-    def test_divergent_normal_forms(self):
-        data = LearningData(
-            [
-                [(1, 2), (2, 1), (2,)],
-                [(3, 4, 5), (4, 3, 5), (4,)],
-            ]
-        )
-        cfg = InferConfig(_sort_rule=True)
-        result = infer_all(data, cfg)
-        from stpchc.pattern_core import sort_atom, var_atom
+SORT_ROWS = [
+    [(1, 2), (2, 1), (2,)],
+    [(3, 4, 5), (4, 3, 5), (4,)],
+]
 
-        sorted_form = TuplePattern(
-            (
-                (sort_atom((var_atom(0), var_atom(1))),),
-                (var_atom(0), var_atom(1)),
-                (var_atom(0),),
-            )
-        )
-        plain_form = P("(z, xy, x)")
-        assert sorted_form in result.patterns
-        assert plain_form in result.patterns
+
+def sorted_form_instance(x, y):
+    """The instance of the sorted form (sort(x y), x y, x): what a rule
+    stripping the sorted letters of one column from another would infer."""
+    return (tuple(sorted(x + y)), x + y, x)
+
+
+class TestSortRuleRegression:
+    # A sorting rule is not part of the rule set.  These tests keep the
+    # facts showing why adding one would break minimality.
+
+    def test_divergent_normal_forms(self):
+        data = LearningData(SORT_ROWS)
+        # a sorting rule would apply to the start state: in every row,
+        # column 0 starts with the sorted letters of column 1
+        assert all(r[0][: len(r[1])] == tuple(sorted(r[1])) for r in data.rows)
+        # and the plain normal form is reachable as well
+        assert P("(z, xy, x)") in infer_all(data, InferConfig()).patterns
 
     def test_sort_rule_off_by_default(self):
         data = LearningData(
@@ -261,25 +275,17 @@ class TestSortRuleRegression:
         # exactly the situation the production rule set never produces
         from itertools import product
 
-        from stpchc.pattern_core import apply_substitution, member, sort_atom, var_atom
+        from stpchc.pattern_core import member
 
-        sorted_form = TuplePattern(
-            (
-                (sort_atom((var_atom(0), var_atom(1))),),
-                (var_atom(0), var_atom(1)),
-                (var_atom(0),),
-            )
-        )
         plain_form = P("(z, xy, x)")
         strings = [(), (1,), (2,), (1, 2), (2, 1)]
         for x_val, y_val in product(strings, repeat=2):
-            v = apply_substitution({0: x_val, 1: y_val}, sorted_form)
-            assert member(v, plain_form)
+            assert member(sorted_form_instance(x_val, y_val), plain_form)
         # ((2,1), (2,1), (2,)) fits the plain form but not the sorted one
         witness = ((2, 1), (2, 1), (2,))
         assert member(witness, plain_form)
         assert not any(
-            apply_substitution({0: x_val, 1: y_val}, sorted_form) == witness
+            sorted_form_instance(x_val, y_val) == witness
             for x_val, y_val in product(strings, repeat=2)
         )
 
