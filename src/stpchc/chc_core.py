@@ -1,8 +1,15 @@
 """Constrained Horn clauses over integers and integer lists.
 
 Covers the SMT-LIB HORN subset (two-constructor list-like datatypes only),
-least-model sampling by unit propagation, bounded derivability checking, and
-checking goal bodies against concrete sample sets.
+the ground-join engine, least-model sampling by unit propagation, and
+bounded derivability checking.
+
+The engine (`AtomTable`, `plan_join`, `join`, `match_goal`) is the one
+bottom-up join over ground atoms.  Two free-variable policies use it:
+`collect_samples` draws seeded-random values for the variables a body match
+leaves free, and `solver.refute` enumerates them exhaustively over
+`_bounded_domain`.  `match_goal` checks goal bodies for both.  `derivable`
+stays top-down.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .formulas import (
     FALSE,
@@ -558,7 +565,7 @@ def render_smtlib(system: ChcSystem) -> str:
 # built from cons/nil so TSeq only appears as NIL there)
 
 # ---------------------------------------------------------------------------
-# sampling the least model
+# ground samples and term matching
 
 @dataclass(frozen=True)
 class SampleBudget:
@@ -641,6 +648,144 @@ def match_term(term: Term, value, binding: dict) -> bool:
         return False
 
 
+# ---------------------------------------------------------------------------
+# ground joins: the one engine behind sampling, refutation and goal matching
+
+class AtomTable:
+    """The ground atoms of one predicate in insertion order, each with an
+    item (its sample or derivation), and hash indexes on argument positions,
+    each built the first time a join asks for it."""
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.items: list = []
+        self._known: set[tuple] = set()
+        self._indexes: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __contains__(self, values: tuple) -> bool:
+        return values in self._known
+
+    def add(self, values: tuple, item) -> None:
+        """Append an atom whose values are not in the table yet."""
+        row = len(self.rows)
+        self._known.add(values)
+        self.rows.append(values)
+        self.items.append(item)
+        for positions, index in self._indexes.items():
+            index.setdefault(tuple(values[p] for p in positions), []).append(row)
+
+    def lookup(self, positions: tuple[int, ...], key: tuple) -> list[int]:
+        """The rows, ascending, whose values at `positions` equal `key`."""
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = {}
+            for row, values in enumerate(self.rows):
+                index.setdefault(tuple(values[p] for p in positions), []).append(row)
+        return index.get(key, [])
+
+
+def _bound_by_match(term: Term, out: set[str]) -> None:
+    """Add the variables that every successful `match_term` of `term` binds."""
+    if type(term) is TVar:
+        out.add(term.name)
+    elif type(term) is TCons:
+        _bound_by_match(term.head, out)
+        _bound_by_match(term.tail, out)
+
+
+@dataclass(frozen=True)
+class JoinPlan:
+    """How `join` matches a clause body: per body atom, the argument positions
+    known before it is matched (constants, and variables an earlier atom
+    binds); and the sorted clause variables no body atom is sure to bind."""
+
+    clause: Clause
+    keys: tuple[tuple[int, ...], ...]
+    free: tuple[str, ...]
+    sorts: dict[str, Sort]
+
+
+def plan_join(clause: Clause) -> JoinPlan:
+    bound: set[str] = set()
+    keys = []
+    for atom in clause.body_atoms:
+        keys.append(tuple(
+            p for p, arg in enumerate(atom.args)
+            if type(arg) in (TInt, TSeq) or (type(arg) is TVar and arg.name in bound)
+        ))
+        for arg in atom.args:
+            _bound_by_match(arg, bound)
+    sorts = clause.variables()
+    return JoinPlan(clause, tuple(keys), tuple(sorted(set(sorts) - bound)), sorts)
+
+
+def join(
+    plan: JoinPlan, tables: dict[str, AtomTable], cap: Optional[int] = None
+) -> Iterator[tuple[tuple[int, ...], dict]]:
+    """Every match of the body atoms against rows of `tables`, as (row
+    numbers, binding), in lexicographic order of the row numbers: the order
+    of the product of the row lists, filtered by `match_term`.  Each atom
+    sees the rows its table holds at the call.  With `cap`, only products
+    whose position (the mixed-radix rank of the row numbers) is below `cap`
+    are matched.  The indexes only prune: `match_term` confirms every row."""
+    atoms = plan.clause.body_atoms
+    limits = [len(tables[a.pred]) for a in atoms]
+    strides = [1] * len(atoms)
+    for k in range(len(atoms) - 2, -1, -1):
+        strides[k] = strides[k + 1] * limits[k + 1]
+    return _join_from(0, {}, 0, [0] * len(atoms), plan, tables, limits, strides, cap)
+
+
+def _join_from(k, binding, rank, rows, plan, tables, limits, strides, cap):
+    # A module-level generator rather than a closure in `join`: a closure
+    # that calls itself is a reference cycle, which would keep every table
+    # alive until the next full garbage collection.
+    atoms = plan.clause.body_atoms
+    if k == len(atoms):
+        if cap is None or rank < cap:
+            yield tuple(rows), binding
+        return
+    atom, table, positions = atoms[k], tables[atoms[k].pred], plan.keys[k]
+    if positions:
+        key = tuple(eval_term(atom.args[p], binding) for p in positions)
+        candidates = table.lookup(positions, key)
+    else:
+        candidates = range(limits[k])
+    for row in candidates:
+        if row >= limits[k] or (cap is not None and rank + row * strides[k] >= cap):
+            break
+        trial = dict(binding)
+        if all(match_term(arg, val, trial) for arg, val in zip(atom.args, table.rows[row])):
+            rows[k] = row
+            yield from _join_from(
+                k + 1, trial, rank + row * strides[k], rows, plan, tables, limits, strides, cap
+            )
+
+
+def match_goal(plan: JoinPlan, tables: dict[str, AtomTable]) -> Optional[tuple[tuple, dict]]:
+    """The first match of a goal body, in join order, that binds every goal
+    variable and makes the constraint true, as (the matched items, binding)."""
+    goal = plan.clause
+    for rows, binding in join(plan, tables):
+        if any(name not in binding for name in plan.free):
+            continue  # free goal variables: not decidable from ground atoms
+        try:
+            if eval_formula(goal.constraint, binding):
+                items = tuple(
+                    tables[a.pred].items[r] for a, r in zip(goal.body_atoms, rows)
+                )
+                return items, binding
+        except Exception:
+            continue
+    return None
+
+
+# ---------------------------------------------------------------------------
+# sampling the least model
+
 def _free_var_assignments(
     names: Sequence[str],
     sorts: dict[str, Sort],
@@ -659,46 +804,19 @@ def collect_samples(
 ) -> list[Sample]:
     """Positive samples of every predicate, derived bottom-up: facts are
     instantiated with random values, then definite clauses are unit-propagated
-    up to the depth budget.  Every returned sample is in the least model."""
-    db: dict[str, dict[tuple, Sample]] = {p: {} for p in system.predicates}
-
-    def add(pred: str, values: tuple, depth: int) -> bool:
-        bucket = db[pred]
-        if values in bucket or len(bucket) >= budget.per_pred_cap:
-            return False
-        bucket[values] = Sample(pred, values, ("derived", depth))
-        return True
-
-    facts = [c for c in system.definite if not c.body_atoms]
-    rules = [c for c in system.definite if c.body_atoms]
-    for clause in facts:
-        sorts = clause.variables()
-        names = sorted(sorts)
-        for env in _free_var_assignments(names, sorts, budget, rng):
-            if eval_formula(clause.constraint, env):
-                add(clause.head.pred, tuple(eval_term(a, env) for a in clause.head.args), 0)
-
-    for depth in range(1, budget.depth + 1):
+    up to the depth budget, each over the first `combo_cap` products of its
+    body-atom pools.  Every returned sample is in the least model."""
+    tables = {p: AtomTable() for p in system.predicates}
+    facts = [plan_join(c) for c in system.definite if not c.body_atoms]
+    rules = [plan_join(c) for c in system.definite if c.body_atoms]
+    for depth in range(budget.depth + 1):
         new: list[tuple[str, tuple]] = []
-        for clause in rules:
-            sorts = clause.variables()
-            pools = [list(db[a.pred].keys()) for a in clause.body_atoms]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.islice(
-                itertools.product(*pools), budget.combo_cap
-            ):
-                binding: dict = {}
-                if not all(
-                    all(
-                        match_term(arg, val, binding)
-                        for arg, val in zip(atom.args, values)
-                    )
-                    for atom, values in zip(clause.body_atoms, combo)
-                ):
-                    continue
-                free = sorted(set(sorts) - set(binding))
-                for extra in _free_var_assignments(free, sorts, budget, rng):
+        for plan in rules if depth else facts:
+            clause = plan.clause
+            cap = budget.combo_cap if depth else None  # only rules are capped
+            for _, binding in join(plan, tables, cap):
+                free = [n for n in plan.free if n not in binding]
+                for extra in _free_var_assignments(free, plan.sorts, budget, rng):
                     env = {**binding, **extra}
                     try:
                         if not eval_formula(clause.constraint, env):
@@ -708,11 +826,13 @@ def collect_samples(
                         continue
                     new.append((clause.head.pred, values))
         for pred, values in new:
-            add(pred, values, depth)
+            table = tables[pred]
+            if values not in table and len(table) < budget.per_pred_cap:
+                table.add(values, Sample(pred, values, ("derived", depth)))
 
     out: list[Sample] = []
-    for pred in db:
-        out.extend(db[pred].values())
+    for table in tables.values():
+        out.extend(table.items)
     return out
 
 
@@ -801,48 +921,3 @@ def derivable(
         return memo[key]
 
     return derive(pred, values, depth)
-
-
-# ---------------------------------------------------------------------------
-# goal checking against concrete samples
-
-@dataclass(frozen=True)
-class GoalWitness:
-    goal_index: int
-    assignment: tuple[tuple[PredicateAtom, tuple], ...]
-    env: dict
-
-
-def bounded_goal_check(
-    samples: Iterable[Sample], system: ChcSystem
-) -> Optional[GoalWitness]:
-    """Search for samples making some goal body concretely true; the samples
-    must all belong to the least model (derived, or revalidated)."""
-    by_pred: dict[str, list[tuple]] = {}
-    for s in samples:
-        by_pred.setdefault(s.predicate, []).append(s.values)
-    for gi, goal in enumerate(system.goals):
-        pools = [by_pred.get(a.pred, []) for a in goal.body_atoms]
-        if any(not p for p in pools):
-            continue
-        for combo in itertools.product(*pools):
-            binding: dict = {}
-            if not all(
-                all(
-                    match_term(arg, val, binding)
-                    for arg, val in zip(atom.args, values)
-                )
-                for atom, values in zip(goal.body_atoms, combo)
-            ):
-                continue
-            sorts = goal.variables()
-            if set(sorts) - set(binding):
-                continue  # free goal variables: not decidable from samples
-            try:
-                if eval_formula(goal.constraint, binding):
-                    return GoalWitness(
-                        gi, tuple(zip(goal.body_atoms, combo)), binding
-                    )
-            except Exception:
-                continue
-    return None

@@ -6,6 +6,12 @@ samples, and finally check the goals.  Around it: length abstraction with an
 integer-CHC backend (external or the built-in linear fitter), set/multiset
 abstraction, a breadth-first ground refutation search, and the mode
 sequencer that ties them together.
+
+Sampling (`collect_samples`) and refutation (`refute`) run on the one ground
+join engine of `chc_core`: sampling with seeded-random values for the
+variables a body match leaves free, refutation with every value of the
+bounded domain.  Auto mode reports `unsat` only for a derivation that
+`replay_derivation` confirms.
 """
 
 from __future__ import annotations
@@ -21,14 +27,19 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .chc_core import (
+    AtomTable,
     ChcSystem,
     Clause,
     PredicateAtom,
     Sample,
     SampleBudget,
+    _bounded_domain,
     collect_samples,
     derivable,
-    match_term,
+    join,
+    match_goal,
+    match_term,  # unused here; perfbench/tracing.py counts calls at this name
+    plan_join,
     read_sexps,
     render_smtlib,
     symbol,
@@ -1170,21 +1181,6 @@ class RefutationWitness:
     depth: int
 
 
-def _domain_values(sort: Sort, budget: RefuteBudget):
-    if sort is Sort.INT:
-        return tuple(range(budget.value_lo, budget.value_hi + 1))
-    return _lists_upto(budget.max_list_len, budget.value_hi)
-
-
-def _lists_upto(max_len, max_elem):
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (v,) for w in frontier for v in range(max_elem + 1)]
-        out.extend(frontier)
-    return tuple(out)
-
-
 def refute(
     system: ChcSystem,
     budget: RefuteBudget = RefuteBudget(),
@@ -1192,153 +1188,67 @@ def refute(
 ) -> Optional[RefutationWitness]:
     """Exhaustive bottom-up derivation over a small value domain, checking
     the goal bodies after each level; a hit yields a replayable derivation
-    of false."""
-    atoms: dict[str, dict[tuple, DerivedAtom]] = {p: {} for p in system.predicates}
+    of false.  Level 0 applies the facts; a later level applies every rule
+    to the atoms derived so far (earlier clauses of the same level included)
+    and keeps the combinations that use an atom of the previous level."""
+    cancel = cancel or threading.Event()
+    tables = {p: AtomTable() for p in system.predicates}
+    domains = {sort: _bounded_domain(sort, budget, set()) for sort in Sort}
+    facts = [(i, plan_join(c)) for i, c in enumerate(system.definite) if not c.body_atoms]
+    rules = [(i, plan_join(c)) for i, c in enumerate(system.definite) if c.body_atoms]
+    goals = [plan_join(g) for g in system.goals]
     total = 0
+    start = {p: 0 for p in tables}
 
-    def value_ok(values) -> bool:
-        return all(
-            not isinstance(v, tuple) or len(v) <= budget.derived_list_cap
-            for v in values
-        )
-
-    def goal_hit(depth: int) -> Optional[RefutationWitness]:
-        for gi, goal in enumerate(system.goals):
-            found = _match_goal(goal, atoms)
-            if found is not None:
-                binding, chosen = found
-                return RefutationWitness(
-                    gi, tuple(sorted(binding.items())), tuple(chosen), depth
-                )
-        return None
-
-    facts = [
-        (idx, c) for idx, c in enumerate(system.definite) if not c.body_atoms
-    ]
-    rules = [(idx, c) for idx, c in enumerate(system.definite) if c.body_atoms]
-
-    for idx, clause in facts:
-        sorts = clause.variables()
-        names = sorted(sorts)
-        domains = [_domain_values(sorts[n], budget) for n in names]
-        for combo in itertools.product(*domains):
-            if cancel is not None and cancel.is_set():
-                return None
-            env = dict(zip(names, combo))
-            try:
-                if not eval_formula(clause.constraint, env):
-                    continue
-                values = tuple(eval_term(a, env) for a in clause.head.args)
-            except Exception:
-                continue
-            if not value_ok(values):
-                continue
-            bucket = atoms[clause.head.pred]
-            if values not in bucket:
-                bucket[values] = DerivedAtom(
-                    clause.head.pred, values, idx, tuple(sorted(env.items())), ()
-                )
-                total += 1
-                if total >= budget.max_atoms:
+    for depth in range(budget.depth + 1):
+        previous, start = start, {p: len(t) for p, t in tables.items()}
+        for idx, plan in rules if depth else facts:
+            clause = plan.clause
+            for rows, binding in join(plan, tables):
+                if cancel.is_set():
                     return None
-    hit = goal_hit(0)
-    if hit is not None:
-        return hit
-
-    fresh: dict[str, set[tuple]] = {p: set(d) for p, d in atoms.items()}
-    for depth in range(1, budget.depth + 1):
-        new_atoms: list[DerivedAtom] = []
-        for idx, clause in rules:
-            if cancel is not None and cancel.is_set():
-                return None
-            sorts = clause.variables()
-            pools = []
-            for atom in clause.body_atoms:
-                pools.append(list(atoms[atom.pred].values()))
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                if not any(a.values in fresh[a.predicate] for a in combo):
-                    continue
-                binding: dict = {}
-                if not all(
-                    all(
-                        match_term(arg, val, binding)
-                        for arg, val in zip(atom.args, chosen.values)
-                    )
-                    for atom, chosen in zip(clause.body_atoms, combo)
+                if depth and not any(
+                    previous[a.pred] <= r < start[a.pred]
+                    for a, r in zip(clause.body_atoms, rows)
                 ):
                     continue
-                free = sorted(set(sorts) - set(binding))
-                domains = [_domain_values(sorts[n], budget) for n in free]
-                for extra in itertools.product(*domains):
+                free = [n for n in plan.free if n not in binding]
+                for extra in itertools.product(*(domains[plan.sorts[n]] for n in free)):
+                    if cancel.is_set():
+                        return None
                     env = {**binding, **dict(zip(free, extra))}
                     try:
                         if not eval_formula(clause.constraint, env):
                             continue
-                        values = tuple(
-                            eval_term(a, env) for a in clause.head.args
-                        )
+                        values = tuple(eval_term(a, env) for a in clause.head.args)
                     except Exception:
                         continue
-                    if not value_ok(values):
+                    table = tables[clause.head.pred]
+                    if values in table or any(
+                        isinstance(v, tuple) and len(v) > budget.derived_list_cap
+                        for v in values
+                    ):
                         continue
-                    bucket = atoms[clause.head.pred]
-                    if values in bucket:
-                        continue
-                    node = DerivedAtom(
-                        clause.head.pred,
-                        values,
-                        idx,
-                        tuple(sorted(env.items())),
-                        combo,
+                    children = tuple(
+                        tables[a.pred].items[r] for a, r in zip(clause.body_atoms, rows)
                     )
-                    bucket[values] = node
-                    new_atoms.append(node)
+                    node = DerivedAtom(
+                        clause.head.pred, values, idx, tuple(sorted(env.items())), children
+                    )
+                    table.add(values, node)
                     total += 1
                     if total >= budget.max_atoms:
                         return None
-        fresh = {p: set() for p in system.predicates}
-        for node in new_atoms:
-            fresh[node.predicate].add(node.values)
-        hit = goal_hit(depth)
-        if hit is not None:
-            return hit
-        if not new_atoms:
+        for gi, plan in enumerate(goals):
+            if cancel.is_set():
+                return None
+            found = match_goal(plan, tables)
+            if found is not None:
+                atoms, binding = found
+                return RefutationWitness(gi, tuple(sorted(binding.items())), atoms, depth)
+        if all(len(t) == start[p] for p, t in tables.items()):
             return None
     return None
-
-
-def _match_goal(goal: Clause, atoms) -> Optional[tuple[dict, list]]:
-    chosen: list[DerivedAtom] = []
-
-    def rec(k: int, binding: dict) -> Optional[dict]:
-        if k == len(goal.body_atoms):
-            sorts = goal.variables()
-            if set(sorts) - set(binding):
-                return None
-            try:
-                return binding if eval_formula(goal.constraint, binding) else None
-            except Exception:
-                return None
-        atom = goal.body_atoms[k]
-        for node in atoms[atom.pred].values():
-            trial = dict(binding)
-            if all(
-                match_term(arg, val, trial)
-                for arg, val in zip(atom.args, node.values)
-            ):
-                chosen.append(node)
-                result = rec(k + 1, trial)
-                if result is not None:
-                    return result
-                chosen.pop()
-        return None
-
-    binding = rec(0, {})
-    if binding is None:
-        return None
-    return binding, list(chosen)
 
 
 def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
@@ -1407,12 +1317,17 @@ def solve_auto(
 
     def refute_worker():
         witness = refute(system, cfg.refute, cancel=cancel)
-        if witness is not None:
+        if witness is None:
+            results.put(Verdict(VerdictKind.UNKNOWN, mode="refutation"))
+        elif replay_derivation(system, witness):
             results.put(
                 Verdict(VerdictKind.UNSAT, derivation=witness, mode="refutation")
             )
         else:
-            results.put(Verdict(VerdictKind.UNKNOWN, mode="refutation"))
+            results.put(Verdict(
+                VerdictKind.UNKNOWN, mode="refutation",
+                reason="refutation witness does not replay",
+            ))
 
     def modes_worker():
         last = None

@@ -3,9 +3,11 @@ generation by inverse reduction, and small brute-force oracles."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from stpchc.alphabet import char_to_letter
+from stpchc.chc_core import AtomTable, match_goal, match_term, plan_join
 from stpchc.pattern_core import (
     RuleSet,
     TuplePattern,
@@ -207,3 +209,32 @@ def enumerate_patterns(arity, max_atoms, letters=(A, B), max_vars=None):
 
     extend([], max_atoms, 0)
     return results
+
+
+def naive_join(atoms, pools, cap=None):
+    """Reference for `chc_core.join`: the first `cap` combinations of the
+    product of the pools (all of them without a cap), kept when every
+    argument matches in order, as (row numbers, binding)."""
+    combos = itertools.product(*(range(len(pool)) for pool in pools))
+    for rows in itertools.islice(combos, cap):
+        binding: dict = {}
+        if all(
+            all(match_term(arg, val, binding) for arg, val in zip(atom.args, pool[r]))
+            for atom, pool, r in zip(atoms, pools, rows)
+        ):
+            yield rows, binding
+
+
+def goal_hit(samples, system):
+    """The first goal whose body the samples make concretely true, as (goal
+    index, values of the matched samples, binding), or None."""
+    tables = {p: AtomTable() for p in system.predicates}
+    for sample in samples:
+        if sample.values not in tables[sample.predicate]:
+            tables[sample.predicate].add(sample.values, sample)
+    for gi, goal in enumerate(system.goals):
+        found = match_goal(plan_join(goal), tables)
+        if found is not None:
+            matched, binding = found
+            return gi, tuple(sample.values for sample in matched), binding
+    return None

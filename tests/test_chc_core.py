@@ -8,13 +8,14 @@ from stpchc.chc_core import (
     ParseError,
     Sample,
     SampleBudget,
-    bounded_goal_check,
     collect_samples,
     derivable,
     parse_smtlib,
     render_smtlib,
 )
 from stpchc.formulas import Sort
+
+from helpers import goal_hit
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -152,19 +153,19 @@ class TestBoundedGoalCheck:
             (BENCH / "unsat" / "direct_fact.smt2").read_text()
         )
         samples = [Sample("p", ((1,),), ("derived", 0))]
-        witness = bounded_goal_check(samples, system)
+        witness = goal_hit(samples, system)
         assert witness is not None
-        assert witness.assignment[0][1] == ((1,),)
+        assert witness[1][0] == ((1,),)
 
     def test_none_for_satisfiable_samples(self):
         system = load("reva.smt2")
         budget = SampleBudget(depth=3, count=8)
         samples = collect_samples(system, budget, random.Random(2))
-        assert bounded_goal_check(samples, system) is None
+        assert goal_hit(samples, system) is None
 
     def test_empty_samples(self):
         system = load("reva.smt2")
-        assert bounded_goal_check([], system) is None
+        assert goal_hit([], system) is None
 
 
 class TestParserRobustness:

@@ -1,11 +1,14 @@
 import random
 import sys
 import textwrap
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from stpchc import solver
 from stpchc.chc_core import (
     Sample,
     SampleBudget,
@@ -315,6 +318,19 @@ class TestRefute:
             for depth in (1, 3, 6):
                 assert refute(system, RefuteBudget(depth=depth)) is None
 
+    def test_cancel_stops_the_engine(self, sort_system):
+        # this budget keeps refute(sort) busy for more than 5 s uncancelled
+        budget = RefuteBudget(depth=8, max_atoms=10**6, value_hi=3, max_list_len=4)
+        cancel = threading.Event()
+        timer = threading.Timer(0.2, cancel.set)
+        started = time.monotonic()
+        timer.start()
+        try:
+            assert refute(sort_system, budget, cancel=cancel) is None
+        finally:
+            timer.cancel()
+        assert time.monotonic() - started < 1.0
+
     def test_derivation_is_replayable_structure(self):
         system = parse_smtlib((BENCH / "unsat" / "plus_reach.smt2").read_text())
         witness = refute(system)
@@ -347,6 +363,16 @@ class TestSolveAuto:
             verdict = solve_auto(system, SolverConfig(seed=0))
             assert verdict.kind is VerdictKind.UNSAT, path.name
             assert replay_derivation(system, verdict.derivation)
+
+    def test_unreplayable_witness_is_not_unsat(self, monkeypatch):
+        system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
+        witness = refute(system)
+        node = witness.atoms[0]
+        assert node.values == ((1,),)
+        altered = replace(witness, atoms=(replace(node, values=((2,),)),))
+        monkeypatch.setattr(solver, "refute", lambda *args, **kwargs: altered)
+        verdict = solve_auto(system, SolverConfig(seed=0, timeout=30))
+        assert verdict.kind is not VerdictKind.UNSAT
 
     def test_timeout_gives_unknown(self, take_drop):
         verdict = solve_auto(take_drop, SolverConfig(seed=0, timeout=0.01))
@@ -408,12 +434,12 @@ class TestCheckDefiniteExamples:
 
 class TestBoundedGoalCheckOnWorkedSystems:
     def test_never_witnesses_satisfiable_systems(self, reva, take_drop, sort_system):
-        from stpchc.chc_core import bounded_goal_check
+        from helpers import goal_hit
 
         for system in (reva, take_drop, sort_system):
             budget = SampleBudget(depth=3, count=8)
             samples = collect_samples(system, budget, random.Random(5))
-            assert bounded_goal_check(samples, system) is None
+            assert goal_hit(samples, system) is None
 
 
 class TestRefuteExamples:
@@ -431,6 +457,23 @@ class TestRefuteExamples:
         system = parse_smtlib(text)
         budget = RefuteBudget(depth=4, value_lo=0, value_hi=3)
         assert refute(system, budget) is None
+
+    def test_list_domain_honours_value_lo(self):
+        def pinned(element: int):
+            return parse_smtlib(f"""
+            (set-logic HORN)
+            (declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))
+            (declare-fun p (Lst) Bool)
+            (assert (forall ((l Lst)) (p l)))
+            (assert (forall ((l Lst))
+              (=> (and (p l) (= l (cons {element} nil))) false)))
+            (check-sat)
+            """)
+
+        assert refute(pinned(0), RefuteBudget(value_lo=1)) is None
+        witness = refute(pinned(-1), RefuteBudget(value_lo=-1))
+        assert witness is not None
+        assert witness.atoms[0].values == ((-1,),)
 
     def test_insert_patterns_include_singleton_sum(self, sort_system):
         verdict = solve_collection_mode(sort_system, SolverConfig(seed=0), Mode.MULTISET)
