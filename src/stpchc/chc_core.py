@@ -865,59 +865,55 @@ def derivable(
     """Sound bounded check that the ground atom is in the least model,
     within `depth` clause applications."""
     seen_ints: set[int] = set()
-
-    def collect_ints(v):
+    for v in values:
         if isinstance(v, int):
             seen_ints.add(v)
         else:
             seen_ints.update(v)
+    return _derive(system, budget, seen_ints, {}, pred, values, depth)
 
-    for v in values:
-        collect_ints(v)
 
-    memo: dict = {}
-
-    def derive(pred: str, values: tuple, d: int) -> bool:
-        key = (pred, values, d)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        for clause in system.clauses_for(pred):
-            binding: dict = {}
-            if len(clause.head.args) != len(values):
-                continue
-            if not all(
-                match_term(arg, val, binding)
-                for arg, val in zip(clause.head.args, values)
-            ):
-                continue
-            if clause.body_atoms and d <= 0:
-                continue
-            sorts = clause.variables()
-            free = sorted(set(sorts) - set(binding))
-            domains = [_bounded_domain(sorts[name], budget, seen_ints) for name in free]
-            product_size = 1
-            for dom in domains:
-                product_size *= len(dom)
-            if product_size > 20000:
-                continue  # incomplete but sound
-            for combo in itertools.product(*domains):
-                env = {**binding, **dict(zip(free, combo))}
-                try:
-                    if not eval_formula(clause.constraint, env):
-                        continue
-                    if all(
-                        derive(
-                            atom.pred,
-                            tuple(eval_term(a, env) for a in atom.args),
-                            d - 1,
-                        )
-                        for atom in clause.body_atoms
-                    ):
-                        memo[key] = True
-                        return True
-                except Exception:
-                    continue
+def _derive(system: ChcSystem, budget: SampleBudget, seen_ints: set, memo: dict,
+            pred: str, values: tuple, d: int) -> bool:
+    key = (pred, values, d)
+    if key in memo:
         return memo[key]
-
-    return derive(pred, values, depth)
+    memo[key] = False
+    for clause in system.clauses_for(pred):
+        binding: dict = {}
+        if len(clause.head.args) != len(values):
+            continue
+        if not all(
+            match_term(arg, val, binding)
+            for arg, val in zip(clause.head.args, values)
+        ):
+            continue
+        if clause.body_atoms and d <= 0:
+            continue
+        sorts = clause.variables()
+        free = sorted(set(sorts) - set(binding))
+        domains = [_bounded_domain(sorts[name], budget, seen_ints) for name in free]
+        product_size = 1
+        for dom in domains:
+            product_size *= len(dom)
+        if product_size > 20000:
+            continue  # incomplete but sound
+        for combo in itertools.product(*domains):
+            env = {**binding, **dict(zip(free, combo))}
+            try:
+                if not eval_formula(clause.constraint, env):
+                    continue
+                if all(
+                    _derive(
+                        system, budget, seen_ints, memo,
+                        atom.pred,
+                        tuple(eval_term(a, env) for a in atom.args),
+                        d - 1,
+                    )
+                    for atom in clause.body_atoms
+                ):
+                    memo[key] = True
+                    return True
+            except Exception:
+                continue
+    return memo[key]

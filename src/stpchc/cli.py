@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -34,6 +35,7 @@ from .solver import (
     ExternalIntChc,
     SolverConfig,
     VerdictKind,
+    mode_registry,
     solve,
 )
 from .stp_inference import InferConfig, infer, infer_all
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument(
         "--mode",
-        choices=["auto", "list", "set", "multiset", "list-len"],
+        choices=["auto", *mode_registry()],
         default="auto",
     )
     p_solve.add_argument("--smt-cmd", help="external SMT solver command line")
@@ -98,10 +100,15 @@ def _parse_bounds(text: str) -> Bounds:
         max_len, max_elem = int(l_part), int(e_part)
     except ValueError:
         raise UsageError(f"bad --bounds {text!r}; expected L,E") from None
+    if max_len < 0 or max_elem < 0:
+        raise UsageError(f"bad --bounds {text!r}; L and E must be at least 0")
     return Bounds(max_list_len=max_len, max_elem=max_elem, int_hi=max_len + 1)
 
 
 def cmd_solve(ns) -> int:
+    if ns.timeout is not None and not (math.isfinite(ns.timeout) and ns.timeout >= 0):
+        raise UsageError(f"bad --timeout {ns.timeout}; expected a finite number of seconds >= 0")
+    bounds = _parse_bounds(ns.bounds)
     try:
         with open(ns.file) as handle:
             text = handle.read()
@@ -113,7 +120,6 @@ def cmd_solve(ns) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bounds = _parse_bounds(ns.bounds)
     cfg = SolverConfig(seed=ns.seed, bounds=bounds, timeout=ns.timeout)
     checker = (
         ExternalSmtChecker(ns.smt_cmd.split())

@@ -5,12 +5,17 @@ with equality propagation and prefix/suffix domain narrowing so that
 clause-shaped implications stay tractable.  The external provider drives an
 SMT process over the sequence theory; its counter-models are never trusted
 without concrete re-evaluation.
+
+A bounded search takes a stop event and raises `Cancelled` at the next search
+node once the event is set; it never returns a partial list, which would read
+as bounded validity.
 """
 
 from __future__ import annotations
 
 import itertools
 import subprocess
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -54,6 +59,10 @@ from .formulas import (
 )
 
 _PRUNE = ("prune",)
+
+
+class Cancelled(Exception):
+    """A search stopped because its stop event was set."""
 
 
 def _invert(term: Term, value, env) -> Optional[tuple]:
@@ -278,7 +287,10 @@ class BoundedChecker:
             return ValidityResult(ValidityKind.INVALID, assignment=cexs[0])
         return ValidityResult(ValidityKind.VALID_BOUNDED, bounds=self.bounds)
 
-    def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
+    def counterexamples(
+        self, f: Formula, limit: int = 1, cancel: Optional[threading.Event] = None
+    ) -> list[dict]:
+        cancel = cancel or threading.Event()
         variables = formula_vars(f)
         names = list(variables)
         if isinstance(f, FImp):
@@ -337,6 +349,8 @@ class BoundedChecker:
         def search(pending: list[int]):
             if len(results) >= limit:
                 return
+            if cancel.is_set():
+                raise Cancelled
             # propagate: resolve decided conjuncts, force single-var equalities
             trail: list[str] = []
             live = list(pending)

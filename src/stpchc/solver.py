@@ -12,6 +12,12 @@ join engine of `chc_core`: sampling with seeded-random values for the
 variables a body match leaves free, refutation with every value of the
 bounded domain.  Auto mode reports `unsat` only for a derivation that
 `replay_derivation` confirms.
+
+The modes live in one registry (`mode_registry`), which `solve` dispatches
+through and auto mode runs in order.  A solve has one stop event, set by a
+timer at `SolverConfig.timeout` and by auto mode once a verdict is decided.
+The model loop, the refutation joins, the integer fitter and the bounded
+checker test it and raise `Cancelled`, which `_run` turns into UNKNOWN.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import queue
 import random
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .chc_core import (
@@ -102,7 +110,7 @@ from .pattern_core import (
     solving_path,
     strip,
 )
-from .smt_backend import Bounds, BoundedChecker, ValidityKind
+from .smt_backend import Bounds, BoundedChecker, Cancelled, ValidityKind
 from .stp_inference import InferConfig, infer
 
 
@@ -132,14 +140,12 @@ class SolverConfig:
     max_iterations: int = 50
     cex_batch: int = 16
     revalidate_depth: int = 8
-    accumulate: bool = False
     # coarse abstraction modes pay full exhaustion on valid clauses, so they
     # run at a reduced list bound by default
     collection_bounds: Bounds = Bounds(max_list_len=3)
     infer: InferConfig = InferConfig(constants=False, postfix=True, reverse=True)
     refute: RefuteBudget = RefuteBudget()
     timeout: Optional[float] = None
-    mode_timeout: Optional[float] = None  # wall-clock budget per mode
 
     def sample_budget(self, depth: Optional[int] = None) -> SampleBudget:
         return SampleBudget(
@@ -358,12 +364,12 @@ def clause_formula(model: CandidateModel, clause: Clause) -> Formula:
     return FImp(ante, cons)
 
 
-def _check_clauses(model, clauses, checker, cex_limit) -> CheckOutcome:
+def _check_clauses(model, clauses, checker, cex_limit, cancel) -> CheckOutcome:
     bounded = False
     for clause in clauses:
         f = clause_formula(model, clause)
         if isinstance(checker, BoundedChecker):
-            cexs = checker.counterexamples(f, limit=cex_limit)
+            cexs = checker.counterexamples(f, limit=cex_limit, cancel=cancel)
             if cexs:
                 return CheckOutcome("cex", clause, cexs, bounded)
             bounded = True
@@ -377,12 +383,14 @@ def _check_clauses(model, clauses, checker, cex_limit) -> CheckOutcome:
     return CheckOutcome("valid", bounded=bounded)
 
 
-def check_definite(model: CandidateModel, system: ChcSystem, checker, cex_limit: int = 16) -> CheckOutcome:
-    return _check_clauses(model, system.definite, checker, cex_limit)
+def check_definite(model: CandidateModel, system: ChcSystem, checker, cex_limit: int = 16,
+                   cancel: Optional[threading.Event] = None) -> CheckOutcome:
+    return _check_clauses(model, system.definite, checker, cex_limit, cancel)
 
 
-def check_goal(model: CandidateModel, system: ChcSystem, checker) -> CheckOutcome:
-    return _check_clauses(model, system.goals, checker, 1)
+def check_goal(model: CandidateModel, system: ChcSystem, checker,
+               cancel: Optional[threading.Event] = None) -> CheckOutcome:
+    return _check_clauses(model, system.goals, checker, 1, cancel)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +452,6 @@ def screen_samples(
     return out, rejected
 
 
-ModelBuilder = Callable[[ChcSystem, dict], CandidateModel]
-
-
 def _by_pred(system: ChcSystem, samples: Sequence[Sample]) -> dict[str, list[tuple]]:
     table: dict[str, list[tuple]] = {p: [] for p in system.predicates}
     for s in samples:
@@ -456,8 +461,7 @@ def _by_pred(system: ChcSystem, samples: Sequence[Sample]) -> dict[str, list[tup
     return table
 
 
-def build_list_model(system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig,
-                     previous: Optional[CandidateModel] = None) -> CandidateModel:
+def build_list_model(system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig) -> CandidateModel:
     models = {}
     for pred, sig in system.predicates.items():
         rows = samples_by_pred.get(pred, [])
@@ -471,15 +475,7 @@ def build_list_model(system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig
         matrix = LearningData(
             [[row[i] for i in list_pos] for row in rows[: cfg.sample_cap]]
         )
-        t = infer(matrix, cfg.infer)
-        patterns = (t,)
-        if cfg.accumulate and previous is not None and pred in previous.models:
-            old = previous.models[pred].patterns
-            if t in old:
-                patterns = old
-            else:
-                patterns = old + (t,)
-        models[pred] = PredicateModel(pred, sig, patterns=patterns)
+        models[pred] = PredicateModel(pred, sig, patterns=(infer(matrix, cfg.infer),))
     return CandidateModel(models)
 
 
@@ -522,81 +518,54 @@ def build_collection_model(
     return CandidateModel(models)
 
 
-@dataclass
-class LoopResult:
-    status: str  # "goal" | "definite" | "unknown"
-    model: Optional[CandidateModel]
-    samples: list[Sample]
-    bounded: bool
-    stats: dict
-    reason: Optional[str] = None
-
-
 def _model_loop(
     system: ChcSystem,
     cfg: SolverConfig,
     checker,
-    rng: random.Random,
-    build: Callable[[dict, Optional[CandidateModel]], CandidateModel],
+    build: Callable[[dict], CandidateModel],
+    cancel: threading.Event,
     initial_samples: Optional[Sequence[Sample]] = None,
     stop_at_definite: bool = False,
-    cancel: Optional[threading.Event] = None,
-) -> LoopResult:
+) -> Verdict:
+    """Sample, infer a model with `build`, check it and learn from the
+    counterexamples.  SAT: the model passed the definite clauses and, unless
+    `stop_at_definite`, the goals.  UNKNOWN: the reason the loop gave up."""
     stats = {"iterations": 0, "rejected_cex": 0, "accepted_cex": 0}
-    deadline = (
-        None if cfg.mode_timeout is None else time.monotonic() + cfg.mode_timeout
-    )
+
+    def unknown(reason: Optional[str]) -> Verdict:
+        return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=stats)
+
+    rng = random.Random(cfg.seed)
     samples = collect_samples(system, cfg.sample_budget(), rng)
     if initial_samples:
         screened, rejected = screen_samples(system, initial_samples, cfg)
         stats["rejected_cex"] += rejected
         samples.extend(screened)
     depth_bump = 0
-    previous: Optional[CandidateModel] = None
     for _ in range(cfg.max_iterations):
-        if cancel is not None and cancel.is_set():
-            return LoopResult("unknown", None, samples, False, stats, "cancelled")
-        if deadline is not None and time.monotonic() > deadline:
-            return LoopResult("unknown", None, samples, False, stats, "mode timeout")
+        if cancel.is_set():
+            raise Cancelled
         stats["iterations"] += 1
-        table = _by_pred(system, samples)
-        model = build(table, previous)
-        previous = model
+        model = build(_by_pred(system, samples))
         try:
-            dres = check_definite(model, system, checker, cfg.cex_batch)
+            dres = check_definite(model, system, checker, cfg.cex_batch, cancel)
         except NotSolvableError as exc:
-            return LoopResult("unknown", None, samples, False, stats, str(exc))
+            return unknown(str(exc))
         if dres.status == "unknown":
-            return LoopResult("unknown", None, samples, False, stats, dres.reason)
+            return unknown(dres.reason)
         if dres.status == "valid":
             stats["samples"] = len(samples)
             if stop_at_definite:
-                return LoopResult("definite", model, samples, dres.bounded, stats)
-            gres = check_goal(model, system, checker)
+                return Verdict(VerdictKind.SAT, model=model, bounded=dres.bounded, stats=stats)
+            gres = check_goal(model, system, checker, cancel)
             if gres.status == "valid":
-                return LoopResult(
-                    "goal", model, samples, dres.bounded or gres.bounded, stats
+                return Verdict(
+                    VerdictKind.SAT, model=model, bounded=dres.bounded or gres.bounded,
+                    stats=stats,
                 )
             if gres.status == "unknown":
-                return LoopResult("unknown", model, samples, False, stats, gres.reason)
-            if not cfg.accumulate:
-                return LoopResult(
-                    "definite", model, samples, dres.bounded, stats,
-                    "patterns hold but do not imply the goals",
-                )
-            depth_bump += 1
-            more = collect_samples(
-                system, cfg.sample_budget(cfg.sample_depth + depth_bump), rng
-            )
-            known = {(s.predicate, s.values) for s in samples}
-            fresh = [s for s in more if (s.predicate, s.values) not in known]
-            if not fresh:
-                return LoopResult(
-                    "definite", model, samples, dres.bounded, stats,
-                    "no new samples to strengthen the model",
-                )
-            samples.extend(fresh)
-            continue
+                return unknown(gres.reason)
+            return unknown("patterns hold but do not imply the goals")
         known = {(s.predicate, s.values) for s in samples}
         new, rejected = admit_counterexamples(
             system, dres.clause, dres.assignments, cfg, known
@@ -612,39 +581,31 @@ def _model_loop(
         )
         fresh = [s for s in more if (s.predicate, s.values) not in known]
         if not fresh:
-            return LoopResult(
-                "unknown", None, samples, False, stats,
-                "counterexamples rejected and sampling is exhausted",
-            )
+            return unknown("counterexamples rejected and sampling is exhausted")
         samples.extend(fresh)
-    return LoopResult("unknown", None, samples, False, stats, "iteration limit")
+    return unknown("iteration limit")
 
+
+# The mode runners.  Each is called as `runner(system, cfg, checker=...,
+# int_backend=..., cancel=...)` and ignores the backends it has no use for;
+# `_run` names its verdict after its registry entry.
 
 def solve_list_mode(
     system: ChcSystem,
     cfg: SolverConfig = SolverConfig(),
     checker=None,
-    initial_samples: Optional[Sequence[Sample]] = None,
+    int_backend=None,
     cancel: Optional[threading.Event] = None,
+    *,
+    initial_samples: Optional[Sequence[Sample]] = None,
 ) -> Verdict:
-    checker = checker or BoundedChecker(cfg.bounds)
-    rng = random.Random(cfg.seed)
-    res = _model_loop(
+    return _model_loop(
         system,
         cfg,
-        checker,
-        rng,
-        lambda table, prev: build_list_model(system, table, cfg, prev),
+        checker or BoundedChecker(cfg.bounds),
+        lambda table: build_list_model(system, table, cfg),
+        cancel or threading.Event(),
         initial_samples=initial_samples,
-        cancel=cancel,
-    )
-    if res.status == "goal":
-        return Verdict(
-            VerdictKind.SAT, model=res.model, mode="list", bounded=res.bounded,
-            stats=res.stats,
-        )
-    return Verdict(
-        VerdictKind.UNKNOWN, mode="list", reason=res.reason, stats=res.stats
     )
 
 
@@ -653,28 +614,17 @@ def solve_collection_mode(
     cfg: SolverConfig = SolverConfig(),
     mode: Mode = Mode.MULTISET,
     checker=None,
+    int_backend=None,
     cancel: Optional[threading.Event] = None,
 ) -> Verdict:
     # collection atoms have no external encoding; this mode always checks
     # with the bounded evaluator
-    checker = BoundedChecker(cfg.collection_bounds)
-    rng = random.Random(cfg.seed)
-    mode_name = "set" if mode is Mode.SET else "multiset"
-    res = _model_loop(
+    return _model_loop(
         system,
         cfg,
-        checker,
-        rng,
-        lambda table, prev: build_collection_model(system, table, cfg, mode),
-        cancel=cancel,
-    )
-    if res.status == "goal":
-        return Verdict(
-            VerdictKind.SAT, model=res.model, mode=mode_name, bounded=res.bounded,
-            stats=res.stats,
-        )
-    return Verdict(
-        VerdictKind.UNKNOWN, mode=mode_name, reason=res.reason, stats=res.stats
+        BoundedChecker(cfg.collection_bounds),
+        lambda table: build_collection_model(system, table, cfg, mode),
+        cancel or threading.Event(),
     )
 
 
@@ -879,8 +829,10 @@ class BuiltinIntChc:
         self.checker = checker
 
     def solve(
-        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
+        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random,
+        cancel: Optional[threading.Event] = None,
     ) -> Optional[dict[str, Formula]]:
+        cancel = cancel or threading.Event()
         checker = self.checker or BoundedChecker(cfg.bounds)
         samples = collect_samples(
             abstract, cfg.sample_budget(cfg.sample_depth + 1), rng
@@ -909,7 +861,9 @@ class BuiltinIntChc:
             )
 
         for _ in range(40):
-            outcome = check_definite(model(), abstract, checker, 1)
+            if cancel.is_set():
+                raise Cancelled
+            outcome = check_definite(model(), abstract, checker, 1, cancel)
             if outcome.status == "valid":
                 break
             if outcome.status == "unknown":
@@ -928,14 +882,16 @@ class BuiltinIntChc:
 
 class ExternalIntChc:
     """Child process consuming a HORN problem over integers and producing a
-    model as define-fun forms."""
+    model as define-fun forms.  The stop event is not polled: a call ends
+    when the process does or after `timeout` seconds."""
 
     def __init__(self, cmd, timeout: float = 30.0):
         self.cmd = cmd if isinstance(cmd, list) else [cmd]
         self.timeout = timeout
 
     def solve(
-        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
+        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random,
+        cancel: Optional[threading.Event] = None,
     ) -> Optional[dict[str, Formula]]:
         import subprocess
 
@@ -1105,60 +1061,43 @@ def solve_list_len_mode(
     """Patterns plus length invariants: solve the length abstraction with an
     integer backend, embed its model through list lengths, conjoin with the
     inferred patterns, and re-check everything on the original system."""
+    cancel = cancel or threading.Event()
     checker = checker or BoundedChecker(cfg.bounds)
     int_backend = int_backend or BuiltinIntChc()
-    rng = random.Random(cfg.seed)
     res = _model_loop(
         system,
         cfg,
         checker,
-        rng,
-        lambda table, prev: build_list_model(system, table, cfg, prev),
+        lambda table: build_list_model(system, table, cfg),
+        cancel,
         stop_at_definite=True,
-        cancel=cancel,
     )
-    if res.status not in ("definite", "goal") or res.model is None:
-        return Verdict(
-            VerdictKind.UNKNOWN, mode="list-len", reason=res.reason, stats=res.stats
-        )
+    if res.kind is not VerdictKind.SAT:
+        return res
+
+    def unknown(reason: str) -> Verdict:
+        return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=res.stats)
+
     abstract = length_abstract(system)
-    int_models = int_backend.solve(abstract, cfg, random.Random(cfg.seed + 1))
+    int_models = int_backend.solve(abstract, cfg, random.Random(cfg.seed + 1), cancel=cancel)
     if int_models is None:
-        return Verdict(
-            VerdictKind.UNKNOWN,
-            mode="list-len",
-            reason="no integer model for the length abstraction",
-            stats=res.stats,
-        )
+        return unknown("no integer model for the length abstraction")
     model = CandidateModel(
         {
             pred: replace(res.model.models[pred], length_formula=int_models[pred])
             for pred in system.predicates
         }
     )
-    dres = check_definite(model, system, checker, 1)
+    dres = check_definite(model, system, checker, 1, cancel)
     if dres.status != "valid":
-        return Verdict(
-            VerdictKind.UNKNOWN,
-            mode="list-len",
-            reason="length-strengthened model fails a definite clause",
-            stats=res.stats,
-        )
-    gres = check_goal(model, system, checker)
+        return unknown("length-strengthened model fails a definite clause")
+    gres = check_goal(model, system, checker, cancel)
     if gres.status == "valid":
         return Verdict(
-            VerdictKind.SAT,
-            model=model,
-            mode="list-len",
-            bounded=dres.bounded or gres.bounded,
+            VerdictKind.SAT, model=model, bounded=dres.bounded or gres.bounded,
             stats=res.stats,
         )
-    return Verdict(
-        VerdictKind.UNKNOWN,
-        mode="list-len",
-        reason="length-strengthened model does not imply the goals",
-        stats=res.stats,
-    )
+    return unknown("length-strengthened model does not imply the goals")
 
 
 # ---------------------------------------------------------------------------
@@ -1190,7 +1129,8 @@ def refute(
     the goal bodies after each level; a hit yields a replayable derivation
     of false.  Level 0 applies the facts; a later level applies every rule
     to the atoms derived so far (earlier clauses of the same level included)
-    and keeps the combinations that use an atom of the previous level."""
+    and keeps the combinations that use an atom of the previous level.
+    Raises `Cancelled` once `cancel` is set."""
     cancel = cancel or threading.Event()
     tables = {p: AtomTable() for p in system.predicates}
     domains = {sort: _bounded_domain(sort, budget, set()) for sort in Sort}
@@ -1206,7 +1146,7 @@ def refute(
             clause = plan.clause
             for rows, binding in join(plan, tables):
                 if cancel.is_set():
-                    return None
+                    raise Cancelled
                 if depth and not any(
                     previous[a.pred] <= r < start[a.pred]
                     for a, r in zip(clause.body_atoms, rows)
@@ -1215,7 +1155,7 @@ def refute(
                 free = [n for n in plan.free if n not in binding]
                 for extra in itertools.product(*(domains[plan.sorts[n]] for n in free)):
                     if cancel.is_set():
-                        return None
+                        raise Cancelled
                     env = {**binding, **dict(zip(free, extra))}
                     try:
                         if not eval_formula(clause.constraint, env):
@@ -1241,7 +1181,7 @@ def refute(
                         return None
         for gi, plan in enumerate(goals):
             if cancel.is_set():
-                return None
+                raise Cancelled
             found = match_goal(plan, tables)
             if found is not None:
                 atoms, binding = found
@@ -1251,34 +1191,35 @@ def refute(
     return None
 
 
-def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
-    """Concretely re-verify a refutation: every derivation node applies its
-    clause to its children, and the goal body evaluates to true."""
-
-    def check_node(node: DerivedAtom) -> bool:
-        clause = system.definite[node.clause_index]
-        env = dict(node.env)
-        if clause.head is None:
+def _replays(system: ChcSystem, node: DerivedAtom) -> bool:
+    """The derivation node applies its clause to its children, recursively."""
+    clause = system.definite[node.clause_index]
+    env = dict(node.env)
+    if clause.head is None:
+        return False
+    try:
+        if not eval_formula(clause.constraint, env):
             return False
+        if tuple(eval_term(a, env) for a in clause.head.args) != node.values:
+            return False
+    except Exception:
+        return False
+    if len(clause.body_atoms) != len(node.children):
+        return False
+    for atom, child in zip(clause.body_atoms, node.children):
         try:
-            if not eval_formula(clause.constraint, env):
-                return False
-            if tuple(eval_term(a, env) for a in clause.head.args) != node.values:
+            if tuple(eval_term(a, env) for a in atom.args) != child.values:
                 return False
         except Exception:
             return False
-        if len(clause.body_atoms) != len(node.children):
+        if not _replays(system, child):
             return False
-        for atom, child in zip(clause.body_atoms, node.children):
-            try:
-                if tuple(eval_term(a, env) for a in atom.args) != child.values:
-                    return False
-            except Exception:
-                return False
-            if not check_node(child):
-                return False
-        return True
+    return True
 
+
+def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
+    """Concretely re-verify a refutation: every derivation node applies its
+    clause to its children, and the goal body evaluates to true."""
     goal = system.goals[witness.goal_index]
     env = dict(witness.env)
     try:
@@ -1294,13 +1235,71 @@ def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
                 return False
         except Exception:
             return False
-        if not check_node(node):
+        if not _replays(system, node):
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# the mode sequencer
+# the mode registry and the scheduler
+
+def mode_registry() -> dict[str, Callable[..., Verdict]]:
+    """The modes by name, in the order auto mode tries them.  Built at each
+    call, so that it holds the runners the module has at that time."""
+    return {
+        "list": solve_list_mode,
+        "set": partial(solve_collection_mode, mode=Mode.SET),
+        "multiset": partial(solve_collection_mode, mode=Mode.MULTISET),
+        "list-len": solve_list_len_mode,
+    }
+
+
+def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None,
+                cancel: Optional[threading.Event] = None) -> Verdict:
+    """`refute` as a runner: UNSAT only for a witness that replays."""
+    witness = refute(system, cfg.refute, cancel=cancel)
+    if witness is None:
+        return Verdict(VerdictKind.UNKNOWN)
+    if replay_derivation(system, witness):
+        return Verdict(VerdictKind.UNSAT, derivation=witness)
+    return Verdict(VerdictKind.UNKNOWN, reason="refutation witness does not replay")
+
+
+@contextmanager
+def _stop_signal(timeout: Optional[float]):
+    """The stop event of one solve and its deadline.  A timer sets the event
+    once `timeout` seconds have passed; it is cancelled on exit."""
+    cancel = threading.Event()
+    if timeout is None:
+        yield cancel, None
+        return
+    deadline = time.monotonic() + timeout
+    timer = threading.Timer(timeout, cancel.set)
+    timer.start()
+    try:
+        yield cancel, deadline
+    finally:
+        timer.cancel()
+        timer.join()
+
+
+def _run(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
+         cancel: threading.Event, deadline: Optional[float]) -> Verdict:
+    """Run the `(name, runner)` entries in order until one gives a definitive
+    verdict or the stop event is set, and return the last verdict, named
+    after its entry.  A stopped runner gives UNKNOWN with reason `timeout`
+    once the deadline has passed, `cancelled` otherwise."""
+    for name, runner in entries:
+        try:
+            verdict = runner(system, cfg, checker=checker, int_backend=int_backend, cancel=cancel)
+        except Cancelled:
+            expired = deadline is not None and time.monotonic() >= deadline
+            verdict = Verdict(VerdictKind.UNKNOWN, reason="timeout" if expired else "cancelled")
+        verdict = replace(verdict, mode=name)
+        if verdict.kind is not VerdictKind.UNKNOWN or cancel.is_set():
+            break
+    return verdict
+
 
 def solve_auto(
     system: ChcSystem,
@@ -1308,82 +1307,48 @@ def solve_auto(
     checker=None,
     int_backend=None,
 ) -> Verdict:
-    """Run the refutation search concurrently with the mode sequence
-    list -> set -> multiset -> list-len; the first definitive verdict wins."""
-    checker = checker or BoundedChecker(cfg.bounds)
-    results: "queue.Queue[Verdict]" = queue.Queue()
-    cancel = threading.Event()
-    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    """Run the refutation search concurrently with the registry's modes in
+    order; the first definitive verdict wins.  Returns once both workers
+    have stopped."""
+    results: "queue.Queue" = queue.Queue()
+    with _stop_signal(cfg.timeout) as (cancel, deadline):
 
-    def refute_worker():
-        witness = refute(system, cfg.refute, cancel=cancel)
-        if witness is None:
-            results.put(Verdict(VerdictKind.UNKNOWN, mode="refutation"))
-        elif replay_derivation(system, witness):
-            results.put(
-                Verdict(VerdictKind.UNSAT, derivation=witness, mode="refutation")
-            )
-        else:
-            results.put(Verdict(
-                VerdictKind.UNKNOWN, mode="refutation",
-                reason="refutation witness does not replay",
-            ))
+        def work(entries):
+            try:
+                results.put(_run(entries, system, cfg, checker, int_backend, cancel, deadline))
+            except Exception as exc:  # re-raised by the caller below
+                results.put(exc)
 
-    def modes_worker():
-        last = None
-        for runner in (
-            lambda: solve_list_mode(system, cfg, checker, cancel=cancel),
-            lambda: solve_collection_mode(system, cfg, Mode.SET, checker, cancel=cancel),
-            lambda: solve_collection_mode(system, cfg, Mode.MULTISET, checker, cancel=cancel),
-            lambda: solve_list_len_mode(system, cfg, checker, int_backend, cancel=cancel),
-        ):
-            if cancel.is_set():
-                break
-            verdict = runner()
-            last = verdict
-            if verdict.kind is VerdictKind.SAT:
-                results.put(verdict)
-                return
-        results.put(last or Verdict(VerdictKind.UNKNOWN))
-
-    threads = [
-        threading.Thread(target=refute_worker, daemon=True),
-        threading.Thread(target=modes_worker, daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    pending = len(threads)
-    fallback: Optional[Verdict] = None
-    verdict: Optional[Verdict] = None
-    while pending:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        threads = [
+            threading.Thread(target=work, args=(entries,), daemon=True)
+            for entries in ([("refutation", _refutation)], list(mode_registry().items()))
+        ]
+        for t in threads:
+            t.start()
+        verdict: Optional[Verdict] = None
         try:
-            got = results.get(timeout=remaining)
-        except queue.Empty:
-            verdict = Verdict(VerdictKind.UNKNOWN, reason="timeout")
-            break
-        pending -= 1
-        if got.kind in (VerdictKind.SAT, VerdictKind.UNSAT):
-            verdict = got
-            break
-        if fallback is None or got.reason is not None:
-            fallback = got
-    cancel.set()
-    for t in threads:
-        t.join(timeout=1.0)
-    return verdict or fallback or Verdict(VerdictKind.UNKNOWN)
+            for _ in threads:
+                got = results.get()
+                if isinstance(got, Exception):
+                    raise got
+                if got.kind is not VerdictKind.UNKNOWN:
+                    return got
+                if verdict is None or got.reason is not None:
+                    verdict = got
+        finally:
+            cancel.set()
+            for t in threads:
+                t.join()
+    return verdict
 
 
 def solve(system: ChcSystem, cfg: SolverConfig = SolverConfig(), mode: str = "auto",
           checker=None, int_backend=None) -> Verdict:
+    """Solve in `mode`: "auto" or a name of `mode_registry()`."""
     if mode == "auto":
         return solve_auto(system, cfg, checker, int_backend)
-    if mode == "list":
-        return solve_list_mode(system, cfg, checker)
-    if mode == "set":
-        return solve_collection_mode(system, cfg, Mode.SET, checker)
-    if mode == "multiset":
-        return solve_collection_mode(system, cfg, Mode.MULTISET, checker)
-    if mode == "list-len":
-        return solve_list_len_mode(system, cfg, checker, int_backend)
-    raise ValueError(f"unknown mode {mode!r}")
+    registry = mode_registry()
+    if mode not in registry:
+        raise ValueError(f"unknown mode {mode!r}")
+    with _stop_signal(cfg.timeout) as (cancel, deadline):
+        return _run([(mode, registry[mode])], system, cfg, checker, int_backend, cancel, deadline)

@@ -42,8 +42,7 @@ from stpchc.solver import (
     check_goal,
     refute,
     replay_derivation,
-    solve_collection_mode,
-    solve_list_len_mode,
+    solve,
     solve_list_mode,
 )
 from stpchc.stp_inference import InferConfig, infer, infer_all
@@ -345,14 +344,12 @@ def test_chc_end_to_end(bench):
         assert checker.check_validity(FImp(got, want)).valid
         assert checker.check_validity(FImp(want, got)).valid
 
-        verdict = solve_list_len_mode(bench["take_drop"], SolverConfig(seed=0))
+        verdict = solve(bench["take_drop"], SolverConfig(seed=0), mode="list-len")
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list-len"
         assert check_goal(verdict.model, bench["take_drop"], checker).status == "valid"
 
-        verdict = solve_collection_mode(
-            bench["sort"], SolverConfig(seed=0), Mode.MULTISET
-        )
+        verdict = solve(bench["sort"], SolverConfig(seed=0), mode="multiset")
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "multiset"
 

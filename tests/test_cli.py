@@ -157,6 +157,32 @@ class TestSolveCommand:
         assert code == 64
         assert "usage" in err
 
+    @pytest.mark.parametrize("bounds", ["-1,2", "2,-1"])
+    def test_negative_bounds_usage_error(self, capsys, bounds):
+        code, out, err = run(
+            capsys, "solve", str(BENCH / "reva.smt2"), f"--bounds={bounds}"
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: bad --bounds")
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "-0.5"])
+    def test_bad_timeout_usage_error(self, capsys, timeout):
+        code, out, err = run(
+            capsys, "solve", str(BENCH / "reva.smt2"), f"--timeout={timeout}"
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: bad --timeout")
+
+    def test_timeout_applies_to_a_single_mode(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "sort.smt2"), "--mode", "list-len",
+            "--timeout", "0.2",
+        )
+        assert code == 2
+        assert out.splitlines() == ["unknown", "; timeout"]
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

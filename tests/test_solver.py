@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from stpchc.chc_core import (
 )
 from stpchc.formulas import FEq, FNot, FTrue, Sort, TInt, TVar, eval_formula
 from stpchc.pattern_core import Mode
-from stpchc.smt_backend import Bounds, BoundedChecker
+from stpchc.smt_backend import Bounds, BoundedChecker, Cancelled
 from stpchc.solver import (
     BuiltinIntChc,
     CandidateModel,
@@ -29,10 +30,12 @@ from stpchc.solver import (
     check_definite,
     check_goal,
     length_abstract,
+    mode_registry,
     parse_int_model,
     refute,
     replay_derivation,
     screen_samples,
+    solve,
     solve_auto,
     solve_collection_mode,
     solve_list_len_mode,
@@ -40,6 +43,7 @@ from stpchc.solver import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+PERF_SYSTEMS = BENCH.parent / "perfbench" / "systems"
 
 
 def load(name):
@@ -107,10 +111,6 @@ class TestListMode:
         verdict = solve_list_mode(take_drop, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.UNKNOWN
         assert "goal" in verdict.reason
-
-    def test_accumulate_flag(self, reva):
-        verdict = solve_list_mode(reva, SolverConfig(seed=0, accumulate=True))
-        assert verdict.kind is VerdictKind.SAT
 
 
 class TestCounterexampleHygiene:
@@ -192,7 +192,7 @@ class TestLengthAbstract:
 
 class TestListLenMode:
     def test_take_drop_sat(self, take_drop):
-        verdict = solve_list_len_mode(take_drop, SolverConfig(seed=0))
+        verdict = solve(take_drop, SolverConfig(seed=0), mode="list-len")
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list-len"
         # the goal is implied at the default bound
@@ -282,7 +282,7 @@ class TestExternalIntBackend:
 
 class TestCollectionMode:
     def test_sort_multiset_sat(self, sort_system):
-        verdict = solve_collection_mode(sort_system, SolverConfig(seed=0), Mode.MULTISET)
+        verdict = solve(sort_system, SolverConfig(seed=0), mode="multiset")
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "multiset"
         srt = verdict.model.models["srt"]
@@ -326,7 +326,8 @@ class TestRefute:
         started = time.monotonic()
         timer.start()
         try:
-            assert refute(sort_system, budget, cancel=cancel) is None
+            with pytest.raises(Cancelled):
+                refute(sort_system, budget, cancel=cancel)
         finally:
             timer.cancel()
         assert time.monotonic() - started < 1.0
@@ -375,8 +376,25 @@ class TestSolveAuto:
         assert verdict.kind is not VerdictKind.UNSAT
 
     def test_timeout_gives_unknown(self, take_drop):
+        started = time.monotonic()
         verdict = solve_auto(take_drop, SolverConfig(seed=0, timeout=0.01))
-        assert verdict.kind in (VerdictKind.UNKNOWN, VerdictKind.SAT)
+        assert time.monotonic() - started < 0.7
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert verdict.reason == "timeout"
+
+    def test_no_thread_left_running(self):
+        paths = [
+            *sorted(BENCH.glob("*.smt2")),
+            *sorted((BENCH / "unsat").glob("*.smt2")),
+            *sorted(PERF_SYSTEMS.glob("*.smt2")),
+        ]
+        assert len(paths) == 11
+        for path in paths:
+            system = parse_smtlib(path.read_text())
+            before = threading.active_count()
+            verdict = solve(system, SolverConfig(seed=0), mode="auto")
+            assert verdict.kind is not VerdictKind.UNKNOWN, path.name
+            assert threading.active_count() == before, path.name
 
 
 class TestSatVerdictValidity:
@@ -488,12 +506,40 @@ class TestRefuteExamples:
         assert srt_pattern in verdict.model.models["srt"].patterns
 
 
-class TestModeTimeout:
-    def test_mode_timeout_reports_unknown(self, take_drop):
-        cfg = SolverConfig(seed=0, mode_timeout=0.0)
-        verdict = solve_list_mode(take_drop, cfg)
+class TestTimeout:
+    TIMEOUT = 0.3
+
+    @pytest.mark.parametrize("mode", ["auto", *mode_registry()])
+    def test_every_mode_honours_timeout(self, mode, sort_system, reva):
+        # sort first; a mode that gives up on sort before the deadline (list
+        # mode does, in milliseconds) is timed on reva
+        for system in (sort_system, reva):
+            started = time.monotonic()
+            verdict = solve(system, SolverConfig(seed=0, timeout=self.TIMEOUT), mode=mode)
+            elapsed = time.monotonic() - started
+            assert elapsed < self.TIMEOUT + 0.7, (system, elapsed)
+            if elapsed >= self.TIMEOUT:
+                break
+            assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.kind is VerdictKind.UNKNOWN
-        assert verdict.reason == "mode timeout"
+        assert verdict.reason == "timeout"
+        assert verdict.mode in ("refutation", *mode_registry())
+
+
+class TestNoReferenceCycles:
+    def test_derivable_and_replay_leave_no_garbage(self, reva):
+        plus_reach = parse_smtlib((BENCH / "unsat" / "plus_reach.smt2").read_text())
+        witness = refute(plus_reach)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert derivable(reva, "reva", ((0, 1), (), (1, 0)), 8)
+            for _ in range(50):
+                assert replay_derivation(plus_reach, witness)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestNatAsList:
