@@ -1,0 +1,107 @@
+"""Pinned output of the bounded checker: digests of the exact, ordered
+counterexample lists it returns on seeded random formulas and on every clause
+query of a multiset-mode solve.  Any change to the order in which the search
+visits assignments shows up here, and with it a change to the printed
+models."""
+
+import hashlib
+import random
+from pathlib import Path
+
+from stpchc import solver
+from stpchc.chc_core import parse_smtlib
+from stpchc.formulas import FAnd, FImp, FPrefix, FSuffix, Sort, TConcat, TRev, formula_vars
+from stpchc.smt_backend import BoundedChecker, Bounds
+from stpchc.solver import SolverConfig, solve
+
+from test_bounded_differential import BOUNDS as SMALL_BOUNDS
+from test_bounded_differential import LIST_VARS, random_atom, random_formula
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def canonical(cexs: list[dict]) -> list:
+    # the list order is pinned; the key order inside one assignment is not
+    return [sorted(cex.items()) for cex in cexs]
+
+
+def random_formulas(seed: int, count: int, max_product: int | None = None) -> list:
+    """The first `count` formulas of `random_formula` under `seed` whose
+    full assignment space under the default bounds has at most
+    `max_product` points (every formula when None)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = random_formula(rng)
+        size = 1
+        for sort in formula_vars(f).values():
+            size *= 6 if sort is Sort.INT else 121
+        if max_product is None or size <= max_product:
+            out.append(f)
+    return out
+
+
+def test_random_formulas_default_bounds():
+    # at most two list variables (121 lists each under Bounds()): a valid
+    # formula over three lists and two ints takes seconds to sweep
+    checker = BoundedChecker(Bounds())
+    got = [canonical(checker.counterexamples(f, limit=16))
+           for f in random_formulas(1, 300, max_product=121 * 121)]
+    assert sum(1 for c in got if c) == 218
+    assert digest(got) == "f8158f97eb0cb936"
+
+
+def test_random_formulas_small_bounds():
+    # every formula of the stream, three lists and two ints included
+    checker = BoundedChecker(SMALL_BOUNDS)
+    got = [canonical(checker.counterexamples(f, limit=16))
+           for f in random_formulas(2, 300)]
+    assert digest(got) == "cea2bce87a6e8ef9"
+
+
+def narrowing_formula(rng):
+    """An implication whose antecedent is two or three prefix/suffix atoms
+    over list variables, so that several conjuncts can narrow at one node."""
+
+    def operand():
+        roll = rng.random()
+        v = rng.choice(LIST_VARS)
+        if roll < 0.5:
+            return v
+        if roll < 0.75:
+            return TRev(v)
+        return TConcat(v, rng.choice(LIST_VARS))
+
+    atoms = tuple(rng.choice([FPrefix, FSuffix])(operand(), rng.choice(LIST_VARS))
+                  for _ in range(rng.randint(2, 3)))
+    return FImp(FAnd(atoms), random_atom(rng))
+
+
+def test_narrowing_formulas_small_bounds():
+    rng = random.Random(3)
+    checker = BoundedChecker(SMALL_BOUNDS)
+    got = [canonical(checker.counterexamples(narrowing_formula(rng), limit=16))
+           for _ in range(300)]
+    assert digest(got) == "94dea978a8f10ab5"
+
+
+def test_multiset_solve_queries(monkeypatch):
+    calls = []
+
+    class Recording(BoundedChecker):
+        def counterexamples(self, f, limit=1, cancel=None):
+            cexs = super().counterexamples(f, limit=limit, cancel=cancel)
+            calls.append((repr(f), limit, canonical(cexs)))
+            return cexs
+
+    # multiset mode builds its own checker from `cfg.collection_bounds`
+    monkeypatch.setattr(solver, "BoundedChecker", Recording)
+    system = parse_smtlib((BENCH / "sort.smt2").read_text())
+    verdict = solve(system, SolverConfig(seed=0), mode="multiset", checker=Recording())
+    assert verdict.kind is solver.VerdictKind.SAT
+    assert len(calls) == 9
+    assert digest(calls) == "13628e665e9914bd"
