@@ -43,6 +43,7 @@ from .formulas import (
     eval_formula,
     eval_term,
     fand,
+    for_,
     formula_vars,
     render_formula,
     render_term,
@@ -369,11 +370,14 @@ class _Parser:
         if op == "and":
             return fand(self.parse_formula(a, scope) for a in args)
         if op == "or":
-            from .formulas import for_
-
             return for_(self.parse_formula(a, scope) for a in args)
         if op == "not":
             return FNot(self.parse_formula(args[0], scope))
+        if op == "ite":
+            if len(args) != 3:
+                raise self.fail("ite expects three arguments", node)
+            c, a, b = (self.parse_formula(x, scope) for x in args)
+            return for_([fand([c, a]), fand([FNot(c), b])])
         if op == "=>":
             out = self.parse_formula(args[-1], scope)
             for a in reversed(args[:-1]):

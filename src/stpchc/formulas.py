@@ -8,7 +8,9 @@ evaluates to False, which matches their guarded use."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
@@ -319,8 +321,6 @@ def eval_term(t: Term, env: Mapping[str, object]):
             if not b <= a:
                 raise Undefined("set difference without containment")
             return a - b
-        from collections import Counter
-
         ca, cb = Counter(a), Counter(b)
         if cb - ca:
             raise Undefined("multiset difference without containment")
@@ -332,46 +332,56 @@ def eval_term(t: Term, env: Mapping[str, object]):
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_formula(f: Formula, env: Mapping[str, object]) -> bool:
+def _is_prefix(a, b) -> bool:
+    return b[: len(a)] == a
+
+
+def _is_suffix(a, b) -> bool:
+    return len(a) <= len(b) and (not a or b[-len(a):] == a)
+
+
+def _is_subset(a, b) -> bool:
+    if isinstance(a, frozenset):
+        return a <= b
+    return not (Counter(a) - Counter(b))
+
+
+# the meaning of each atom, given the values of its two terms
+_ATOMS = {
+    FEq: operator.eq,
+    FLe: operator.le,
+    FLt: operator.lt,
+    FPrefix: _is_prefix,
+    FSuffix: _is_suffix,
+    FSubset: _is_subset,
+}
+
+
+def eval_formula(f: Formula, env: Mapping[str, object], term=eval_term) -> bool:
+    """The truth of `f` under `env`, with the atoms' terms evaluated by
+    `term` (a caching evaluator may stand in for `eval_term`)."""
     ft = type(f)
     if ft is FTrue:
         return True
     if ft is FFalse:
         return False
     if ft is FAnd:
-        return all(eval_formula(p, env) for p in f.parts)
+        return all(eval_formula(p, env, term) for p in f.parts)
     if ft is FOr:
-        return any(eval_formula(p, env) for p in f.parts)
+        return any(eval_formula(p, env, term) for p in f.parts)
     if ft is FNot:
-        return not eval_formula(f.f, env)
+        return not eval_formula(f.f, env, term)
     if ft is FImp:
-        return (not eval_formula(f.a, env)) or eval_formula(f.b, env)
+        return (not eval_formula(f.a, env, term)) or eval_formula(f.b, env, term)
+    holds = _ATOMS.get(ft)
+    if holds is None:
+        raise TypeError(f"not a formula: {f!r}")
     try:
-        if ft is FEq:
-            return eval_term(f.a, env) == eval_term(f.b, env)
-        if ft is FLe:
-            return eval_term(f.a, env) <= eval_term(f.b, env)
-        if ft is FLt:
-            return eval_term(f.a, env) < eval_term(f.b, env)
-        if ft is FPrefix:
-            a = eval_term(f.a, env)
-            b = eval_term(f.b, env)
-            return b[: len(a)] == a
-        if ft is FSuffix:
-            a = eval_term(f.a, env)
-            b = eval_term(f.b, env)
-            return len(a) <= len(b) and (not a or b[-len(a):] == a)
-        if ft is FSubset:
-            a = eval_term(f.a, env)
-            b = eval_term(f.b, env)
-            if isinstance(a, frozenset):
-                return a <= b
-            from collections import Counter
-
-            return not (Counter(a) - Counter(b))
+        a = term(f.a, env)
+        b = term(f.b, env)
     except Undefined:
         return False
-    raise TypeError(f"not a formula: {f!r}")
+    return holds(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -436,39 +446,15 @@ def subst_term(t: Term, mapping: Mapping[str, Term]) -> Term:
         return mapping.get(t.name, t)
     if tt in (TInt, TSeq):
         return t
-    if tt is TCons:
-        return TCons(subst_term(t.head, mapping), subst_term(t.tail, mapping))
-    if tt is TAdd:
-        return TAdd(subst_term(t.a, mapping), subst_term(t.b, mapping))
-    if tt is TSub:
-        return TSub(subst_term(t.a, mapping), subst_term(t.b, mapping))
-    if tt is TMul:
-        return TMul(t.factor, subst_term(t.t, mapping))
     if tt is TIte:
         return TIte(
             subst_formula(t.cond, mapping),
             subst_term(t.then, mapping),
             subst_term(t.other, mapping),
         )
-    if tt is TLen:
-        return TLen(subst_term(t.t, mapping))
-    if tt is TConcat:
-        return TConcat(subst_term(t.a, mapping), subst_term(t.b, mapping))
-    if tt is TRev:
-        return TRev(subst_term(t.t, mapping))
-    if tt is TLdiff:
-        return TLdiff(subst_term(t.prefix, mapping), subst_term(t.t, mapping))
-    if tt is TRdiff:
-        return TRdiff(subst_term(t.t, mapping), subst_term(t.suffix, mapping))
-    if tt is TCollOf:
-        return TCollOf(subst_term(t.t, mapping), t.mode)
-    if tt is TCollUnion:
-        return TCollUnion(subst_term(t.a, mapping), subst_term(t.b, mapping))
-    if tt is TCollDiff:
-        return TCollDiff(subst_term(t.a, mapping), subst_term(t.b, mapping))
-    if tt is TCount:
-        return TCount(subst_term(t.x, mapping), subst_term(t.l, mapping))
-    raise TypeError(f"not a term: {t!r}")
+    if tt not in _TERM_CHILDREN:
+        raise TypeError(f"not a term: {t!r}")
+    return replace(t, **{fn: subst_term(getattr(t, fn), mapping) for fn in _TERM_CHILDREN[tt]})
 
 
 def subst_formula(f: Formula, mapping: Mapping[str, Term]) -> Formula:

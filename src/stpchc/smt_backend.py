@@ -1,10 +1,22 @@
 """Validity checking with two providers.
 
-The bounded provider enumerates assignments over small lists and integers,
-with equality propagation and prefix/suffix domain narrowing so that
-clause-shaped implications stay tractable.  The external provider drives an
-SMT process over the sequence theory; its counter-models are never trusted
-without concrete re-evaluation.
+The bounded provider enumerates assignments over small lists and integers.
+Each query is planned once: the antecedent of an implication is split into
+conjuncts, and for each the plan holds its sorted variables and, for an
+equation, the bare-variable sides that can define a variable and the sides
+that can be inverted; for a prefix/suffix atom, the variable on the container
+or contained side.  One recursive search then walks the assignments.  At each
+node it decides every conjunct whose variables are all assigned, so a partial
+assignment that already falsifies the antecedent is refuted before its
+remaining variables are enumerated; assigns the variable an equation forces;
+narrows a prefix/suffix operand to the candidates the other side allows; and
+otherwise enumerates the next variable, one buried inside a term before the
+bare side of an equation.  Variables only the consequent mentions are swept
+at the leaves.  The atoms are evaluated by `formulas.eval_formula` with a
+per-query memo of term values, and a counterexample is reported only after a
+plain re-evaluation.  The external provider drives an SMT process over the
+sequence theory; its counter-models are never trusted without concrete
+re-evaluation.
 
 A bounded search takes a stop event and raises `Cancelled` at the next search
 node once the event is set; it never returns a partial list, which would read
@@ -16,20 +28,16 @@ from __future__ import annotations
 import itertools
 import subprocess
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
-
-from collections import Counter
+from typing import Callable, Optional
 
 from .chc_core import read_sexps, symbol
 from .formulas import (
+    _TERM_CHILDREN,
     FAnd,
     FEq,
-    FFalse,
     FImp,
-    FLe,
-    FLt,
     FNot,
     FOr,
     FPrefix,
@@ -38,19 +46,24 @@ from .formulas import (
     FTrue,
     Formula,
     Sort,
-    TInt,
-    TSeq,
-    Undefined,
     TAdd,
+    TCollDiff,
+    TCollOf,
+    TCollUnion,
     TCons,
     TConcat,
+    TCount,
+    TInt,
+    TIte,
     TLdiff,
     TMul,
     TRdiff,
     TRev,
+    TSeq,
     TSub,
     TVar,
     Term,
+    Undefined,
     eval_formula,
     eval_term,
     formula_vars,
@@ -58,7 +71,7 @@ from .formulas import (
     term_vars,
 )
 
-_PRUNE = ("prune",)
+_PRUNE = object()
 
 
 class Cancelled(Exception):
@@ -67,8 +80,8 @@ class Cancelled(Exception):
 
 def _invert(term: Term, value, env) -> Optional[tuple]:
     """Solve `term == value` for the single unassigned variable inside the
-    term.  Returns ("ok", name, val), the prune sentinel when no value can
-    work, or None when the shape is not invertible."""
+    term.  Returns (name, value), `_PRUNE` when no value can work, or None
+    when the shape is not invertible."""
 
     def known(t):
         try:
@@ -80,7 +93,7 @@ def _invert(term: Term, value, env) -> Optional[tuple]:
     if tt is TVar:
         if term.name in env:
             return _PRUNE if env[term.name] != value else None
-        return ("ok", term.name, value)
+        return term.name, value
     if tt is TRev:
         if not isinstance(value, tuple):
             return _PRUNE
@@ -200,7 +213,8 @@ class _MemoEval:
     """Per-query evaluation cache: non-leaf terms are keyed by the values of
     their free variables, so shared subterms (difference chains, collection
     views, solved ldiff/rdiff nests) are computed once per support value
-    across the whole enumeration tree."""
+    across the whole enumeration tree.  `term` is the term evaluator that
+    `eval_formula` is given for the query's conjuncts and target."""
 
     _UNDEF = object()
 
@@ -218,9 +232,7 @@ class _MemoEval:
             return t.values
         support = self._support.get(id(t))
         if support is None:
-            sup: dict = {}
-            term_vars(t, sup)
-            support = tuple(sorted(sup))
+            support = tuple(sorted(_vars(t)))
             self._support[id(t)] = support
         key = (id(t), tuple(env[v] for v in support))
         hit = self._cache.get(key, None)
@@ -234,40 +246,254 @@ class _MemoEval:
             raise Undefined("memoized undefined term")
         return hit
 
-    def eval(self, f: Formula, env: dict) -> bool:
-        ft = type(f)
-        if ft is FTrue:
-            return True
-        if ft is FFalse:
-            return False
-        if ft is FAnd:
-            return all(self.eval(p, env) for p in f.parts)
-        if ft is FOr:
-            return any(self.eval(p, env) for p in f.parts)
-        if ft is FNot:
-            return not self.eval(f.f, env)
-        if ft is FImp:
-            return (not self.eval(f.a, env)) or self.eval(f.b, env)
+
+def _vars(t: Term) -> dict:
+    out: dict = {}
+    term_vars(t, out)
+    return out
+
+
+@dataclass(frozen=True)
+class _Conjunct:
+    """What the search needs to know of one antecedent conjunct, worked out
+    once per query."""
+
+    formula: Formula
+    names: tuple[str, ...]  # sorted
+    # FEq: (name, other side) for each bare-variable side whose variable the
+    # other side does not mention, a-side first
+    defines: tuple = ()
+    # FEq: (variables, side, other side) for both sides, a-side first: once
+    # `side` is known, `other side` may be inverted for its last unknown
+    inverts: tuple = ()
+    # FEq: the names of the bare-variable sides, a-side first
+    bare: tuple[str, ...] = ()
+    # FPrefix/FSuffix: the variable that is the container side, and the one
+    # that is the contained side (reversed when `reverse`)
+    container: Optional[str] = None
+    contained: Optional[str] = None
+    reverse: bool = False
+
+
+def _plan_conjunct(c: Formula) -> _Conjunct:
+    names = tuple(sorted(formula_vars(c)))
+    ct = type(c)
+    if ct is FEq:
+        sides = ((c.a, c.b), (c.b, c.a))
+        return _Conjunct(
+            c,
+            names,
+            defines=tuple(
+                (s.name, other) for s, other in sides
+                if type(s) is TVar and s.name not in _vars(other)
+            ),
+            inverts=tuple((tuple(_vars(s)), s, other) for s, other in sides),
+            bare=tuple(s.name for s, _ in sides if type(s) is TVar),
+        )
+    if ct is FPrefix or ct is FSuffix:
+        inner = c.a.t if type(c.a) is TRev else c.a
+        return _Conjunct(
+            c,
+            names,
+            container=c.b.name if type(c.b) is TVar else None,
+            contained=inner.name if type(inner) is TVar else None,
+            reverse=type(c.a) is TRev,
+        )
+    return _Conjunct(c, names)
+
+
+@dataclass
+class _Query:
+    """One `counterexamples` call: what every search node reads, and the
+    results it gathers."""
+
+    formula: Formula
+    target: Formula  # the consequent of an implication, else the formula
+    names: list[str]  # every variable, in order of first occurrence
+    domains: dict[str, tuple]
+    bounds: Bounds
+    lists_upto: tuple  # lists_upto[n]: every list of length at most n
+    limit: int
+    cancel: threading.Event
+    term: Callable  # the memoised term evaluator
+    results: list = field(default_factory=list)
+
+
+def _report(q: _Query, env: dict) -> bool:
+    """Record `env` when the target fails there and the whole formula fails
+    on re-evaluation; True once the query has its `limit`."""
+    try:
+        if not eval_formula(q.target, env, q.term) and not eval_formula(q.formula, env):
+            q.results.append(dict(env))
+    except Exception:
+        pass
+    return len(q.results) >= q.limit
+
+
+def _sweep(q: _Query, env: dict, names: list[str]) -> bool:
+    """Report every assignment of `names` (variables no live conjunct
+    mentions) on top of `env`; True once the query has its `limit`."""
+    for combo in itertools.product(*(q.domains[u] for u in names)):
+        env.update(zip(names, combo))
+        if _report(q, env):
+            break
+    for u in names:
+        env.pop(u, None)
+    return len(q.results) >= q.limit
+
+
+def _force(c: _Conjunct, v: str, env: dict):
+    """The value an equation forces on `v`, its only unassigned variable:
+    (v, value), `_PRUNE` when no value can satisfy it, or None."""
+    for name, other in c.defines:
+        if name == v:
+            try:
+                return v, eval_term(other, env)
+            except Exception:
+                return _PRUNE
+    for known_vars, known, other in c.inverts:
+        if all(n in env for n in known_vars):
+            try:
+                value = eval_term(known, env)
+            except Exception:
+                return _PRUNE
+            return _invert(other, value, env)
+    return None
+
+
+def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:
+    """Decide the conjuncts whose variables are all assigned and assign what
+    the equations force, until nothing changes.  The conjuncts still
+    undecided, or None when the antecedent cannot hold under `env`; every
+    forced variable is appended to `trail`."""
+    changed = True
+    while changed:
+        changed = False
+        still = []
+        for c in live:
+            unknown = [v for v in c.names if v not in env]
+            if not unknown:
+                if not eval_formula(c.formula, env, q.term):
+                    return None
+                continue
+            if len(unknown) == 1:
+                forced = _force(c, unknown[0], env)
+                if forced is _PRUNE:
+                    return None
+                if forced is not None:
+                    env[forced[0]] = forced[1]
+                    trail.append(forced[0])
+                    changed = True
+                    continue
+            still.append(c)
+        live = still
+    return live
+
+
+def _narrowed(q: _Query, c: _Conjunct, v: str, env: dict) -> Optional[list]:
+    """Candidate values for `v`, the only unassigned variable of a
+    prefix/suffix conjunct, or None when the conjunct does not narrow it."""
+    f = c.formula
+    if c.container == v:
         try:
-            a = self.term(f.a, env)
-            b = self.term(f.b, env)
-        except Undefined:
-            return False
-        if ft is FEq:
-            return a == b
-        if ft is FLe:
-            return a <= b
-        if ft is FLt:
-            return a < b
-        if ft is FPrefix:
-            return b[: len(a)] == a
-        if ft is FSuffix:
-            return len(a) <= len(b) and (not a or b[-len(a):] == a)
-        if ft is FSubset:
-            if isinstance(a, frozenset):
-                return a <= b
-            return not (Counter(a) - Counter(b))
-        raise TypeError(f"not a formula: {f!r}")
+            part = eval_term(f.a, env)
+        except Exception:
+            return None
+        if not isinstance(part, tuple):
+            return None
+        room = q.bounds.max_list_len - len(part)
+        if room < 0:
+            return []
+        if type(f) is FPrefix:
+            return [part + u for u in q.lists_upto[room]]
+        return [u + part for u in q.lists_upto[room]]
+    if c.contained == v:
+        try:
+            whole = eval_term(f.b, env)
+        except Exception:
+            return None
+        if not isinstance(whole, tuple):
+            return None
+        if type(f) is FPrefix:
+            parts = [whole[:k] for k in range(len(whole) + 1)]
+        else:
+            parts = [whole[len(whole) - k:] for k in range(len(whole) + 1)]
+        return [p[::-1] for p in parts] if c.reverse else parts
+    return None
+
+
+def _narrowing(q: _Query, live: list, env: dict):
+    """(variable, candidates) from the first live conjunct that narrows its
+    only unassigned variable, else (None, None)."""
+    for c in live:
+        if c.container is None and c.contained is None:
+            continue
+        unknown = [v for v in c.names if v not in env]
+        if len(unknown) == 1:
+            dom = _narrowed(q, c, unknown[0], env)
+            if dom is not None:
+                return unknown[0], dom
+    return None, None
+
+
+def _pick(c: _Conjunct, env: dict) -> str:
+    """The variable of `c` to enumerate: a variable buried inside a term
+    before the bare side of an equation, so that side gets forced instead."""
+    unknown = [u for u in c.names if u not in env]
+    if len(unknown) > 1:
+        for name in c.bare:
+            if name in unknown:
+                return next(u for u in unknown if u != name)
+    return unknown[0]
+
+
+def _search(q: _Query, env: dict, pending: list) -> None:
+    """One search node: propagate, then either sweep the leaves or branch on
+    one variable and recurse.  Every assignment it makes is undone before
+    it returns."""
+    if len(q.results) >= q.limit:
+        return
+    if q.cancel.is_set():
+        raise Cancelled
+    trail: list[str] = []
+    try:
+        live = _propagate(q, env, pending, trail)
+        if live is None:
+            return
+        narrowed_var, narrowed_dom = _narrowing(q, live, env)
+        in_live = {v for c in live for v in c.names}
+        unassigned = [n for n in q.names if n not in env]
+        enumerable = [u for u in unassigned if u in in_live]
+        if len(enumerable) <= 1:
+            # the last antecedent variable decides every live conjunct, and
+            # the variables only the consequent mentions are swept under it
+            cons_only = [u for u in unassigned if u not in in_live]
+            if not enumerable:
+                _sweep(q, env, cons_only)
+                return
+            v = enumerable[0]
+            for val in narrowed_dom if narrowed_var == v else q.domains[v]:
+                env[v] = val
+                if all(eval_formula(c.formula, env, q.term) for c in live) and _sweep(
+                    q, env, cons_only
+                ):
+                    break
+            env.pop(v, None)
+            return
+        if narrowed_var is not None:
+            v, dom = narrowed_var, narrowed_dom
+        else:
+            v = _pick(live[0], env)
+            dom = q.domains[v]
+        for val in dom:
+            env[v] = val
+            _search(q, env, live)
+            del env[v]
+            if len(q.results) >= q.limit:
+                return
+    finally:
+        for v in trail:
+            env.pop(v, None)
 
 
 class BoundedChecker:
@@ -278,6 +504,9 @@ class BoundedChecker:
     def __init__(self, bounds: Bounds = Bounds()):
         self.bounds = bounds
         self._lists = _all_lists(bounds.max_list_len, bounds.max_elem)
+        self._lists_upto = tuple(
+            _all_lists(n, bounds.max_elem) for n in range(bounds.max_list_len + 1)
+        )
         self._ints = tuple(range(bounds.int_lo, bounds.int_hi + 1))
 
     # -- public api ---------------------------------------------------------
@@ -290,238 +519,24 @@ class BoundedChecker:
     def counterexamples(
         self, f: Formula, limit: int = 1, cancel: Optional[threading.Event] = None
     ) -> list[dict]:
-        cancel = cancel or threading.Event()
         variables = formula_vars(f)
-        names = list(variables)
-        if isinstance(f, FImp):
-            conjuncts = _flatten_and(f.a)
-        else:
-            conjuncts = []
-        conj_vars = [sorted(formula_vars(c)) for c in conjuncts]
-        results: list[dict] = []
-        env: dict = {}
-        memo = _MemoEval()
-
-        def domain_of(name: str):
-            return self._ints if variables[name] is Sort.INT else self._lists
-
-        def narrowed(c: Formula, name: str):
-            """Candidate values for `name` from a prefix/suffix conjunct in
-            which it is the only unassigned variable."""
-            bounds = self.bounds
-            if isinstance(c, (FPrefix, FSuffix)):
-                a, b = c.a, c.b
-                # the unknown as the container side
-                if isinstance(b, TVar) and b.name == name:
-                    try:
-                        part = eval_term(a, env)
-                    except Exception:
-                        return None
-                    if not isinstance(part, tuple):
-                        return None
-                    room = bounds.max_list_len - len(part)
-                    if room < 0:
-                        return []
-                    exts = _all_lists(room, bounds.max_elem)
-                    if isinstance(c, FPrefix):
-                        return [part + u for u in exts]
-                    return [u + part for u in exts]
-                # the unknown as the contained side, possibly reversed
-                inner = a
-                rev = False
-                if isinstance(inner, TRev):
-                    inner = inner.t
-                    rev = True
-                if isinstance(inner, TVar) and inner.name == name:
-                    try:
-                        whole = eval_term(b, env)
-                    except Exception:
-                        return None
-                    if not isinstance(whole, tuple):
-                        return None
-                    if isinstance(c, FPrefix):
-                        parts = [whole[:k] for k in range(len(whole) + 1)]
-                    else:
-                        parts = [whole[len(whole) - k :] for k in range(len(whole) + 1)]
-                    return [p[::-1] if rev else p for p in parts]
-            return None
-
-        def search(pending: list[int]):
-            if len(results) >= limit:
-                return
-            if cancel.is_set():
-                raise Cancelled
-            # propagate: resolve decided conjuncts, force single-var equalities
-            trail: list[str] = []
-            live = list(pending)
-            try:
-                changed = True
-                while changed:
-                    changed = False
-                    still = []
-                    for ci in live:
-                        c = conjuncts[ci]
-                        unknown = [v for v in conj_vars[ci] if v not in env]
-                        if not unknown:
-                            if not memo.eval(c, env):
-                                return  # antecedent cannot hold here
-                            changed = True
-                            continue
-                        forced = False
-                        if len(unknown) == 1 and isinstance(c, FEq):
-                            v = unknown[0]
-                            for var_side, term_side in ((c.a, c.b), (c.b, c.a)):
-                                if isinstance(var_side, TVar) and var_side.name == v:
-                                    others: dict = {}
-                                    term_vars(term_side, others)
-                                    if v in others:
-                                        continue
-                                    try:
-                                        env[v] = eval_term(term_side, env)
-                                    except Exception:
-                                        return
-                                    trail.append(v)
-                                    changed = True
-                                    forced = True
-                                    break
-                            if not forced:
-                                # structural inversion: known = term(v)
-                                for known_side, term_side in ((c.a, c.b), (c.b, c.a)):
-                                    kv: dict = {}
-                                    term_vars(known_side, kv)
-                                    if any(name not in env for name in kv):
-                                        continue
-                                    try:
-                                        val = eval_term(known_side, env)
-                                    except Exception:
-                                        return
-                                    got = _invert(term_side, val, env)
-                                    if got is _PRUNE:
-                                        return
-                                    if got is not None and got[0] == "ok":
-                                        env[got[1]] = got[2]
-                                        trail.append(got[1])
-                                        changed = True
-                                        forced = True
-                                    break
-                        if not forced:
-                            still.append(ci)
-                    live = still
-                unassigned = [n for n in names if n not in env]
-                target = f.b if isinstance(f, FImp) else f
-                if not unassigned:
-                    # the antecedent held along this path; only the
-                    # consequent decides, but re-verify before reporting
-                    try:
-                        if not memo.eval(target, env) and not eval_formula(f, env):
-                            results.append(dict(env))
-                    except Exception:
-                        pass
-                    return
-                # choose what to enumerate: a narrowable conjunct first
-                narrowed_dom = None
-                narrowed_var = None
-                for ci in live:
-                    unknown = [v for v in conj_vars[ci] if v not in env]
-                    if len(unknown) != 1:
-                        continue
-                    dom = narrowed(conjuncts[ci], unknown[0])
-                    if dom is not None:
-                        narrowed_var = unknown[0]
-                        narrowed_dom = dom
-                        break
-                in_live: set = set()
-                for ci in live:
-                    in_live.update(conj_vars[ci])
-                cons_only = [u for u in unassigned if u not in in_live]
-                enumerable = [u for u in unassigned if u in in_live]
-                if len(enumerable) <= 1:
-                    # tight inner loops: the last antecedent variable decides
-                    # every live conjunct, and variables appearing only in
-                    # the consequent are swept in an inner product
-                    ev = memo.eval
-                    cons_domains = [domain_of(u) for u in cons_only]
-
-                    def leaf_sweep() -> bool:
-                        if not cons_only:
-                            try:
-                                if not ev(target, env) and not eval_formula(f, env):
-                                    results.append(dict(env))
-                            except Exception:
-                                pass
-                            return len(results) >= limit
-                        for combo in itertools.product(*cons_domains):
-                            for u, val in zip(cons_only, combo):
-                                env[u] = val
-                            try:
-                                if not ev(target, env) and not eval_formula(f, env):
-                                    results.append(dict(env))
-                            except Exception:
-                                pass
-                            if len(results) >= limit:
-                                break
-                        for u in cons_only:
-                            env.pop(u, None)
-                        return len(results) >= limit
-
-                    if not enumerable:
-                        leaf_sweep()
-                        return
-                    v = enumerable[0]
-                    dom = narrowed_dom if narrowed_var == v else domain_of(v)
-                    for val in dom:
-                        env[v] = val
-                        ok = True
-                        for ci in live:
-                            if not ev(conjuncts[ci], env):
-                                ok = False
-                                break
-                        if ok and leaf_sweep():
-                            break
-                    env.pop(v, None)
-                    return
-                if narrowed_var is not None:
-                    for val in narrowed_dom:
-                        env[narrowed_var] = val
-                        search(live)
-                        del env[narrowed_var]
-                        if len(results) >= limit:
-                            return
-                    return
-                v = None
-                for ci in live:
-                    unknown = [u for u in conj_vars[ci] if u not in env]
-                    if not unknown:
-                        continue
-                    # enumerate a variable buried inside a term first, so the
-                    # bare-variable side of an equality gets forced instead
-                    pick = unknown
-                    c = conjuncts[ci]
-                    if isinstance(c, FEq) and len(unknown) > 1:
-                        for side in (c.a, c.b):
-                            if isinstance(side, TVar) and side.name in unknown:
-                                rest = [u for u in unknown if u != side.name]
-                                if rest:
-                                    pick = rest
-                                break
-                    v = pick[0]
-                    break
-                if v is None:
-                    v = unassigned[0]
-                for val in domain_of(v):
-                    env[v] = val
-                    search(live)
-                    del env[v]
-                    if len(results) >= limit:
-                        return
-            finally:
-                for v in trail:
-                    env.pop(v, None)
-
-        search(list(range(len(conjuncts))))
-        for cex in results:
+        conjuncts = _flatten_and(f.a) if isinstance(f, FImp) else []
+        q = _Query(
+            formula=f,
+            target=f.b if isinstance(f, FImp) else f,
+            names=list(variables),
+            domains={n: self._ints if s is Sort.INT else self._lists
+                     for n, s in variables.items()},
+            bounds=self.bounds,
+            lists_upto=self._lists_upto,
+            limit=limit,
+            cancel=cancel or threading.Event(),
+            term=_MemoEval().term,
+        )
+        _search(q, {}, [_plan_conjunct(c) for c in conjuncts])
+        for cex in q.results:
             assert eval_formula(f, cex) is False
-        return results
+        return q.results
 
 
 # ---------------------------------------------------------------------------
@@ -531,36 +546,29 @@ _HAS_COLLECTIONS = (FSubset,)
 
 
 def _uses_collections(f: Formula) -> bool:
-    from .formulas import (
-        FAnd, FOr, FNot, FImp, TCollDiff, TCollOf, TCollUnion, TCount,
-    )
+    if isinstance(f, _HAS_COLLECTIONS):
+        return True
+    if isinstance(f, (FAnd, FOr)):
+        return any(_uses_collections(p) for p in f.parts)
+    if isinstance(f, FNot):
+        return _uses_collections(f.f)
+    if isinstance(f, FImp):
+        return _uses_collections(f.a) or _uses_collections(f.b)
+    if hasattr(f, "a"):
+        return _term_uses_collections(f.a) or _term_uses_collections(f.b)
+    return False
 
-    def term_has(t) -> bool:
-        if isinstance(t, (TCollDiff, TCollOf, TCollUnion, TCount)):
-            return True
-        from .formulas import _TERM_CHILDREN, TIte, TVar, TInt, TSeq
 
-        tt = type(t)
-        if tt in (TVar, TInt, TSeq):
-            return False
-        if tt is TIte:
-            return go(t.cond) or term_has(t.then) or term_has(t.other)
-        return any(term_has(getattr(t, fn)) for fn in _TERM_CHILDREN[tt])
-
-    def go(g) -> bool:
-        if isinstance(g, _HAS_COLLECTIONS):
-            return True
-        if isinstance(g, (FAnd, FOr)):
-            return any(go(p) for p in g.parts)
-        if isinstance(g, FNot):
-            return go(g.f)
-        if isinstance(g, FImp):
-            return go(g.a) or go(g.b)
-        if hasattr(g, "a"):
-            return term_has(g.a) or term_has(g.b)
+def _term_uses_collections(t: Term) -> bool:
+    if isinstance(t, (TCollDiff, TCollOf, TCollUnion, TCount)):
+        return True
+    tt = type(t)
+    if tt in (TVar, TInt, TSeq):
         return False
-
-    return go(f)
+    if tt is TIte:
+        return (_uses_collections(t.cond) or _term_uses_collections(t.then)
+                or _term_uses_collections(t.other))
+    return any(_term_uses_collections(getattr(t, fn)) for fn in _TERM_CHILDREN[tt])
 
 
 _REV_DEF = """(define-fun-rec seq.rev ((s (Seq Int))) (Seq Int)
@@ -636,10 +644,6 @@ class ExternalSmtChecker:
                 ValidityKind.UNKNOWN, reason="counter-model failed re-evaluation"
             )
         return ValidityResult(ValidityKind.INVALID, assignment=assignment)
-
-    def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
-        res = self.check_validity(f)
-        return [res.assignment] if res.kind is ValidityKind.INVALID else []
 
 
 def _parse_model(text: str, variables: dict) -> Optional[dict]:

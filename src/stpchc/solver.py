@@ -38,9 +38,11 @@ from .chc_core import (
     AtomTable,
     ChcSystem,
     Clause,
+    ParseError,
     PredicateAtom,
     Sample,
     SampleBudget,
+    _Parser,
     _bounded_domain,
     collect_samples,
     derivable,
@@ -915,6 +917,8 @@ class ExternalIntChc:
 
 
 def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]:
+    """The `define-fun` bodies of an integer CHC model over `$arg0..$argN`,
+    or None unless every predicate has one the formula reader accepts."""
     try:
         nodes = list(read_sexps(text))
     except ValueError:
@@ -928,6 +932,7 @@ def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]
                 defs.append(node)
             else:
                 pending.extend(reversed(node))
+    reader = _Parser()
     out: dict[str, Formula] = {}
     for node in defs:
         try:
@@ -939,116 +944,17 @@ def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]
             continue
         if not isinstance(params, list) or not all(isinstance(p, list) and p for p in params):
             return None
-        mapping = {}
-        for idx, param in enumerate(params):
-            mapping[symbol(param[0])] = _formal(idx)
-        f = _sexp_formula(body, mapping)
-        if f is None:
+        try:
+            scope = {symbol(p[0]): reader.parse_sort(p[1]) for p in params}
+            f = reader.parse_formula(body, scope)
+        except (ParseError, IndexError):
             return None
-        out[name] = f
+        out[name] = subst_formula(
+            f, {symbol(p[0]): _formal(i) for i, p in enumerate(params)}
+        )
     if set(out) != set(predicates):
         return None
     return out
-
-
-def _sexp_term(node, mapping) -> Optional[Term]:
-    text = symbol(node)
-    if text is not None:
-        if text.lstrip("-").isdigit():
-            return TInt(int(text))
-        return mapping.get(text)
-    if not node:
-        return None
-    op = symbol(node[0])
-    args = [_sexp_term(a, mapping) for a in node[1:]]
-    if op == "-" and len(node) == 2 and (symbol(node[1]) or "").isdigit():
-        return TInt(-int(symbol(node[1])))
-    if any(a is None for a in args):
-        if op == "ite":
-            cond = _sexp_formula(node[1], mapping)
-            t1 = _sexp_term(node[2], mapping)
-            t2 = _sexp_term(node[3], mapping)
-            if cond is None or t1 is None or t2 is None:
-                return None
-            return TIte(cond, t1, t2)
-        return None
-    if op == "+":
-        out = args[0]
-        for a in args[1:]:
-            out = TAdd(out, a)
-        return out
-    if op == "-":
-        out = args[0]
-        for a in args[1:]:
-            out = TSub(out, a)
-        return out
-    if op == "*" and len(args) == 2:
-        if isinstance(args[0], TInt):
-            return TMul(args[0].value, args[1])
-        if isinstance(args[1], TInt):
-            return TMul(args[1].value, args[0])
-        return None
-    if op == "ite":
-        cond = _sexp_formula(node[1], mapping)
-        if cond is None:
-            return None
-        return TIte(cond, args[1], args[2])
-    return None
-
-
-def _sexp_formula(node, mapping) -> Optional[Formula]:
-    text = symbol(node)
-    if text is not None:
-        if text == "true":
-            return TRUE
-        if text == "false":
-            return FALSE
-        return None
-    if not node:
-        return None
-    op = symbol(node[0])
-    if op == "and":
-        parts = [_sexp_formula(a, mapping) for a in node[1:]]
-        if any(p is None for p in parts):
-            return None
-        return fand(parts)
-    if op == "or":
-        parts = [_sexp_formula(a, mapping) for a in node[1:]]
-        if any(p is None for p in parts):
-            return None
-        return for_(parts)
-    if op == "not":
-        inner = _sexp_formula(node[1], mapping)
-        return None if inner is None else FNot(inner)
-    if op == "=>":
-        a = _sexp_formula(node[1], mapping)
-        b = _sexp_formula(node[2], mapping)
-        if a is None or b is None:
-            return None
-        return FImp(a, b)
-    if op == "ite":
-        c = _sexp_formula(node[1], mapping)
-        a = _sexp_formula(node[2], mapping)
-        b = _sexp_formula(node[3], mapping)
-        if c is None or a is None or b is None:
-            return None
-        return for_([fand([c, a]), fand([FNot(c), b])])
-    if op in ("=", "<=", "<", ">=", ">"):
-        a = _sexp_term(node[1], mapping)
-        b = _sexp_term(node[2], mapping)
-        if a is None or b is None:
-            return None
-        if op == "=":
-            return FEq(a, b)
-        if op == "<=":
-            return FLe(a, b)
-        if op == "<":
-            return FLt(a, b)
-        if op == ">=":
-            return FLe(b, a)
-        return FLt(b, a)
-    return None
-
 
 
 def solve_list_len_mode(

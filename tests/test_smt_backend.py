@@ -6,9 +6,15 @@ from pathlib import Path
 from stpchc.formulas import (
     FEq,
     FImp,
+    FNot,
     FPrefix,
+    FSubset,
     Sort,
+    TCollOf,
     TConcat,
+    TCount,
+    TInt,
+    TIte,
     TRev,
     TSeq,
     TVar,
@@ -135,3 +141,17 @@ class TestExternalChecker:
         assert "define-fun-rec seq.rev" in script
         native = ExternalSmtChecker(["true"], native_reverse=True)
         assert "define-fun-rec" not in native.script(FEq(L1, TRev(L2)))
+
+    def test_collection_atoms_are_not_sent(self):
+        # the process is never started: `/nonexistent/solver` would say why
+        checker = ExternalSmtChecker(["/nonexistent/solver"])
+        n = TVar("n", Sort.INT)
+        bag = TCollOf(L1, "multiset")
+        for f in (
+            FSubset(bag, TCollOf(L2, "multiset")),
+            FImp(FEq(L1, L2), FEq(n, TCount(TInt(0), L1))),
+            FNot(FEq(L1, TIte(FSubset(bag, bag), L2, L1))),
+        ):
+            res = checker.check_validity(f)
+            assert res.kind is ValidityKind.UNKNOWN
+            assert res.reason == "collection atoms are not encoded"

@@ -17,7 +17,9 @@ from stpchc.chc_core import (
     derivable,
     parse_smtlib,
 )
-from stpchc.formulas import FEq, FNot, FTrue, Sort, TInt, TVar, eval_formula
+from stpchc.formulas import (
+    FEq, FImp, FNot, FPrefix, FTrue, Sort, TConcat, TInt, TRev, TVar, eval_formula,
+)
 from stpchc.pattern_core import Mode
 from stpchc.smt_backend import Bounds, BoundedChecker, Cancelled
 from stpchc.solver import (
@@ -256,6 +258,28 @@ class TestExternalIntBackend:
         assert models is not None
         assert eval_formula(models["take"], {"$arg0": 5, "$arg1": 3, "$arg2": 3})
         assert eval_formula(models["drop"], {"$arg0": 1, "$arg1": 3, "$arg2": 2})
+
+    def test_model_parsing_distinct_implication_and_negation(self):
+        text = """
+        (define-fun p ((a Int) (b Int)) Bool
+          (and (distinct a 0) (=> (< a b) (> b 1) (<= a (- b 1))) (not (= b (- a)))))
+        """
+        model = parse_int_model(text, {"p": (Sort.INT,) * 2})["p"]
+        assert not eval_formula(model, {"$arg0": 0, "$arg1": 2})
+        assert eval_formula(model, {"$arg0": 1, "$arg1": 2})
+        assert eval_formula(model, {"$arg0": 2, "$arg1": 1})
+        assert eval_formula(model, {"$arg0": 2, "$arg1": 2})
+        assert not eval_formula(model, {"$arg0": 2, "$arg1": -2})
+
+    @pytest.mark.parametrize("body", [
+        "(= a c)",            # an undeclared symbol
+        "(ite (< a b) a)",    # a Bool ite without its else branch
+        "(frobnicate a b)",   # an unknown operator
+        "(not)",              # an operator without its argument
+    ])
+    def test_unreadable_model_is_none(self, body):
+        text = f"(define-fun p ((a Int) (b Int)) Bool {body})"
+        assert parse_int_model(text, {"p": (Sort.INT,) * 2}) is None
 
     def test_subprocess_roundtrip(self, tmp_path, take_drop):
         stub = tmp_path / "intchc.py"
@@ -537,6 +561,33 @@ class TestNoReferenceCycles:
                 assert derivable(reva, "reva", ((0, 1), (), (1, 0)), 8)
             for _ in range(50):
                 assert replay_derivation(plus_reach, witness)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_bounded_search_leaves_no_garbage(self):
+        l1, l2, l3 = (TVar(n, Sort.LIST) for n in ("l1", "l2", "l3"))
+        f = FImp(FEq(l3, TConcat(TRev(l1), l2)), FPrefix(TRev(l1), l3))
+        checker = BoundedChecker(Bounds())
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert checker.counterexamples(f, limit=16) == []
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collection_scan_leaves_no_garbage(self):
+        from stpchc.smt_backend import _uses_collections
+
+        l1, l2 = TVar("l1", Sort.LIST), TVar("l2", Sort.LIST)
+        f = FImp(FEq(l1, TConcat(TRev(l1), l2)), FPrefix(l1, l2))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert not _uses_collections(f)
             assert gc.collect() == 0
         finally:
             gc.enable()

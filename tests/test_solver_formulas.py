@@ -4,11 +4,32 @@ import pytest
 
 from stpchc.formulas import (
     FEq,
+    FLe,
+    FNot,
+    FPrefix,
+    FSubset,
     Sort,
+    TAdd,
+    TCollDiff,
+    TCollOf,
+    TCollUnion,
     TConcat,
+    TCons,
+    TCount,
+    TInt,
+    TIte,
+    TLdiff,
+    TLen,
+    TMul,
+    TRdiff,
     TRev,
+    TSeq,
+    TSub,
     TVar,
+    Undefined,
     eval_formula,
+    eval_term,
+    subst_term,
 )
 from stpchc.pattern_core import Mode, NotSolvableError, TuplePattern, member, parse_pattern, var_atom
 from stpchc.solver import collection_pattern_to_formula, pattern_to_formula
@@ -80,3 +101,79 @@ class TestCollectionPatternToFormula:
         assert eval_formula(f, {"l1": (1,), "l2": (2,), "l3": (1, 2)})
         # overlapping parts are not a disjoint union
         assert not eval_formula(f, {"l1": (1,), "l2": (1,), "l3": (1,)})
+
+
+I, J = TVar("i", Sort.INT), TVar("j", Sort.INT)
+U, V = TVar("u", Sort.LIST), TVar("v", Sort.LIST)
+
+# (sort of the result, constructor of a term with that root from a function
+# that draws a subterm of a given sort); every term constructor appears
+TERM_ROOTS = [
+    ("int", lambda rng, sub: rng.choice([I, J])),
+    ("list", lambda rng, sub: rng.choice([U, V])),
+    ("int", lambda rng, sub: TInt(rng.randint(-1, 2))),
+    ("list", lambda rng, sub: TSeq(tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))))),
+    ("list", lambda rng, sub: TCons(sub("int"), sub("list"))),
+    ("int", lambda rng, sub: TAdd(sub("int"), sub("int"))),
+    ("int", lambda rng, sub: TSub(sub("int"), sub("int"))),
+    ("int", lambda rng, sub: TMul(rng.randint(-2, 2), sub("int"))),
+    ("int", lambda rng, sub: TIte(sub("cond"), sub("int"), sub("int"))),
+    ("list", lambda rng, sub: TIte(sub("cond"), sub("list"), sub("list"))),
+    ("int", lambda rng, sub: TLen(sub("list"))),
+    ("list", lambda rng, sub: TConcat(sub("list"), sub("list"))),
+    ("list", lambda rng, sub: TRev(sub("list"))),
+    ("list", lambda rng, sub: TLdiff(sub("list"), sub("list"))),
+    ("list", lambda rng, sub: TRdiff(sub("list"), sub("list"))),
+    ("set", lambda rng, sub: TCollOf(sub(rng.choice(["int", "list"])), "set")),
+    ("multiset", lambda rng, sub: TCollOf(sub(rng.choice(["int", "list"])), "multiset")),
+    ("set", lambda rng, sub: TCollUnion(sub("set"), sub("set"))),
+    ("multiset", lambda rng, sub: TCollUnion(sub("multiset"), sub("multiset"))),
+    ("set", lambda rng, sub: TCollDiff(sub("set"), sub("set"))),
+    ("multiset", lambda rng, sub: TCollDiff(sub("multiset"), sub("multiset"))),
+    ("int", lambda rng, sub: TCount(sub("int"), sub("list"))),
+    ("cond", lambda rng, sub: FLe(sub("int"), sub("int"))),
+    ("cond", lambda rng, sub: FNot(FPrefix(sub("list"), sub("list")))),
+    ("cond", lambda rng, sub: FSubset(sub("multiset"), sub("multiset"))),
+]
+
+# total replacements, so that each substituted variable has a value
+REPLACEMENTS = {
+    "i": [J, TInt(2), TAdd(I, J), TLen(U), TCount(I, V)],
+    "j": [I, TInt(0), TSub(I, J), TMul(3, J)],
+    "u": [V, TSeq((1,)), TCons(I, U), TConcat(U, V), TRev(V)],
+    "v": [U, TSeq(()), TRev(TConcat(V, U))],
+}
+
+
+LEAVES = {"int": I, "list": U, "set": TCollOf(V, "set"), "multiset": TCollOf(U, "multiset"),
+          "cond": FLe(J, I)}
+
+
+def random_term(rng, sort, depth):
+    if depth == 0:
+        return LEAVES[sort]
+    roots = [make for s, make in TERM_ROOTS if s == sort]
+    return rng.choice(roots)(rng, lambda s: random_term(rng, s, depth - 1))
+
+
+def outcome(t, env):
+    try:
+        return eval_term(t, env)
+    except Undefined:
+        return Undefined
+
+
+def test_subst_term_is_evaluation_under_the_replaced_values():
+    rng = random.Random(3)
+    roots = set()
+    for _ in range(3000):
+        sort, make = rng.choice([r for r in TERM_ROOTS if r[0] != "cond"])
+        t = make(rng, lambda s: random_term(rng, s, 2))
+        roots.add(type(t))
+        env = {"i": rng.randint(-1, 2), "j": rng.randint(0, 3),
+               "u": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))),
+               "v": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))}
+        mapping = {n: rng.choice(reps) for n, reps in REPLACEMENTS.items() if rng.random() < 0.6}
+        replaced = dict(env, **{n: eval_term(r, env) for n, r in mapping.items()})
+        assert outcome(subst_term(t, mapping), env) == outcome(t, replaced), (t, mapping, env)
+    assert len(roots) == 17
