@@ -10,6 +10,11 @@ bottom-up join over ground atoms.  Two free-variable policies use it:
 leaves free, and `solver.refute` enumerates them exhaustively over
 `_bounded_domain`.  `match_goal` checks goal bodies for both.  `derivable`
 stays top-down.
+
+`match_term` is the one solver of `term = value` over ground values: the
+joins and `derivable` match clause terms against rows with it, and the
+bounded checker (`smt_backend`) forces the variable an equation determines
+with it.
 """
 
 from __future__ import annotations
@@ -31,10 +36,14 @@ from .formulas import (
     NIL,
     Sort,
     TAdd,
+    TConcat,
     TCons,
     TInt,
     TIte,
+    TLdiff,
     TMul,
+    TRdiff,
+    TRev,
     TSeq,
     TSub,
     TVar,
@@ -602,9 +611,24 @@ def _random_value(sort: Sort, budget: SampleBudget, rng: random.Random):
     )
 
 
-def match_term(term: Term, value, binding: dict) -> bool:
-    """Match a clause-head term against a concrete value, extending
-    `binding`; inverts cons and var-plus-constant shapes."""
+_UNKNOWN = object()
+
+
+def _known(term: Term, binding: dict):
+    """The value of `term` under `binding`, or `_UNKNOWN` when it has none."""
+    try:
+        return eval_term(term, binding)
+    except Exception:
+        return _UNKNOWN
+
+
+def match_term(term: Term, value, binding: dict) -> Optional[bool]:
+    """Solve `term == value` for the variables of `term` that `binding`
+    leaves unbound, binding each one it solves.  True: the term matches;
+    False: no values of the unbound variables can match; None: the shape
+    cannot tell.  Inverts cons, `+`, `-` and `*` (the shapes of clause
+    terms), and reverse, concatenation and ldiff/rdiff with a known operand
+    (the shapes the bounded checker forces equations through)."""
     tt = type(term)
     if tt is TVar:
         if term.name in binding:
@@ -618,38 +642,62 @@ def match_term(term: Term, value, binding: dict) -> bool:
     if tt is TCons:
         if not isinstance(value, tuple) or not value:
             return False
-        return match_term(term.head, value[0], binding) and match_term(
-            term.tail, value[1:], binding
-        )
-    if tt is TAdd:
-        for var_side, const_side in ((term.a, term.b), (term.b, term.a)):
-            try:
-                c = eval_term(const_side, binding)
-            except Exception:
-                continue
-            return match_term(var_side, value - c, binding)
-        return False
-    if tt is TSub:
-        try:
-            c = eval_term(term.b, binding)
-            return match_term(term.a, value + c, binding)
-        except Exception:
-            pass
-        try:
-            c = eval_term(term.a, binding)
-            return match_term(term.b, c - value, binding)
-        except Exception:
+        head = match_term(term.head, value[0], binding)
+        if head is False:
             return False
+        tail = match_term(term.tail, value[1:], binding)
+        return tail if head else tail and None  # an unsolved head: only False decides
+    if tt is TAdd:
+        for var_side, known_side in ((term.a, term.b), (term.b, term.a)):
+            c = _known(known_side, binding)
+            if c is not _UNKNOWN:
+                return match_term(var_side, value - c, binding)
+        return None
+    if tt is TSub:
+        c = _known(term.b, binding)
+        if c is not _UNKNOWN:
+            return match_term(term.a, value + c, binding)
+        c = _known(term.a, binding)
+        if c is not _UNKNOWN:
+            return match_term(term.b, c - value, binding)
+        return None
     if tt is TMul:
         if term.factor == 0:
             return value == 0
         if value % term.factor:
             return False
         return match_term(term.t, value // term.factor, binding)
-    try:
-        return eval_term(term, binding) == value
-    except Exception:
-        return False
+    if tt is TRev:
+        if not isinstance(value, tuple):
+            return False
+        return match_term(term.t, value[::-1], binding)
+    if tt is TConcat:
+        if not isinstance(value, tuple):
+            return False
+        a = _known(term.a, binding)
+        if a is not _UNKNOWN:
+            if not isinstance(a, tuple) or value[: len(a)] != a:
+                return False
+            return match_term(term.b, value[len(a):], binding)
+        b = _known(term.b, binding)
+        if b is not _UNKNOWN:
+            cut = len(value) - len(b) if isinstance(b, tuple) else -1
+            if cut < 0 or value[cut:] != b:
+                return False
+            return match_term(term.a, value[:cut], binding)
+        return None
+    if tt is TLdiff:
+        p = _known(term.prefix, binding)
+        if isinstance(p, tuple) and isinstance(value, tuple):
+            return match_term(term.t, p + value, binding)
+        return None
+    if tt is TRdiff:
+        s = _known(term.suffix, binding)
+        if isinstance(s, tuple) and isinstance(value, tuple):
+            return match_term(term.t, value + s, binding)
+        return None
+    known = _known(term, binding)
+    return None if known is _UNKNOWN else known == value
 
 
 # ---------------------------------------------------------------------------

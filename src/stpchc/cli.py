@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from .alphabet import parse_cell
 from .chc_core import ParseError, parse_smtlib
@@ -30,7 +31,7 @@ from .pattern_core import (
     parse_pattern,
     render_pattern,
 )
-from .smt_backend import Bounds, BoundedChecker, ExternalSmtChecker
+from .smt_backend import Bounds, ExternalSmtChecker
 from .solver import (
     ExternalIntChc,
     SolverConfig,
@@ -64,7 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--smt-cmd", help="external SMT solver command line")
     p_solve.add_argument("--int-chc-cmd", help="external integer CHC solver command line")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--bounds", default="4,2", help="L,E for the bounded checker")
+    p_solve.add_argument(
+        "--bounds",
+        help="L,E for the bounded checker in every mode (default: 4,2 for list "
+        "and list-len, 3,2 for set and multiset)",
+    )
     p_solve.add_argument("--timeout", type=float)
     p_solve.add_argument("--nat-as-list", action="store_true")
     p_solve.add_argument("--json", action="store_true")
@@ -108,7 +113,7 @@ def _parse_bounds(text: str) -> Bounds:
 def cmd_solve(ns) -> int:
     if ns.timeout is not None and not (math.isfinite(ns.timeout) and ns.timeout >= 0):
         raise UsageError(f"bad --timeout {ns.timeout}; expected a finite number of seconds >= 0")
-    bounds = _parse_bounds(ns.bounds)
+    bounds = None if ns.bounds is None else _parse_bounds(ns.bounds)
     try:
         with open(ns.file) as handle:
             text = handle.read()
@@ -121,11 +126,7 @@ def cmd_solve(ns) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg = SolverConfig(seed=ns.seed, bounds=bounds, timeout=ns.timeout)
-    checker = (
-        ExternalSmtChecker(ns.smt_cmd.split())
-        if ns.smt_cmd
-        else BoundedChecker(bounds)
-    )
+    checker = ExternalSmtChecker(ns.smt_cmd.split()) if ns.smt_cmd else None
     int_backend = ExternalIntChc(ns.int_chc_cmd.split()) if ns.int_chc_cmd else None
     started = time.monotonic()
     verdict = solve(system, cfg, mode=ns.mode, checker=checker, int_backend=int_backend)
@@ -137,6 +138,7 @@ def cmd_solve(ns) -> int:
     report = {
         "verdict": verdict.kind.value,
         "bounded": verdict.bounded,
+        "bounds": None if verdict.bounds is None else asdict(verdict.bounds),
         "mode": verdict.mode,
         "provider": "external" if ns.smt_cmd else "bounded",
     }

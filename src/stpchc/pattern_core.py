@@ -72,10 +72,6 @@ def atom_is_const(a: Atom) -> bool:
     return a < 0
 
 
-def atom_is_var(a: Atom) -> bool:
-    return a >= 0
-
-
 def atom_letter(a: int) -> int:
     return -a - 1
 
@@ -723,12 +719,6 @@ def includes(
     if not is_solvable(t1, rules):
         raise NotSolvableError("inclusion requires solvable patterns")
     return _includes_elements(t1.elements, t2.elements, rules)
-
-
-def constant_pattern(values: Sequence[Cell]) -> TuplePattern:
-    return TuplePattern(
-        tuple(tuple(const_atom(v) for v in cell) for cell in values)
-    )
 
 
 def member(

@@ -4,19 +4,20 @@ The bounded provider enumerates assignments over small lists and integers.
 Each query is planned once: the antecedent of an implication is split into
 conjuncts, and for each the plan holds its sorted variables and, for an
 equation, the bare-variable sides that can define a variable and the sides
-that can be inverted; for a prefix/suffix atom, the variable on the container
-or contained side.  One recursive search then walks the assignments.  At each
-node it decides every conjunct whose variables are all assigned, so a partial
-assignment that already falsifies the antecedent is refuted before its
-remaining variables are enumerated; assigns the variable an equation forces;
-narrows a prefix/suffix operand to the candidates the other side allows; and
-otherwise enumerates the next variable, one buried inside a term before the
-bare side of an equation.  Variables only the consequent mentions are swept
-at the leaves.  The atoms are evaluated by `formulas.eval_formula` with a
-per-query memo of term values, and a counterexample is reported only after a
-plain re-evaluation.  The external provider drives an SMT process over the
-sequence theory; its counter-models are never trusted without concrete
-re-evaluation.
+that can be matched against the other side's value; for a prefix/suffix
+atom, the variable on the container or contained side.  One recursive search
+then walks the assignments.  At each node it decides every conjunct whose
+variables are all assigned, so a partial assignment that already falsifies
+the antecedent is refuted before its remaining variables are enumerated;
+assigns the variable an equation forces, solved by `chc_core.match_term`,
+the same matcher the ground joins use; narrows a prefix/suffix operand to
+the candidates the other side allows; and otherwise enumerates the next
+variable, one buried inside a term before the bare side of an equation.
+Variables only the consequent mentions are swept at the leaves.  The atoms
+are evaluated by `formulas.eval_formula` with a per-query memo of term
+values, and a counterexample is reported only after a plain re-evaluation.
+The external provider drives an SMT process over the sequence theory; its
+counter-models are never trusted without concrete re-evaluation.
 
 A bounded search takes a stop event and raises `Cancelled` at the next search
 node once the event is set; it never returns a partial list, which would read
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .chc_core import read_sexps, symbol
+from .chc_core import match_term, read_sexps, symbol
 from .formulas import (
     _TERM_CHILDREN,
     FAnd,
@@ -46,21 +47,14 @@ from .formulas import (
     FTrue,
     Formula,
     Sort,
-    TAdd,
     TCollDiff,
     TCollOf,
     TCollUnion,
-    TCons,
-    TConcat,
     TCount,
     TInt,
     TIte,
-    TLdiff,
-    TMul,
-    TRdiff,
     TRev,
     TSeq,
-    TSub,
     TVar,
     Term,
     Undefined,
@@ -71,94 +65,9 @@ from .formulas import (
     term_vars,
 )
 
-_PRUNE = object()
-
 
 class Cancelled(Exception):
     """A search stopped because its stop event was set."""
-
-
-def _invert(term: Term, value, env) -> Optional[tuple]:
-    """Solve `term == value` for the single unassigned variable inside the
-    term.  Returns (name, value), `_PRUNE` when no value can work, or None
-    when the shape is not invertible."""
-
-    def known(t):
-        try:
-            return True, eval_term(t, env)
-        except Exception:
-            return False, None
-
-    tt = type(term)
-    if tt is TVar:
-        if term.name in env:
-            return _PRUNE if env[term.name] != value else None
-        return term.name, value
-    if tt is TRev:
-        if not isinstance(value, tuple):
-            return _PRUNE
-        return _invert(term.t, value[::-1], env)
-    if tt is TConcat:
-        if not isinstance(value, tuple):
-            return _PRUNE
-        ok_a, va = known(term.a)
-        if ok_a:
-            if not isinstance(va, tuple) or value[: len(va)] != va:
-                return _PRUNE
-            return _invert(term.b, value[len(va):], env)
-        ok_b, vb = known(term.b)
-        if ok_b:
-            if not isinstance(vb, tuple) or (
-                len(vb) and value[-len(vb):] != vb
-            ) or len(vb) > len(value):
-                return _PRUNE
-            return _invert(term.a, value[: len(value) - len(vb)], env)
-        return None
-    if tt is TCons:
-        if not isinstance(value, tuple) or not value:
-            return _PRUNE
-        ok_h, vh = known(term.head)
-        if ok_h:
-            if vh != value[0]:
-                return _PRUNE
-            return _invert(term.tail, value[1:], env)
-        ok_t, vt = known(term.tail)
-        if ok_t:
-            if vt != value[1:]:
-                return _PRUNE
-            return _invert(term.head, value[0], env)
-        return None
-    if tt is TLdiff:
-        ok_p, vp = known(term.prefix)
-        if ok_p and isinstance(vp, tuple) and isinstance(value, tuple):
-            return _invert(term.t, vp + value, env)
-        return None
-    if tt is TRdiff:
-        ok_s, vs = known(term.suffix)
-        if ok_s and isinstance(vs, tuple) and isinstance(value, tuple):
-            return _invert(term.t, value + vs, env)
-        return None
-    if tt is TAdd:
-        for var_side, const_side in ((term.a, term.b), (term.b, term.a)):
-            ok, c = known(const_side)
-            if ok:
-                return _invert(var_side, value - c, env)
-        return None
-    if tt is TSub:
-        ok, c = known(term.b)
-        if ok:
-            return _invert(term.a, value + c, env)
-        ok, c = known(term.a)
-        if ok:
-            return _invert(term.b, c - value, env)
-        return None
-    if tt is TMul:
-        if term.factor == 0:
-            return None if value == 0 else _PRUNE
-        if value % term.factor:
-            return _PRUNE
-        return _invert(term.t, value // term.factor, env)
-    return None
 
 
 class ValidityKind(Enum):
@@ -263,8 +172,9 @@ class _Conjunct:
     # FEq: (name, other side) for each bare-variable side whose variable the
     # other side does not mention, a-side first
     defines: tuple = ()
-    # FEq: (variables, side, other side) for both sides, a-side first: once
-    # `side` is known, `other side` may be inverted for its last unknown
+    # FEq: (variables, side, other side), a-side first, for each side whose
+    # other side is not a collection view: once `side` is known, `other
+    # side` is matched against its value
     inverts: tuple = ()
     # FEq: the names of the bare-variable sides, a-side first
     bare: tuple[str, ...] = ()
@@ -273,6 +183,11 @@ class _Conjunct:
     container: Optional[str] = None
     contained: Optional[str] = None
     reverse: bool = False
+
+
+# Collection views and counts.  `match_term` solves no variable below one,
+# so the plan does not match an equation side that is one.
+_COLLECTION_TERMS = (TCollDiff, TCollOf, TCollUnion, TCount)
 
 
 def _plan_conjunct(c: Formula) -> _Conjunct:
@@ -287,7 +202,10 @@ def _plan_conjunct(c: Formula) -> _Conjunct:
                 (s.name, other) for s, other in sides
                 if type(s) is TVar and s.name not in _vars(other)
             ),
-            inverts=tuple((tuple(_vars(s)), s, other) for s, other in sides),
+            inverts=tuple(
+                (tuple(_vars(s)), s, other) for s, other in sides
+                if not isinstance(other, _COLLECTION_TERMS)
+            ),
             bare=tuple(s.name for s, _ in sides if type(s) is TVar),
         )
     if ct is FPrefix or ct is FSuffix:
@@ -342,22 +260,28 @@ def _sweep(q: _Query, env: dict, names: list[str]) -> bool:
     return len(q.results) >= q.limit
 
 
-def _force(c: _Conjunct, v: str, env: dict):
-    """The value an equation forces on `v`, its only unassigned variable:
-    (v, value), `_PRUNE` when no value can satisfy it, or None."""
+def _force(c: _Conjunct, v: str, env: dict) -> Optional[bool]:
+    """Assign `v`, the only unassigned variable of an equation, the value the
+    equation forces: True when it did, False when no value can satisfy the
+    equation, None when the equation does not force one."""
     for name, other in c.defines:
         if name == v:
             try:
-                return v, eval_term(other, env)
+                env[v] = eval_term(other, env)
             except Exception:
-                return _PRUNE
+                return False
+            return True
     for known_vars, known, other in c.inverts:
         if all(n in env for n in known_vars):
             try:
                 value = eval_term(known, env)
             except Exception:
-                return _PRUNE
-            return _invert(other, value, env)
+                return False
+            matched = match_term(other, value, env)
+            if matched and v in env:
+                return True
+            env.pop(v, None)
+            return False if matched is False else None
     return None
 
 
@@ -378,11 +302,10 @@ def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:
                 continue
             if len(unknown) == 1:
                 forced = _force(c, unknown[0], env)
-                if forced is _PRUNE:
+                if forced is False:
                     return None
-                if forced is not None:
-                    env[forced[0]] = forced[1]
-                    trail.append(forced[0])
+                if forced:
+                    trail.append(unknown[0])
                     changed = True
                     continue
             still.append(c)
@@ -560,7 +483,7 @@ def _uses_collections(f: Formula) -> bool:
 
 
 def _term_uses_collections(t: Term) -> bool:
-    if isinstance(t, (TCollDiff, TCollOf, TCollUnion, TCount)):
+    if isinstance(t, _COLLECTION_TERMS):
         return True
     tt = type(t)
     if tt in (TVar, TInt, TSeq):
@@ -694,10 +617,3 @@ def _decode_value(node):
             out += v
         return out
     return None
-
-
-def check_validity(f: Formula, provider=None, bounds: Bounds | None = None) -> ValidityResult:
-    """Module-level convenience: default to the bounded provider."""
-    if provider is None:
-        provider = BoundedChecker(bounds or Bounds())
-    return provider.check_validity(f)

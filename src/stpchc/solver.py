@@ -129,10 +129,17 @@ class RefuteBudget:
     derived_list_cap: int = 8
 
 
+# coarse abstraction modes pay full exhaustion on valid clauses, so they
+# run at a reduced list bound by default
+COLLECTION_BOUNDS = Bounds(max_list_len=3)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    bounds: Bounds = Bounds()
+    # the bounded checker's bounds in every mode; None: each mode's default,
+    # `Bounds()` for list and list-len, `COLLECTION_BOUNDS` for set and multiset
+    bounds: Optional[Bounds] = None
     sample_depth: int = 3
     samples_per_pred: int = 10
     sample_cap: int = 32
@@ -142,9 +149,6 @@ class SolverConfig:
     max_iterations: int = 50
     cex_batch: int = 16
     revalidate_depth: int = 8
-    # coarse abstraction modes pay full exhaustion on valid clauses, so they
-    # run at a reduced list bound by default
-    collection_bounds: Bounds = Bounds(max_list_len=3)
     infer: InferConfig = InferConfig(constants=False, postfix=True, reverse=True)
     refute: RefuteBudget = RefuteBudget()
     timeout: Optional[float] = None
@@ -160,6 +164,11 @@ class SolverConfig:
         )
 
 
+def _checker(cfg: SolverConfig, default: Bounds = Bounds()) -> BoundedChecker:
+    """A bounded checker at `cfg.bounds`, or at `default` when that is None."""
+    return BoundedChecker(default if cfg.bounds is None else cfg.bounds)
+
+
 class VerdictKind(Enum):
     SAT = "sat"
     UNSAT = "unsat"
@@ -173,8 +182,12 @@ class Verdict:
     derivation: Optional["RefutationWitness"] = None
     reason: Optional[str] = None
     mode: Optional[str] = None
-    bounded: bool = False
+    bounds: Optional[Bounds] = None  # those of the bounded checks behind a sat
     stats: dict = field(default_factory=dict)
+
+    @property
+    def bounded(self) -> bool:
+        return self.bounds is not None
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +367,7 @@ class CheckOutcome:
     status: str  # "valid" | "cex" | "unknown"
     clause: Optional[Clause] = None
     assignments: list = field(default_factory=list)
-    bounded: bool = False
+    bounds: Optional[Bounds] = None  # set once a clause passed a bounded check
     reason: Optional[str] = None
 
 
@@ -367,22 +380,22 @@ def clause_formula(model: CandidateModel, clause: Clause) -> Formula:
 
 
 def _check_clauses(model, clauses, checker, cex_limit, cancel) -> CheckOutcome:
-    bounded = False
+    bounds = None
     for clause in clauses:
         f = clause_formula(model, clause)
         if isinstance(checker, BoundedChecker):
             cexs = checker.counterexamples(f, limit=cex_limit, cancel=cancel)
             if cexs:
-                return CheckOutcome("cex", clause, cexs, bounded)
-            bounded = True
+                return CheckOutcome("cex", clause, cexs, bounds)
+            bounds = checker.bounds
         else:
             res = checker.check_validity(f)
             if res.kind is ValidityKind.INVALID:
-                return CheckOutcome("cex", clause, [res.assignment], bounded)
+                return CheckOutcome("cex", clause, [res.assignment], bounds)
             if res.kind is ValidityKind.UNKNOWN:
                 return CheckOutcome("unknown", clause, reason=res.reason)
-            bounded = bounded or res.kind is ValidityKind.VALID_BOUNDED
-    return CheckOutcome("valid", bounded=bounded)
+            bounds = bounds or res.bounds
+    return CheckOutcome("valid", bounds=bounds)
 
 
 def check_definite(model: CandidateModel, system: ChcSystem, checker, cex_limit: int = 16,
@@ -558,11 +571,11 @@ def _model_loop(
         if dres.status == "valid":
             stats["samples"] = len(samples)
             if stop_at_definite:
-                return Verdict(VerdictKind.SAT, model=model, bounded=dres.bounded, stats=stats)
+                return Verdict(VerdictKind.SAT, model=model, bounds=dres.bounds, stats=stats)
             gres = check_goal(model, system, checker, cancel)
             if gres.status == "valid":
                 return Verdict(
-                    VerdictKind.SAT, model=model, bounded=dres.bounded or gres.bounded,
+                    VerdictKind.SAT, model=model, bounds=dres.bounds or gres.bounds,
                     stats=stats,
                 )
             if gres.status == "unknown":
@@ -604,7 +617,7 @@ def solve_list_mode(
     return _model_loop(
         system,
         cfg,
-        checker or BoundedChecker(cfg.bounds),
+        checker or _checker(cfg),
         lambda table: build_list_model(system, table, cfg),
         cancel or threading.Event(),
         initial_samples=initial_samples,
@@ -624,7 +637,7 @@ def solve_collection_mode(
     return _model_loop(
         system,
         cfg,
-        BoundedChecker(cfg.collection_bounds),
+        _checker(cfg, COLLECTION_BOUNDS),
         lambda table: build_collection_model(system, table, cfg, mode),
         cancel or threading.Event(),
     )
@@ -637,92 +650,95 @@ def length_abstract(system: ChcSystem) -> ChcSystem:
     """Lists become their lengths: nil -> 0, cons -> +1; list equalities
     become integer equalities; list disequalities survive only in goal
     bodies, elsewhere they become true."""
-
-    def abs_term(t: Term, sorts) -> Term:
-        tt = type(t)
-        if tt is TVar:
-            return TVar(t.name, Sort.INT)
-        if tt is TSeq:
-            return TInt(len(t.values))
-        if tt is TInt:
-            return t
-        if tt is TCons:
-            return TAdd(TInt(1), abs_term(t.tail, sorts))
-        if tt is TAdd:
-            return TAdd(abs_term(t.a, sorts), abs_term(t.b, sorts))
-        if tt is TSub:
-            return TSub(abs_term(t.a, sorts), abs_term(t.b, sorts))
-        if tt is TMul:
-            return TMul(t.factor, abs_term(t.t, sorts))
-        if tt is TIte:
-            return TIte(
-                abs_formula(t.cond, sorts, True),
-                abs_term(t.then, sorts),
-                abs_term(t.other, sorts),
-            )
-        raise ValueError(f"cannot length-abstract {t!r}")
-
-    def is_list_term(t: Term, sorts) -> bool:
-        tt = type(t)
-        if tt is TVar:
-            return sorts.get(t.name) is Sort.LIST
-        if tt is TSeq or tt is TCons:
-            return True
-        return False
-
-    def abs_formula(f: Formula, sorts, in_goal: bool) -> Formula:
-        ft = type(f)
-        if ft in (FTrue, FFalse):
-            return f
-        if ft is FAnd:
-            return fand(abs_formula(p, sorts, in_goal) for p in f.parts)
-        if ft is FOr:
-            return for_(abs_formula(p, sorts, in_goal) for p in f.parts)
-        if ft is FNot:
-            inner = f.f
-            if isinstance(inner, FEq) and (
-                is_list_term(inner.a, sorts) or is_list_term(inner.b, sorts)
-            ):
-                if in_goal:
-                    return FNot(
-                        FEq(abs_term(inner.a, sorts), abs_term(inner.b, sorts))
-                    )
-                return TRUE
-            return FNot(abs_formula(inner, sorts, in_goal))
-        if ft is FImp:
-            return FImp(
-                abs_formula(f.a, sorts, in_goal), abs_formula(f.b, sorts, in_goal)
-            )
-        if ft is FEq:
-            return FEq(abs_term(f.a, sorts), abs_term(f.b, sorts))
-        if ft is FLt:
-            return FLt(abs_term(f.a, sorts), abs_term(f.b, sorts))
-        if ft is FLe:
-            return FLe(abs_term(f.a, sorts), abs_term(f.b, sorts))
-        raise ValueError(f"cannot length-abstract {f!r}")
-
-    def abs_clause(clause: Clause, in_goal: bool) -> Clause:
-        sorts = clause.variables()
-        atoms = tuple(
-            PredicateAtom(a.pred, tuple(abs_term(arg, sorts) for arg in a.args))
-            for a in clause.body_atoms
-        )
-        head = None
-        if clause.head is not None:
-            head = PredicateAtom(
-                clause.head.pred,
-                tuple(abs_term(arg, sorts) for arg in clause.head.args),
-            )
-        return Clause(atoms, abs_formula(clause.constraint, sorts, in_goal), head)
-
     return ChcSystem(
         predicates={
             name: tuple(Sort.INT for _ in sig)
             for name, sig in system.predicates.items()
         },
-        definite=[abs_clause(c, False) for c in system.definite],
-        goals=[abs_clause(c, True) for c in system.goals],
+        definite=[_abs_clause(c, False) for c in system.definite],
+        goals=[_abs_clause(c, True) for c in system.goals],
     )
+
+
+def _abs_term(t: Term, sorts) -> Term:
+    tt = type(t)
+    if tt is TVar:
+        return TVar(t.name, Sort.INT)
+    if tt is TSeq:
+        return TInt(len(t.values))
+    if tt is TInt:
+        return t
+    if tt is TCons:
+        return TAdd(TInt(1), _abs_term(t.tail, sorts))
+    if tt is TAdd:
+        return TAdd(_abs_term(t.a, sorts), _abs_term(t.b, sorts))
+    if tt is TSub:
+        return TSub(_abs_term(t.a, sorts), _abs_term(t.b, sorts))
+    if tt is TMul:
+        return TMul(t.factor, _abs_term(t.t, sorts))
+    if tt is TIte:
+        return TIte(
+            _abs_formula(t.cond, sorts, True),
+            _abs_term(t.then, sorts),
+            _abs_term(t.other, sorts),
+        )
+    raise ValueError(f"cannot length-abstract {t!r}")
+
+
+def _is_list_term(t: Term, sorts) -> bool:
+    tt = type(t)
+    if tt is TVar:
+        return sorts.get(t.name) is Sort.LIST
+    if tt is TSeq or tt is TCons:
+        return True
+    return False
+
+
+def _abs_formula(f: Formula, sorts, in_goal: bool) -> Formula:
+    ft = type(f)
+    if ft in (FTrue, FFalse):
+        return f
+    if ft is FAnd:
+        return fand(_abs_formula(p, sorts, in_goal) for p in f.parts)
+    if ft is FOr:
+        return for_(_abs_formula(p, sorts, in_goal) for p in f.parts)
+    if ft is FNot:
+        inner = f.f
+        if isinstance(inner, FEq) and (
+            _is_list_term(inner.a, sorts) or _is_list_term(inner.b, sorts)
+        ):
+            if in_goal:
+                return FNot(
+                    FEq(_abs_term(inner.a, sorts), _abs_term(inner.b, sorts))
+                )
+            return TRUE
+        return FNot(_abs_formula(inner, sorts, in_goal))
+    if ft is FImp:
+        return FImp(
+            _abs_formula(f.a, sorts, in_goal), _abs_formula(f.b, sorts, in_goal)
+        )
+    if ft is FEq:
+        return FEq(_abs_term(f.a, sorts), _abs_term(f.b, sorts))
+    if ft is FLt:
+        return FLt(_abs_term(f.a, sorts), _abs_term(f.b, sorts))
+    if ft is FLe:
+        return FLe(_abs_term(f.a, sorts), _abs_term(f.b, sorts))
+    raise ValueError(f"cannot length-abstract {f!r}")
+
+
+def _abs_clause(clause: Clause, in_goal: bool) -> Clause:
+    sorts = clause.variables()
+    atoms = tuple(
+        PredicateAtom(a.pred, tuple(_abs_term(arg, sorts) for arg in a.args))
+        for a in clause.body_atoms
+    )
+    head = None
+    if clause.head is not None:
+        head = PredicateAtom(
+            clause.head.pred,
+            tuple(_abs_term(arg, sorts) for arg in clause.head.args),
+        )
+    return Clause(atoms, _abs_formula(clause.constraint, sorts, in_goal), head)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +851,7 @@ class BuiltinIntChc:
         cancel: Optional[threading.Event] = None,
     ) -> Optional[dict[str, Formula]]:
         cancel = cancel or threading.Event()
-        checker = self.checker or BoundedChecker(cfg.bounds)
+        checker = self.checker or _checker(cfg)
         samples = collect_samples(
             abstract, cfg.sample_budget(cfg.sample_depth + 1), rng
         )
@@ -968,7 +984,7 @@ def solve_list_len_mode(
     integer backend, embed its model through list lengths, conjoin with the
     inferred patterns, and re-check everything on the original system."""
     cancel = cancel or threading.Event()
-    checker = checker or BoundedChecker(cfg.bounds)
+    checker = checker or _checker(cfg)
     int_backend = int_backend or BuiltinIntChc()
     res = _model_loop(
         system,
@@ -1000,7 +1016,7 @@ def solve_list_len_mode(
     gres = check_goal(model, system, checker, cancel)
     if gres.status == "valid":
         return Verdict(
-            VerdictKind.SAT, model=model, bounded=dres.bounded or gres.bounded,
+            VerdictKind.SAT, model=model, bounds=dres.bounds or gres.bounds,
             stats=res.stats,
         )
     return unknown("length-strengthened model does not imply the goals")
@@ -1097,53 +1113,37 @@ def refute(
     return None
 
 
-def _replays(system: ChcSystem, node: DerivedAtom) -> bool:
-    """The derivation node applies its clause to its children, recursively."""
-    clause = system.definite[node.clause_index]
-    env = dict(node.env)
-    if clause.head is None:
+def _replays(system: ChcSystem, clause: Clause, env: tuple, values: Optional[tuple],
+             children: tuple) -> bool:
+    """Under `env`, `clause` derives the atom `values` (a goal, with `values`
+    None, derives false) from the atoms of `children`, and each child
+    replays in turn."""
+    if (clause.head is None) != (values is None) or len(clause.body_atoms) != len(children):
         return False
+    env = dict(env)
     try:
         if not eval_formula(clause.constraint, env):
             return False
-        if tuple(eval_term(a, env) for a in clause.head.args) != node.values:
+        if values is not None and tuple(eval_term(a, env) for a in clause.head.args) != values:
+            return False
+        if any(
+            tuple(eval_term(a, env) for a in atom.args) != child.values
+            for atom, child in zip(clause.body_atoms, children)
+        ):
             return False
     except Exception:
         return False
-    if len(clause.body_atoms) != len(node.children):
-        return False
-    for atom, child in zip(clause.body_atoms, node.children):
-        try:
-            if tuple(eval_term(a, env) for a in atom.args) != child.values:
-                return False
-        except Exception:
-            return False
-        if not _replays(system, child):
-            return False
-    return True
+    return all(
+        _replays(system, system.definite[c.clause_index], c.env, c.values, c.children)
+        for c in children
+    )
 
 
 def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
     """Concretely re-verify a refutation: every derivation node applies its
     clause to its children, and the goal body evaluates to true."""
     goal = system.goals[witness.goal_index]
-    env = dict(witness.env)
-    try:
-        if not eval_formula(goal.constraint, env):
-            return False
-    except Exception:
-        return False
-    if len(goal.body_atoms) != len(witness.atoms):
-        return False
-    for atom, node in zip(goal.body_atoms, witness.atoms):
-        try:
-            if tuple(eval_term(a, env) for a in atom.args) != node.values:
-                return False
-        except Exception:
-            return False
-        if not _replays(system, node):
-            return False
-    return True
+    return _replays(system, goal, witness.env, None, witness.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -250,53 +250,59 @@ def infer_all(
     """
     if data.m == 0 or data.n == 0:
         raise ValueError("learning data must have at least one row and column")
-    cells = _cells_of(data)
-    if memo is None:
-        memo = {}
-    limit = cfg.exhaustive_limit
-    incomplete = False
-
-    # memo maps columns -> frozenset of normal-form element tuples over the
-    # column slots, or None while under construction / past the limit
-    def forms(columns: Columns):
-        nonlocal incomplete
-        cached = memo.get(columns, _MISSING)
-        if cached is not _MISSING:
-            if cached is None:
-                incomplete = True
-            return cached
-        if len(memo) >= limit:
-            incomplete = True
-            memo[columns] = None
-            return None
-        memo[columns] = None  # reserve the slot before recursing
-        out = set()
-        partial = False
-        stuck = True
-        for step, succ in data_steps(columns, cells, cfg):
-            stuck = False
-            sub = forms(succ)
-            if sub is None:
-                partial = True
-                continue
-            for t in sub:
-                out.add(compose(step, t, cells.patterns))
-        if stuck:
-            out.add(tuple((var_atom(s),) for s in range(len(columns))))
-        if partial:
-            incomplete = True
-            memo[columns] = None
-            return frozenset(out) if out else None
-        result = frozenset(out)
-        memo[columns] = result
-        return result
-
-    raw = forms(data.columns())
-    patterns = frozenset(TuplePattern(els, cells.mode) for els in (raw or frozenset()))
-    return InferenceResult(patterns, complete=not incomplete)
+    explore = _Explore(_cells_of(data), cfg, {} if memo is None else memo)
+    raw = _forms(explore, data.columns())
+    patterns = frozenset(TuplePattern(els, explore.cells.mode) for els in (raw or frozenset()))
+    return InferenceResult(patterns, complete=not explore.incomplete)
 
 
 _MISSING = object()
+
+
+@dataclass
+class _Explore:
+    """One `infer_all` call: what `_forms` reads, and whether it was cut."""
+
+    cells: Cells
+    cfg: InferConfig
+    # columns -> frozenset of normal-form element tuples over the column
+    # slots, or None while under construction / past the limit
+    memo: dict
+    incomplete: bool = False
+
+
+def _forms(x: _Explore, columns: Columns):
+    """The normal forms reachable from `columns`, or None once cut."""
+    cached = x.memo.get(columns, _MISSING)
+    if cached is not _MISSING:
+        if cached is None:
+            x.incomplete = True
+        return cached
+    if len(x.memo) >= x.cfg.exhaustive_limit:
+        x.incomplete = True
+        x.memo[columns] = None
+        return None
+    x.memo[columns] = None  # reserve the slot before recursing
+    out = set()
+    partial = False
+    stuck = True
+    for step, succ in data_steps(columns, x.cells, x.cfg):
+        stuck = False
+        sub = _forms(x, succ)
+        if sub is None:
+            partial = True
+            continue
+        for t in sub:
+            out.add(compose(step, t, x.cells.patterns))
+    if stuck:
+        out.add(tuple((var_atom(s),) for s in range(len(columns))))
+    if partial:
+        x.incomplete = True
+        x.memo[columns] = None
+        return frozenset(out) if out else None
+    result = frozenset(out)
+    x.memo[columns] = result
+    return result
 
 
 def reachable_patterns(
@@ -304,22 +310,21 @@ def reachable_patterns(
 ) -> frozenset[TuplePattern]:
     """Every pattern of every reachable rewriting state, normal form or not
     (completeness promises reachability, not normality)."""
-    memo: dict[Columns, frozenset] = {}
+    return frozenset(TuplePattern(els) for els in _reach(data.columns(), cfg, {}))
 
-    def reach(columns: Columns) -> frozenset:
-        if columns in memo:
-            return memo[columns]
-        memo[columns] = frozenset()
-        trivial = tuple((var_atom(k),) for k in range(len(columns)))
-        out = {trivial}
-        for step, succ in data_steps(columns, COLUMNS, cfg):
-            for t in reach(succ):
-                out.add(compose(step, t, STRINGS))
-        result = frozenset(out)
-        memo[columns] = result
-        return result
 
-    return frozenset(TuplePattern(els) for els in reach(data.columns()))
+def _reach(columns: Columns, cfg: InferConfig, memo: dict) -> frozenset:
+    if columns in memo:
+        return memo[columns]
+    memo[columns] = frozenset()
+    trivial = tuple((var_atom(k),) for k in range(len(columns)))
+    out = {trivial}
+    for step, succ in data_steps(columns, COLUMNS, cfg):
+        for t in _reach(succ, cfg, memo):
+            out.add(compose(step, t, STRINGS))
+    result = frozenset(out)
+    memo[columns] = result
+    return result
 
 
 def validate(data: LearningData, t: TuplePattern) -> bool:

@@ -98,7 +98,7 @@ def test_multiset_solve_queries(monkeypatch):
             calls.append((repr(f), limit, canonical(cexs)))
             return cexs
 
-    # multiset mode builds its own checker from `cfg.collection_bounds`
+    # multiset mode builds its own checker at `solver.COLLECTION_BOUNDS`
     monkeypatch.setattr(solver, "BoundedChecker", Recording)
     system = parse_smtlib((BENCH / "sort.smt2").read_text())
     verdict = solve(system, SolverConfig(seed=0), mode="multiset", checker=Recording())

@@ -122,6 +122,16 @@ class TestSolveCommand:
         assert report["bounded"] is True
         assert "seconds" not in report  # only under --verbose
 
+    def test_bounds_reach_multiset_mode(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "sort.smt2"), "--mode", "multiset",
+            "--bounds", "1,1", "--json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "sat" and report["bounded"] is True
+        assert report["bounds"] == {"max_list_len": 1, "max_elem": 1, "int_lo": 0, "int_hi": 2}
+
     def test_deterministic_output(self, capsys):
         runs = []
         for _ in range(2):

@@ -24,7 +24,6 @@ from stpchc.smt_backend import (
     Bounds,
     ExternalSmtChecker,
     ValidityKind,
-    check_validity,
 )
 
 L1 = TVar("l1", Sort.LIST)
@@ -36,7 +35,7 @@ class TestBoundedChecker:
     def test_valid_identity(self):
         # l2 = reverse(eps) . l2
         f = FEq(L2, TConcat(TRev(TSeq(())), L2))
-        res = check_validity(f)
+        res = BoundedChecker().check_validity(f)
         assert res.kind is ValidityKind.VALID_BOUNDED
         assert res.bounds is not None
 
@@ -45,7 +44,7 @@ class TestBoundedChecker:
         # the same as appending on the right
         ante = FEq(L3, TConcat(L1, TConcat(TSeq((0,)), L2)))
         cons = FEq(L3, TConcat(TSeq((0,)), TConcat(L1, L2)))
-        res = check_validity(FImp(ante, cons))
+        res = BoundedChecker().check_validity(FImp(ante, cons))
         assert res.kind is ValidityKind.INVALID
         env = res.assignment
         assert env["l3"] == env["l1"] + (0,) + env["l2"]
@@ -65,13 +64,13 @@ class TestBoundedChecker:
         ante = FEq(L3, TConcat(TRev(L1), L2))
         cons = FPrefix(TRev(L1), L3)
         start = time.monotonic()
-        res = check_validity(FImp(ante, cons))
+        res = BoundedChecker().check_validity(FImp(ante, cons))
         assert res.kind is ValidityKind.VALID_BOUNDED
         assert time.monotonic() - start < 2.0
 
     def test_never_upgrades_to_plain_valid(self):
         f = FEq(L1, L1)
-        assert check_validity(f).kind is ValidityKind.VALID_BOUNDED
+        assert BoundedChecker().check_validity(f).kind is ValidityKind.VALID_BOUNDED
 
 
 def make_stub(tmp_path: Path, body: str) -> str:

@@ -578,6 +578,31 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
 
+    def test_length_abstraction_leaves_no_garbage(self, take_drop):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                length_abstract(take_drop)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_exhaustive_inference_leaves_no_garbage(self):
+        from stpchc.data import LearningData
+        from stpchc.stp_inference import infer_all, reachable_patterns
+
+        data = LearningData.from_csv("aa,a,aac\nb,bb,bbd\n")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert infer_all(data).complete
+                assert reachable_patterns(data)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_collection_scan_leaves_no_garbage(self):
         from stpchc.smt_backend import _uses_collections
 
