@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--bounds",
         help="L,E for the bounded checker in every mode (default: 4,2 for list "
-        "and list-len, 3,2 for set and multiset)",
+        "and list-len, 3,2 for set and multiset); integers stay 0..5",
     )
     p_solve.add_argument("--timeout", type=float)
     p_solve.add_argument("--nat-as-list", action="store_true")
@@ -107,7 +107,7 @@ def _parse_bounds(text: str) -> Bounds:
         raise UsageError(f"bad --bounds {text!r}; expected L,E") from None
     if max_len < 0 or max_elem < 0:
         raise UsageError(f"bad --bounds {text!r}; L and E must be at least 0")
-    return Bounds(max_list_len=max_len, max_elem=max_elem, int_hi=max_len + 1)
+    return Bounds(max_list_len=max_len, max_elem=max_elem)
 
 
 def cmd_solve(ns) -> int:

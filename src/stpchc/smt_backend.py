@@ -13,9 +13,15 @@ assigns the variable an equation forces, solved by `chc_core.match_term`,
 the same matcher the ground joins use; narrows a prefix/suffix operand to
 the candidates the other side allows; and otherwise enumerates the next
 variable, one buried inside a term before the bare side of an equation.
-Variables only the consequent mentions are swept at the leaves.  The atoms
-are evaluated by `formulas.eval_formula` with a per-query memo of term
-values, and a counterexample is reported only after a plain re-evaluation.
+Variables only the consequent mentions are swept at the leaves.
+
+The search walks no term tree.  Each query compiles its conjuncts and its
+consequent once, to closures over the environment (Feeley & Lapalme, "Using
+closures for code generation", 1987).  Every atom side with a variable below
+its root keeps its own cache, keyed by the values of its variables, undefined
+results included; equal sides of one query share one cache.  The interpreter
+`formulas.eval_formula` stays the oracle: a counterexample is reported only
+after it re-evaluates the whole formula there.
 The external provider drives an SMT process over the sequence theory; its
 counter-models are never trusted without concrete re-evaluation.
 
@@ -26,7 +32,9 @@ as bounded validity.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import subprocess
 import threading
 from dataclasses import dataclass, field
@@ -35,9 +43,11 @@ from typing import Callable, Optional
 
 from .chc_core import match_term, read_sexps, symbol
 from .formulas import (
+    _ATOMS,
     _TERM_CHILDREN,
     FAnd,
     FEq,
+    FFalse,
     FImp,
     FNot,
     FOr,
@@ -47,19 +57,27 @@ from .formulas import (
     FTrue,
     Formula,
     Sort,
+    TAdd,
     TCollDiff,
     TCollOf,
     TCollUnion,
+    TConcat,
+    TCons,
     TCount,
     TInt,
     TIte,
+    TLdiff,
+    TLen,
+    TMul,
+    TRdiff,
     TRev,
     TSeq,
+    TSub,
     TVar,
     Term,
     Undefined,
     eval_formula,
-    eval_term,
+    eval_term,  # not called here; kept as the name perfbench/tracing.py counts
     formula_vars,
     render_formula,
     term_vars,
@@ -118,42 +136,220 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return [f]
 
 
-class _MemoEval:
-    """Per-query evaluation cache: non-leaf terms are keyed by the values of
-    their free variables, so shared subterms (difference chains, collection
-    views, solved ldiff/rdiff nests) are computed once per support value
-    across the whole enumeration tree.  `term` is the term evaluator that
-    `eval_formula` is given for the query's conjuncts and target."""
+# The value of an undefined atom side: the compiled sides return it where
+# `eval_term` raises `Undefined`, and the side caches store it.
+_UNDEF = object()
 
-    _UNDEF = object()
 
-    def __init__(self):
-        self._support: dict[int, tuple[str, ...]] = {}
-        self._cache: dict = {}
+def _term(t: Term) -> Callable:
+    """`t` compiled to a closure that maps an environment binding every
+    variable of `t` to `eval_term(t, env)`, raising `Undefined` where it
+    does."""
+    tt = type(t)
+    if tt is TVar:
+        return operator.itemgetter(t.name)
+    if tt is TInt or tt is TSeq:
+        value = t.value if tt is TInt else t.values
+        return lambda env: value
+    if tt is TCons:
+        head, tail = _term(t.head), _term(t.tail)
+        return lambda env: (head(env),) + tail(env)
+    if tt is TAdd or tt is TConcat:
+        a, b = _term(t.a), _term(t.b)
+        return lambda env: a(env) + b(env)
+    if tt is TSub:
+        a, b = _term(t.a), _term(t.b)
+        return lambda env: a(env) - b(env)
+    if tt is TMul:
+        factor, x = t.factor, _term(t.t)
+        return lambda env: factor * x(env)
+    if tt is TIte:
+        cond = _formula(t.cond, _guarded)
+        then, other = _term(t.then), _term(t.other)
+        return lambda env: then(env) if cond(env) else other(env)
+    if tt is TLen:
+        x = _term(t.t)
+        return lambda env: len(x(env))
+    if tt is TRev:
+        x = _term(t.t)
+        return lambda env: x(env)[::-1]
+    if tt is TLdiff:
+        prefix, whole = _term(t.prefix), _term(t.t)
 
-    def term(self, t, env):
-        tt = type(t)
-        if tt is TVar:
-            return env[t.name]
-        if tt is TInt:
-            return t.value
-        if tt is TSeq:
-            return t.values
-        support = self._support.get(id(t))
-        if support is None:
-            support = tuple(sorted(_vars(t)))
-            self._support[id(t)] = support
-        key = (id(t), tuple(env[v] for v in support))
-        hit = self._cache.get(key, None)
-        if hit is None:
+        def ldiff(env):
+            p = prefix(env)
+            w = whole(env)
+            if w[: len(p)] != p:
+                raise Undefined("ldiff on a non-prefix")
+            return w[len(p):]
+        return ldiff
+    if tt is TRdiff:
+        whole, suffix = _term(t.t), _term(t.suffix)
+
+        def rdiff(env):
+            s = suffix(env)
+            w = whole(env)
+            if len(s) > len(w) or (len(s) and w[-len(s):] != s):
+                raise Undefined("rdiff on a non-suffix")
+            return w[: len(w) - len(s)]
+        return rdiff
+    if tt is TCollOf:
+        x = _term(t.t)
+        view = frozenset if t.mode == "set" else lambda v: tuple(sorted(v))
+
+        def coll_of(env):
+            v = x(env)
+            return view((v,) if isinstance(v, int) else v)
+        return coll_of
+    if tt is TCollUnion:
+        a, b = _term(t.a), _term(t.b)
+
+        def union(env):
+            x, y = a(env), b(env)
+            if isinstance(x, frozenset):
+                if x & y:
+                    raise Undefined("overlapping set union")
+                return x | y
+            return tuple(sorted(x + y))
+        return union
+    if tt is TCollDiff:
+        a, b = _term(t.a), _term(t.b)
+
+        def difference(env):
+            x, y = a(env), b(env)
+            if isinstance(x, frozenset):
+                if not y <= x:
+                    raise Undefined("set difference without containment")
+                return x - y
+            rest = _bag_minus(x, y)
+            if rest is None:
+                raise Undefined("multiset difference without containment")
+            return tuple(sorted(rest))
+        return difference
+    if tt is TCount:
+        x, l = _term(t.x), _term(t.l)
+
+        def count(env):
+            v = x(env)
+            return sum(1 for w in l(env) if w == v)
+        return count
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _bag_minus(whole, part) -> Optional[list]:
+    """What is left of multiset `whole` once each element of `part` is taken
+    out once, or None when `part` is not a sub-multiset of `whole`."""
+    rest = list(whole)
+    for v in part:
+        if v not in rest:
+            return None
+        rest.remove(v)
+    return rest
+
+
+def _is_subset(a, b) -> bool:
+    if isinstance(a, frozenset):
+        return a <= b
+    return _bag_minus(b, a) is not None
+
+
+# `formulas._ATOMS`, with a multiset inclusion that builds no `Counter`
+_HOLDS = {**_ATOMS, FSubset: _is_subset}
+
+
+def _guarded(t: Term) -> Callable:
+    """`t` compiled as an atom side that is not cached: its value, or
+    `_UNDEF` where it is undefined."""
+    compute = _term(t)
+    if type(t) in (TVar, TInt, TSeq):
+        return compute  # a leaf is never undefined
+
+    def side(env):
+        try:
+            return compute(env)
+        except Undefined:
+            return _UNDEF
+    return side
+
+
+def _side(t: Term, sides: dict) -> Callable:
+    """`t` compiled as an atom side of one query: its value, or `_UNDEF`.
+    A side with a variable below its root keeps a cache keyed by the values
+    of its variables, undefined results included.  `sides` holds the sides
+    the query has compiled, so equal sides share one closure and cache."""
+    side = sides.get(t)
+    if side is not None:
+        return side
+    names = sorted(_vars(t))
+    if type(t) is TVar or not names:  # nothing to cache
+        side = _guarded(t)
+    else:
+        side = _memoised(_term(t), operator.itemgetter(*names))
+    sides[t] = side
+    return side
+
+
+def _memoised(compute: Callable, key_of: Callable) -> Callable:
+    cache: dict = {}
+
+    def side(env):
+        key = key_of(env)
+        value = cache.get(key, cache)  # the cache itself: not there yet
+        if value is cache:
             try:
-                hit = eval_term(t, env)
+                value = compute(env)
             except Undefined:
-                hit = self._UNDEF
-            self._cache[key] = hit
-        if hit is self._UNDEF:
-            raise Undefined("memoized undefined term")
-        return hit
+                value = _UNDEF
+            cache[key] = value
+        return value
+    return side
+
+
+def _formula(f: Formula, side: Callable) -> Callable:
+    """`f` compiled to a closure that maps an environment binding every
+    variable of `f` to `eval_formula(f, env)`; `side` compiles each atom
+    side, and an atom over an undefined side is False."""
+    ft = type(f)
+    if ft is FTrue:
+        return lambda env: True
+    if ft is FFalse:
+        return lambda env: False
+    if ft is FAnd or ft is FOr:
+        parts = tuple(_formula(p, side) for p in f.parts)
+        if ft is FAnd:
+            def conj(env):
+                for p in parts:
+                    if not p(env):
+                        return False
+                return True
+            return conj
+
+        def disj(env):
+            for p in parts:
+                if p(env):
+                    return True
+            return False
+        return disj
+    if ft is FNot:
+        x = _formula(f.f, side)
+        return lambda env: not x(env)
+    if ft is FImp:
+        a, b = _formula(f.a, side), _formula(f.b, side)
+        return lambda env: (not a(env)) or b(env)
+    holds = _HOLDS.get(ft)
+    if holds is None:
+        raise TypeError(f"not a formula: {f!r}")
+    a, b = side(f.a), side(f.b)
+
+    def atom(env):
+        x = a(env)
+        if x is _UNDEF:
+            return False
+        y = b(env)
+        if y is _UNDEF:
+            return False
+        return holds(x, y)
+    return atom
 
 
 def _vars(t: Term) -> dict:
@@ -169,20 +365,24 @@ class _Conjunct:
 
     formula: Formula
     names: tuple[str, ...]  # sorted
-    # FEq: (name, other side) for each bare-variable side whose variable the
-    # other side does not mention, a-side first
+    holds: Callable  # the compiled formula
+    # FEq: (name, compiled other side) for each bare-variable side whose
+    # variable the other side does not mention, a-side first
     defines: tuple = ()
-    # FEq: (variables, side, other side), a-side first, for each side whose
-    # other side is not a collection view: once `side` is known, `other
-    # side` is matched against its value
+    # FEq: (variables, compiled side, other side), a-side first, for each
+    # side whose other side is not a collection view: once `side` is known,
+    # `other side` is matched against its value
     inverts: tuple = ()
     # FEq: the names of the bare-variable sides, a-side first
     bare: tuple[str, ...] = ()
     # FPrefix/FSuffix: the variable that is the container side, and the one
-    # that is the contained side (reversed when `reverse`)
+    # that is the contained side (reversed when `reverse`); `a` and `b` are
+    # the compiled sides
     container: Optional[str] = None
     contained: Optional[str] = None
     reverse: bool = False
+    a: Optional[Callable] = None
+    b: Optional[Callable] = None
 
 
 # Collection views and counts.  `match_term` solves no variable below one,
@@ -190,20 +390,24 @@ class _Conjunct:
 _COLLECTION_TERMS = (TCollDiff, TCollOf, TCollUnion, TCount)
 
 
-def _plan_conjunct(c: Formula) -> _Conjunct:
+def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
+    """The plan of conjunct `c`; `side` compiles an atom side of the
+    query."""
     names = tuple(sorted(formula_vars(c)))
+    holds = _formula(c, side)
     ct = type(c)
     if ct is FEq:
         sides = ((c.a, c.b), (c.b, c.a))
         return _Conjunct(
             c,
             names,
+            holds,
             defines=tuple(
-                (s.name, other) for s, other in sides
+                (s.name, _guarded(other)) for s, other in sides
                 if type(s) is TVar and s.name not in _vars(other)
             ),
             inverts=tuple(
-                (tuple(_vars(s)), s, other) for s, other in sides
+                (tuple(_vars(s)), _guarded(s), other) for s, other in sides
                 if not isinstance(other, _COLLECTION_TERMS)
             ),
             bare=tuple(s.name for s, _ in sides if type(s) is TVar),
@@ -213,11 +417,14 @@ def _plan_conjunct(c: Formula) -> _Conjunct:
         return _Conjunct(
             c,
             names,
+            holds,
             container=c.b.name if type(c.b) is TVar else None,
             contained=inner.name if type(inner) is TVar else None,
             reverse=type(c.a) is TRev,
+            a=side(c.a),
+            b=side(c.b),
         )
-    return _Conjunct(c, names)
+    return _Conjunct(c, names, holds)
 
 
 @dataclass
@@ -226,25 +433,23 @@ class _Query:
     results it gathers."""
 
     formula: Formula
-    target: Formula  # the consequent of an implication, else the formula
+    target: Callable  # the compiled consequent of an implication, else formula
     names: list[str]  # every variable, in order of first occurrence
     domains: dict[str, tuple]
     bounds: Bounds
     lists_upto: tuple  # lists_upto[n]: every list of length at most n
     limit: int
     cancel: threading.Event
-    term: Callable  # the memoised term evaluator
     results: list = field(default_factory=list)
 
 
 def _report(q: _Query, env: dict) -> bool:
     """Record `env` when the target fails there and the whole formula fails
-    on re-evaluation; True once the query has its `limit`."""
-    try:
-        if not eval_formula(q.target, env, q.term) and not eval_formula(q.formula, env):
-            q.results.append(dict(env))
-    except Exception:
-        pass
+    on re-evaluation by the interpreter; True once the query has its
+    `limit`.  Neither evaluation raises `Undefined`: an atom over an
+    undefined side is False."""
+    if not q.target(env) and not eval_formula(q.formula, env):
+        q.results.append(dict(env))
     return len(q.results) >= q.limit
 
 
@@ -266,16 +471,15 @@ def _force(c: _Conjunct, v: str, env: dict) -> Optional[bool]:
     equation, None when the equation does not force one."""
     for name, other in c.defines:
         if name == v:
-            try:
-                env[v] = eval_term(other, env)
-            except Exception:
+            value = other(env)
+            if value is _UNDEF:
                 return False
+            env[v] = value
             return True
     for known_vars, known, other in c.inverts:
         if all(n in env for n in known_vars):
-            try:
-                value = eval_term(known, env)
-            except Exception:
+            value = known(env)
+            if value is _UNDEF:
                 return False
             matched = match_term(other, value, env)
             if matched and v in env:
@@ -297,7 +501,7 @@ def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:
         for c in live:
             unknown = [v for v in c.names if v not in env]
             if not unknown:
-                if not eval_formula(c.formula, env, q.term):
+                if not c.holds(env):
                     return None
                 continue
             if len(unknown) == 1:
@@ -315,29 +519,30 @@ def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:
 
 def _narrowed(q: _Query, c: _Conjunct, v: str, env: dict) -> Optional[list]:
     """Candidate values for `v`, the only unassigned variable of a
-    prefix/suffix conjunct, or None when the conjunct does not narrow it."""
-    f = c.formula
+    prefix/suffix conjunct, or None when the conjunct does not narrow it (a
+    side that mentions `v` raises `KeyError`)."""
+    prefix = type(c.formula) is FPrefix
     if c.container == v:
         try:
-            part = eval_term(f.a, env)
-        except Exception:
+            part = c.a(env)
+        except KeyError:
             return None
         if not isinstance(part, tuple):
             return None
         room = q.bounds.max_list_len - len(part)
         if room < 0:
             return []
-        if type(f) is FPrefix:
+        if prefix:
             return [part + u for u in q.lists_upto[room]]
         return [u + part for u in q.lists_upto[room]]
     if c.contained == v:
         try:
-            whole = eval_term(f.b, env)
-        except Exception:
+            whole = c.b(env)
+        except KeyError:
             return None
         if not isinstance(whole, tuple):
             return None
-        if type(f) is FPrefix:
+        if prefix:
             parts = [whole[:k] for k in range(len(whole) + 1)]
         else:
             parts = [whole[len(whole) - k:] for k in range(len(whole) + 1)]
@@ -397,7 +602,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
             v = enumerable[0]
             for val in narrowed_dom if narrowed_var == v else q.domains[v]:
                 env[v] = val
-                if all(eval_formula(c.formula, env, q.term) for c in live) and _sweep(
+                if all(c.holds(env) for c in live) and _sweep(
                     q, env, cons_only
                 ):
                     break
@@ -444,9 +649,10 @@ class BoundedChecker:
     ) -> list[dict]:
         variables = formula_vars(f)
         conjuncts = _flatten_and(f.a) if isinstance(f, FImp) else []
+        side = functools.partial(_side, sides={})
         q = _Query(
             formula=f,
-            target=f.b if isinstance(f, FImp) else f,
+            target=_formula(f.b if isinstance(f, FImp) else f, side),
             names=list(variables),
             domains={n: self._ints if s is Sort.INT else self._lists
                      for n, s in variables.items()},
@@ -454,9 +660,8 @@ class BoundedChecker:
             lists_upto=self._lists_upto,
             limit=limit,
             cancel=cancel or threading.Event(),
-            term=_MemoEval().term,
         )
-        _search(q, {}, [_plan_conjunct(c) for c in conjuncts])
+        _search(q, {}, [_plan_conjunct(c, side) for c in conjuncts])
         for cex in q.results:
             assert eval_formula(f, cex) is False
         return q.results

@@ -130,7 +130,7 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "sat" and report["bounded"] is True
-        assert report["bounds"] == {"max_list_len": 1, "max_elem": 1, "int_lo": 0, "int_hi": 2}
+        assert report["bounds"] == {"max_list_len": 1, "max_elem": 1, "int_lo": 0, "int_hi": 5}
 
     def test_deterministic_output(self, capsys):
         runs = []

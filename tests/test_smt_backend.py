@@ -3,9 +3,13 @@ import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
 from stpchc.formulas import (
     FEq,
+    FFalse,
     FImp,
+    FLe,
     FNot,
     FPrefix,
     FSubset,
@@ -15,6 +19,7 @@ from stpchc.formulas import (
     TCount,
     TInt,
     TIte,
+    TLen,
     TRev,
     TSeq,
     TVar,
@@ -71,6 +76,15 @@ class TestBoundedChecker:
     def test_never_upgrades_to_plain_valid(self):
         f = FEq(L1, L1)
         assert BoundedChecker().check_validity(f).kind is ValidityKind.VALID_BOUNDED
+
+    def test_evaluation_fault_is_raised_not_bounded_validity(self):
+        # `len` of an Int is a fault of the formula: neither the target check
+        # nor a forced equation may read it as "no counterexample here"
+        x, n = TVar("x", Sort.INT), TVar("n", Sort.INT)
+        with pytest.raises(TypeError):
+            BoundedChecker().check_validity(FImp(FLe(TInt(0), x), FEq(TLen(x), TInt(0))))
+        with pytest.raises(TypeError):
+            BoundedChecker().check_validity(FImp(FEq(n, TLen(x)), FFalse()))
 
 
 def make_stub(tmp_path: Path, body: str) -> str:

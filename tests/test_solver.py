@@ -531,7 +531,7 @@ class TestRefuteExamples:
 
 
 class TestTimeout:
-    TIMEOUT = 0.3
+    TIMEOUT = 0.1
 
     @pytest.mark.parametrize("mode", ["auto", *mode_registry()])
     def test_every_mode_honours_timeout(self, mode, sort_system, reva):
