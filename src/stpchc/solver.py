@@ -14,17 +14,22 @@ bounded domain.  Auto mode reports `unsat` only for a derivation that
 `replay_derivation` confirms.
 
 The modes live in one registry (`mode_registry`), which `solve` dispatches
-through and auto mode runs in order.  A solve has one stop event, set by a
-timer at `SolverConfig.timeout` and by auto mode once a verdict is decided.
-The model loop, the refutation joins, the integer fitter and the bounded
-checker test it and raise `Cancelled`, which `_run` turns into UNKNOWN.
+through.  Auto mode runs the modes in forked worker processes, one per usable
+CPU, and accepts their verdicts in registry order, beside the refutation
+search in a thread of its own process; at the deadline or once a verdict is
+decided it kills the workers and sets the thread's stop event.  A
+single-mode solve runs in process, with a stop event set by a timer at
+`SolverConfig.timeout`.  The model loop, the refutation joins, the integer
+fitter and the bounded checker test the event and raise `Cancelled`, which
+`_run` turns into UNKNOWN.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
+import os
 import random
+import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -1207,45 +1212,138 @@ def _run(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
     return verdict
 
 
+def _mode_worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
+                 int_backend) -> None:
+    """The body of one auto-mode worker process: run the entries whose
+    indices it takes from `tasks`, until it takes None, and send
+    `(index, verdict)`, or `(index, exception)` for a runner that raised, on
+    `out`.  The worker leads its own process group, so that the parent's kill
+    also reaches the external solvers it starts."""
+    os.setpgrp()
+    for i in iter(tasks.get, None):
+        try:
+            got = _run([entries[i]], system, cfg, checker, int_backend, threading.Event(), None)
+        except Exception as exc:  # raised by the parent, in registry order
+            got = exc
+        out.send((i, got))
+
+
 def solve_auto(
     system: ChcSystem,
     cfg: SolverConfig = SolverConfig(),
     checker=None,
     int_backend=None,
 ) -> Verdict:
-    """Run the refutation search concurrently with the registry's modes in
-    order; the first definitive verdict wins.  Returns once both workers
-    have stopped."""
-    results: "queue.Queue" = queue.Queue()
-    with _stop_signal(cfg.timeout) as (cancel, deadline):
+    """Run the registry's modes in forked worker processes, one per usable
+    CPU and at most one per mode, beside the refutation search in a thread.
 
-        def work(entries):
-            try:
-                results.put(_run(entries, system, cfg, checker, int_backend, cancel, deadline))
-            except Exception as exc:  # re-raised by the caller below
-                results.put(exc)
+    Refutation's UNSAT wins at once.  A mode's verdict is accepted only once
+    every mode before it in the registry has returned UNKNOWN, so the result
+    is that of running the modes in order, whatever the number of CPUs; its
+    `stats["attempts"]` lists `(mode, outcome, reason)` for those modes.
+    When every runner returns UNKNOWN, the verdict is the later of
+    refutation's and the last mode's that has a reason, or else the earlier
+    of the two.  At the deadline the verdict is UNKNOWN with reason
+    `timeout`, named after the first undecided mode.  Returns once every
+    worker is killed and reaped and the thread has stopped."""
+    import multiprocessing.connection  # here, not at the top: only auto mode pays its import
 
-        threads = [
-            threading.Thread(target=work, args=(entries,), daemon=True)
-            for entries in ([("refutation", _refutation)], list(mode_registry().items()))
-        ]
-        for t in threads:
-            t.start()
-        verdict: Optional[Verdict] = None
+    entries = list(mode_registry().items())
+    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    ctx = multiprocessing.get_context("fork")
+    n = min(len(entries), len(os.sched_getaffinity(0)))
+    tasks = ctx.SimpleQueue()
+    for i in [*range(len(entries)), *[None] * n]:
+        tasks.put(i)
+    woken, wake = ctx.Pipe(duplex=False)
+    cancel = threading.Event()
+    workers: dict = {}  # result connection -> worker process
+    refuted: list = []
+    thread = None
+
+    def refutation():
         try:
-            for _ in threads:
-                got = results.get()
+            refuted.append(_run([("refutation", _refutation)], system, cfg, checker,
+                                int_backend, cancel, deadline))
+        except Exception as exc:  # re-raised by the caller below
+            refuted.append(exc)
+        wake.send_bytes(b"")
+
+    decided: list = [None] * len(entries)  # per mode: its verdict or exception
+    accepted = 0  # modes 0..accepted-1 returned UNKNOWN
+    unknown: list[Verdict] = []  # refutation's and the last mode's, in arrival order
+
+    def attempts(k: int) -> list:
+        return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
+
+    try:
+        # fork before the refutation thread starts, so that no worker
+        # inherits a lock that thread holds
+        for _ in range(n):
+            receive, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_mode_worker,
+                args=(entries, tasks, send, system, cfg, checker, int_backend),
+                daemon=True,
+            )
+            proc.start()
+            workers[receive] = proc
+            os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
+            send.close()
+        thread = threading.Thread(target=refutation, daemon=True)
+        thread.start()
+        pending = [woken, *workers]
+        while len(unknown) < 2:
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = multiprocessing.connection.wait(pending, left)
+            if not ready:
+                first = entries[accepted][0] if accepted < len(entries) else "refutation"
+                return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
+                               stats={"attempts": attempts(accepted)})
+            for conn in ready:
+                if conn is woken:
+                    pending.remove(conn)
+                    got = refuted[0]
+                    if isinstance(got, Exception):
+                        raise got
+                    got = replace(got, stats={**got.stats, "attempts": []})
+                    if got.kind is not VerdictKind.UNKNOWN:
+                        return got
+                    unknown.append(got)
+                    continue
+                try:
+                    i, got = conn.recv()
+                except EOFError:  # the worker has exited
+                    pending.remove(conn)
+                    proc = workers[conn]
+                    proc.join()
+                    if proc.exitcode:
+                        raise RuntimeError(f"auto-mode worker exited with code {proc.exitcode}")
+                    continue
+                decided[i] = got
+            while accepted < len(entries) and decided[accepted] is not None:
+                got = decided[accepted]
                 if isinstance(got, Exception):
                     raise got
+                got = replace(got, stats={**got.stats, "attempts": attempts(accepted)})
                 if got.kind is not VerdictKind.UNKNOWN:
                     return got
-                if verdict is None or got.reason is not None:
-                    verdict = got
-        finally:
-            cancel.set()
-            for t in threads:
-                t.join()
-    return verdict
+                accepted += 1
+                if accepted == len(entries):
+                    unknown.append(got)
+        return next((v for v in reversed(unknown) if v.reason is not None), unknown[0])
+    finally:
+        cancel.set()
+        for proc in workers.values():
+            if proc.exitcode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+        for proc in workers.values():
+            proc.join()
+        if thread is not None:
+            thread.join()
+        for conn in (woken, wake, *workers):
+            conn.close()
+        tasks.close()
 
 
 def solve(system: ChcSystem, cfg: SolverConfig = SolverConfig(), mode: str = "auto",

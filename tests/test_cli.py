@@ -223,6 +223,37 @@ class TestExternalSmtWiring:
         # plain validity from the external prover: no bounded qualifier
         assert out.splitlines()[0] == "sat"
 
+    def test_auto_timeout_kills_external_solver(self, capsys, tmp_path):
+        import multiprocessing
+        import time
+
+        pids = tmp_path / "pids"
+        stub = tmp_path / "slow_solver.sh"
+        stub.write_text(f"#!/bin/sh\necho $$ >> {pids}\nexec sleep 30\n")
+        stub.chmod(0o755)
+        started = time.monotonic()
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "reva.smt2"), "--timeout", "0.3", "--smt-cmd", str(stub)
+        )
+        assert time.monotonic() - started < 0.3 + 0.7
+        assert code == 2
+        assert out.splitlines() == ["unknown", "; timeout"]
+        assert multiprocessing.active_children() == []
+        stubs = pids.read_text().split()
+        assert stubs
+        # killed with its worker's process group: gone, or a zombie not yet reaped
+        deadline = time.monotonic() + 1.0
+        for pid in stubs:
+            while True:
+                try:
+                    status = Path(f"/proc/{pid}/status").read_text()
+                except FileNotFoundError:
+                    break
+                if "\nState:\tZ" in status:
+                    break
+                assert time.monotonic() < deadline, f"solver {pid} still running"
+                time.sleep(0.02)
+
 
 class TestByteDeterminism:
     def test_same_seed_same_bytes_across_processes(self):

@@ -1,4 +1,5 @@
 import gc
+import multiprocessing
 import random
 import sys
 import textwrap
@@ -28,6 +29,7 @@ from stpchc.solver import (
     ExternalIntChc,
     RefuteBudget,
     SolverConfig,
+    Verdict,
     VerdictKind,
     check_definite,
     check_goal,
@@ -371,11 +373,17 @@ class TestSolveAuto:
         verdict = solve_auto(reva, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list"
+        assert verdict.stats["attempts"] == []
 
     def test_take_drop(self, take_drop):
         verdict = solve_auto(take_drop, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list-len"
+        # every mode before the winner, in registry order
+        assert verdict.stats["attempts"] == [
+            (mode, "unknown", "patterns hold but do not imply the goals")
+            for mode in ("list", "set", "multiset")
+        ]
 
     def test_sort(self, sort_system):
         verdict = solve_auto(sort_system, SolverConfig(seed=0))
@@ -388,6 +396,7 @@ class TestSolveAuto:
             verdict = solve_auto(system, SolverConfig(seed=0))
             assert verdict.kind is VerdictKind.UNSAT, path.name
             assert replay_derivation(system, verdict.derivation)
+            assert verdict.stats["attempts"] == [], path.name
 
     def test_unreplayable_witness_is_not_unsat(self, monkeypatch):
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
@@ -405,6 +414,7 @@ class TestSolveAuto:
         assert time.monotonic() - started < 0.7
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "timeout"
+        assert multiprocessing.active_children() == []
 
     def test_no_thread_left_running(self):
         paths = [
@@ -419,6 +429,58 @@ class TestSolveAuto:
             verdict = solve(system, SolverConfig(seed=0), mode="auto")
             assert verdict.kind is not VerdictKind.UNKNOWN, path.name
             assert threading.active_count() == before, path.name
+            assert multiprocessing.active_children() == [], path.name
+
+    @staticmethod
+    def stub_modes(monkeypatch, list_mode, set_mode, cpus):
+        """Replace list and set mode by functions of no argument; multiset
+        and list-len give UNKNOWN at once.  Auto mode sees `cpus` CPUs."""
+
+        def unknown():
+            return Verdict(VerdictKind.UNKNOWN, reason="stub")
+
+        def collection(*args, mode, **kwargs):
+            return set_mode() if mode is Mode.SET else unknown()
+
+        monkeypatch.setattr(solver, "solve_list_mode", lambda *args, **kwargs: list_mode())
+        monkeypatch.setattr(solver, "solve_collection_mode", collection)
+        monkeypatch.setattr(solver, "solve_list_len_mode", lambda *args, **kwargs: unknown())
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva, cpus):
+        def slow_unknown():
+            time.sleep(0.3)
+            return Verdict(VerdictKind.UNKNOWN, reason="slow")
+
+        self.stub_modes(monkeypatch, slow_unknown, lambda: Verdict(VerdictKind.SAT), cpus)
+        verdict = solve_auto(reva, SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.SAT
+        assert verdict.mode == "set"
+        assert verdict.stats["attempts"] == [("list", "unknown", "slow")]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva, cpus):
+        def slow_sat():
+            time.sleep(0.3)
+            return Verdict(VerdictKind.SAT)
+
+        self.stub_modes(monkeypatch, slow_sat, lambda: Verdict(VerdictKind.SAT), cpus)
+        verdict = solve_auto(reva, SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.SAT
+        assert verdict.mode == "list"
+        assert verdict.stats["attempts"] == []
+        assert multiprocessing.active_children() == []
+
+    def test_runner_exception_is_raised(self, monkeypatch, reva):
+        def boom():
+            raise RuntimeError("boom")
+
+        self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT), 2)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            solve_auto(reva, SolverConfig(seed=0))
+        assert multiprocessing.active_children() == []
 
 
 class TestSatVerdictValidity:
