@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 import time
 from dataclasses import asdict
+from typing import Optional
 
 from .alphabet import parse_cell
 from .chc_core import ParseError, parse_smtlib
@@ -110,10 +112,25 @@ def _parse_bounds(text: str) -> Bounds:
     return Bounds(max_list_len=max_len, max_elem=max_elem)
 
 
+def _parse_command(flag: str, text: Optional[str]) -> Optional[list[str]]:
+    """A command line split as a POSIX shell would, or None when not given."""
+    if not text:
+        return None
+    try:
+        words = shlex.split(text)
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from None
+    if not words:
+        raise UsageError(f"bad {flag} {text!r}: no command")
+    return words
+
+
 def cmd_solve(ns) -> int:
     if ns.timeout is not None and not (math.isfinite(ns.timeout) and ns.timeout >= 0):
         raise UsageError(f"bad --timeout {ns.timeout}; expected a finite number of seconds >= 0")
     bounds = None if ns.bounds is None else _parse_bounds(ns.bounds)
+    smt_cmd = _parse_command("--smt-cmd", ns.smt_cmd)
+    int_chc_cmd = _parse_command("--int-chc-cmd", ns.int_chc_cmd)
     try:
         with open(ns.file) as handle:
             text = handle.read()
@@ -126,8 +143,8 @@ def cmd_solve(ns) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg = SolverConfig(seed=ns.seed, bounds=bounds, timeout=ns.timeout)
-    checker = ExternalSmtChecker(ns.smt_cmd.split()) if ns.smt_cmd else None
-    int_backend = ExternalIntChc(ns.int_chc_cmd.split()) if ns.int_chc_cmd else None
+    checker = None if smt_cmd is None else ExternalSmtChecker(smt_cmd)
+    int_backend = None if int_chc_cmd is None else ExternalIntChc(int_chc_cmd)
     started = time.monotonic()
     verdict = solve(system, cfg, mode=ns.mode, checker=checker, int_backend=int_backend)
     elapsed = time.monotonic() - started
@@ -135,6 +152,8 @@ def cmd_solve(ns) -> int:
     verdict_line = verdict.kind.value
     if verdict.kind is VerdictKind.SAT and verdict.bounded:
         verdict_line = "sat (bounded)"
+    # an UNKNOWN verdict may carry the model that passed the definite clauses
+    model = verdict.model if verdict.kind is VerdictKind.SAT else None
     report = {
         "verdict": verdict.kind.value,
         "bounded": verdict.bounded,
@@ -142,8 +161,8 @@ def cmd_solve(ns) -> int:
         "mode": verdict.mode,
         "provider": "external" if ns.smt_cmd else "bounded",
     }
-    if verdict.model is not None:
-        report["model"] = verdict.model.render().splitlines()
+    if model is not None:
+        report["model"] = model.render().splitlines()
     if verdict.derivation is not None:
         report["derivation_depth"] = verdict.derivation.depth
         report["goal"] = verdict.derivation.goal_index
@@ -156,8 +175,8 @@ def cmd_solve(ns) -> int:
         print(json.dumps(report))
     else:
         print(verdict_line)
-        if verdict.model is not None:
-            print(verdict.model.render())
+        if model is not None:
+            print(model.render())
         if verdict.derivation is not None:
             print(
                 f"; goal {verdict.derivation.goal_index} violated at depth "

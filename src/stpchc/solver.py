@@ -1,11 +1,13 @@
 """CHC solving by pattern inference.
 
 The core loop: sample the least model, infer one pattern per predicate,
-check the definite clauses, feed revalidated counterexamples back as new
-samples, and finally check the goals.  Around it: length abstraction with an
-integer-CHC backend (external or the built-in linear fitter), set/multiset
-abstraction, a breadth-first ground refutation search, and the mode
-sequencer that ties them together.
+check the definite clauses, and feed revalidated counterexamples back as new
+samples, until the definite clauses pass; within one loop, `derivable` is
+asked about each atom once.  List, set and multiset mode then check the
+goals; list-len mode instead strengthens list mode's patterns with length
+invariants from an integer-CHC backend (external or the built-in linear
+fitter) on the length abstraction.  Around them: a breadth-first ground
+refutation search, and the mode sequencer that ties them together.
 
 Sampling (`collect_samples`) and refutation (`refute`) run on the one ground
 join engine of `chc_core`: sampling with seeded-random values for the
@@ -17,11 +19,13 @@ The modes live in one registry (`mode_registry`), which `solve` dispatches
 through.  Auto mode runs the modes in forked worker processes, one per usable
 CPU, and accepts their verdicts in registry order, beside the refutation
 search in a thread of its own process; at the deadline or once a verdict is
-decided it kills the workers and sets the thread's stop event.  A
-single-mode solve runs in process, with a stop event set by a timer at
-`SolverConfig.timeout`.  The model loop, the refutation joins, the integer
-fitter and the bounded checker test the event and raise `Cancelled`, which
-`_run` turns into UNKNOWN.
+decided it kills the workers and sets the thread's stop event.  List-len
+mode is queued once list mode's verdict is in, and strengthens the checked
+model that verdict carries instead of running the loop again
+(`STARTS_AFTER`).  A single-mode solve runs in process, with a stop event set
+by a timer at `SolverConfig.timeout`.  The model loop, the refutation joins,
+the integer fitter and the bounded checker test the event and raise
+`Cancelled`, which `_run` turns into UNKNOWN.
 """
 
 from __future__ import annotations
@@ -183,6 +187,7 @@ class VerdictKind(Enum):
 @dataclass
 class Verdict:
     kind: VerdictKind
+    # a sat's model; on an UNKNOWN, the model whose definite clauses passed
     model: Optional["CandidateModel"] = None
     derivation: Optional["RefutationWitness"] = None
     reason: Optional[str] = None
@@ -434,9 +439,13 @@ def admit_counterexamples(
     assignments: Sequence[dict],
     cfg: SolverConfig,
     known: set,
+    refused: Optional[set] = None,
 ) -> tuple[list[Sample], int]:
     """Head instances of clause counterexamples, gated by the bounded
-    derivability check: spurious instances never reach the learning data."""
+    derivability check: spurious instances never reach the learning data.
+    `refused`, when given, holds the `(pred, values)` atoms the check has
+    rejected under `cfg`: they are rejected again without asking it, and the
+    atoms it rejects now are added."""
     rejected = 0
     for env in assignments:
         try:
@@ -446,30 +455,40 @@ def admit_counterexamples(
             continue
         if (clause.head.pred, values) in known:
             continue
-        if derivable(
-            system, clause.head.pred, values, cfg.revalidate_depth, cfg.sample_budget()
-        ):
+        if _derivable(system, clause.head.pred, values, cfg, refused):
             return [Sample(clause.head.pred, values, ("counterexample",))], rejected
         rejected += 1
     return [], rejected
 
 
 def screen_samples(
-    system: ChcSystem, samples: Sequence[Sample], cfg: SolverConfig
+    system: ChcSystem, samples: Sequence[Sample], cfg: SolverConfig,
+    refused: Optional[set] = None,
 ) -> tuple[list[Sample], int]:
     """Derived samples are trusted; counterexample-provenance samples must
-    pass the derivability gate before they are used."""
+    pass the derivability gate before they are used.  `refused` as for
+    `admit_counterexamples`."""
     out, rejected = [], 0
     for s in samples:
-        if s.derived:
-            out.append(s)
-        elif derivable(
-            system, s.predicate, s.values, cfg.revalidate_depth, cfg.sample_budget()
-        ):
+        if s.derived or _derivable(system, s.predicate, s.values, cfg, refused):
             out.append(s)
         else:
             rejected += 1
     return out, rejected
+
+
+def _derivable(system: ChcSystem, pred: str, values: tuple, cfg: SolverConfig,
+               refused: Optional[set]) -> bool:
+    """`derivable` at `cfg`'s depth and budget, remembering its rejections
+    in `refused` when given.  Its answer depends on these arguments alone,
+    so a remembered rejection stands."""
+    if refused is not None and (pred, values) in refused:
+        return False
+    if derivable(system, pred, values, cfg.revalidate_depth, cfg.sample_budget()):
+        return True
+    if refused is not None:
+        refused.add((pred, values))
+    return False
 
 
 def _by_pred(system: ChcSystem, samples: Sequence[Sample]) -> dict[str, list[tuple]]:
@@ -545,20 +564,21 @@ def _model_loop(
     build: Callable[[dict], CandidateModel],
     cancel: threading.Event,
     initial_samples: Optional[Sequence[Sample]] = None,
-    stop_at_definite: bool = False,
 ) -> Verdict:
     """Sample, infer a model with `build`, check it and learn from the
-    counterexamples.  SAT: the model passed the definite clauses and, unless
-    `stop_at_definite`, the goals.  UNKNOWN: the reason the loop gave up."""
+    counterexamples.  SAT: the model passed the definite clauses, with the
+    bounds of those checks; the goals are left to the caller.  UNKNOWN: the
+    reason the loop gave up."""
     stats = {"iterations": 0, "rejected_cex": 0, "accepted_cex": 0}
 
     def unknown(reason: Optional[str]) -> Verdict:
         return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=stats)
 
     rng = random.Random(cfg.seed)
+    refused: set = set()  # atoms `derivable` rejected, asked once per loop
     samples = collect_samples(system, cfg.sample_budget(), rng)
     if initial_samples:
-        screened, rejected = screen_samples(system, initial_samples, cfg)
+        screened, rejected = screen_samples(system, initial_samples, cfg, refused)
         stats["rejected_cex"] += rejected
         samples.extend(screened)
     depth_bump = 0
@@ -575,20 +595,10 @@ def _model_loop(
             return unknown(dres.reason)
         if dres.status == "valid":
             stats["samples"] = len(samples)
-            if stop_at_definite:
-                return Verdict(VerdictKind.SAT, model=model, bounds=dres.bounds, stats=stats)
-            gres = check_goal(model, system, checker, cancel)
-            if gres.status == "valid":
-                return Verdict(
-                    VerdictKind.SAT, model=model, bounds=dres.bounds or gres.bounds,
-                    stats=stats,
-                )
-            if gres.status == "unknown":
-                return unknown(gres.reason)
-            return unknown("patterns hold but do not imply the goals")
+            return Verdict(VerdictKind.SAT, model=model, bounds=dres.bounds, stats=stats)
         known = {(s.predicate, s.values) for s in samples}
         new, rejected = admit_counterexamples(
-            system, dres.clause, dres.assignments, cfg, known
+            system, dres.clause, dres.assignments, cfg, known, refused
         )
         stats["rejected_cex"] += rejected
         if new:
@@ -606,9 +616,23 @@ def _model_loop(
     return unknown("iteration limit")
 
 
+def _check_goals(loop: Verdict, system: ChcSystem, checker, cancel: threading.Event) -> Verdict:
+    """Finish a model loop's verdict by checking the goals on the model whose
+    definite clauses passed.  Its UNKNOWN verdicts keep that model, with
+    `bounds` None, so that list-len mode can start from it."""
+    if loop.kind is not VerdictKind.SAT:
+        return loop
+    gres = check_goal(loop.model, system, checker, cancel)
+    if gres.status == "valid":
+        return replace(loop, bounds=loop.bounds or gres.bounds)
+    reason = gres.reason if gres.status == "unknown" else "patterns hold but do not imply the goals"
+    return Verdict(VerdictKind.UNKNOWN, model=loop.model, reason=reason, stats=loop.stats)
+
+
 # The mode runners.  Each is called as `runner(system, cfg, checker=...,
 # int_backend=..., cancel=...)` and ignores the backends it has no use for;
-# `_run` names its verdict after its registry entry.
+# `_run` names its verdict after its registry entry.  A mode of
+# `STARTS_AFTER` also takes `after=` in auto mode.
 
 def solve_list_mode(
     system: ChcSystem,
@@ -619,14 +643,17 @@ def solve_list_mode(
     *,
     initial_samples: Optional[Sequence[Sample]] = None,
 ) -> Verdict:
-    return _model_loop(
+    checker = checker or _checker(cfg)
+    cancel = cancel or threading.Event()
+    loop = _model_loop(
         system,
         cfg,
-        checker or _checker(cfg),
+        checker,
         lambda table: build_list_model(system, table, cfg),
-        cancel or threading.Event(),
+        cancel,
         initial_samples=initial_samples,
     )
+    return _check_goals(loop, system, checker, cancel)
 
 
 def solve_collection_mode(
@@ -639,13 +666,16 @@ def solve_collection_mode(
 ) -> Verdict:
     # collection atoms have no external encoding; this mode always checks
     # with the bounded evaluator
-    return _model_loop(
+    checker = _checker(cfg, COLLECTION_BOUNDS)
+    cancel = cancel or threading.Event()
+    loop = _model_loop(
         system,
         cfg,
-        _checker(cfg, COLLECTION_BOUNDS),
+        checker,
         lambda table: build_collection_model(system, table, cfg, mode),
-        cancel or threading.Event(),
+        cancel,
     )
+    return _check_goals(loop, system, checker, cancel)
 
 
 # ---------------------------------------------------------------------------
@@ -984,22 +1014,29 @@ def solve_list_len_mode(
     checker=None,
     int_backend=None,
     cancel: Optional[threading.Event] = None,
+    *,
+    after: Optional[Verdict] = None,
 ) -> Verdict:
     """Patterns plus length invariants: solve the length abstraction with an
     integer backend, embed its model through list lengths, conjoin with the
-    inferred patterns, and re-check everything on the original system."""
+    inferred patterns, and re-check everything on the original system.
+
+    The patterns are those of list mode's model loop, whose definite clauses
+    passed.  `after` is list mode's verdict on the same system and config:
+    its model is the loop's, so the loop is not run again, and a verdict
+    without a model is returned as it is, the reason the loop gave up.  With
+    `after` None, this mode runs the loop itself."""
     cancel = cancel or threading.Event()
     checker = checker or _checker(cfg)
     int_backend = int_backend or BuiltinIntChc()
-    res = _model_loop(
+    res = after if after is not None else _model_loop(
         system,
         cfg,
         checker,
         lambda table: build_list_model(system, table, cfg),
         cancel,
-        stop_at_definite=True,
     )
-    if res.kind is not VerdictKind.SAT:
+    if res.model is None:
         return res
 
     def unknown(reason: str) -> Verdict:
@@ -1165,6 +1202,11 @@ def mode_registry() -> dict[str, Callable[..., Verdict]]:
     }
 
 
+# A mode that starts from the verdict of a mode before it in the registry:
+# auto mode runs it once that verdict is in and passes it as `after`.
+STARTS_AFTER = {"list-len": "list"}
+
+
 def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None,
                 cancel: Optional[threading.Event] = None) -> Verdict:
     """`refute` as a runner: UNSAT only for a witness that replays."""
@@ -1215,14 +1257,18 @@ def _run(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
 def _mode_worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
                  int_backend) -> None:
     """The body of one auto-mode worker process: run the entries whose
-    indices it takes from `tasks`, until it takes None, and send
+    `(index, after)` tasks it takes from `tasks`, until it takes None,
+    passing `after` to the runner unless it is None, and send
     `(index, verdict)`, or `(index, exception)` for a runner that raised, on
     `out`.  The worker leads its own process group, so that the parent's kill
     also reaches the external solvers it starts."""
     os.setpgrp()
-    for i in iter(tasks.get, None):
+    for i, after in iter(tasks.get, None):
+        name, runner = entries[i]
+        if after is not None:
+            runner = partial(runner, after=after)
         try:
-            got = _run([entries[i]], system, cfg, checker, int_backend, threading.Event(), None)
+            got = _run([(name, runner)], system, cfg, checker, int_backend, threading.Event(), None)
         except Exception as exc:  # raised by the parent, in registry order
             got = exc
         out.send((i, got))
@@ -1236,6 +1282,9 @@ def solve_auto(
 ) -> Verdict:
     """Run the registry's modes in forked worker processes, one per usable
     CPU and at most one per mode, beside the refutation search in a thread.
+    Workers take the modes first in, first out: the registry's modes at the
+    start, and a mode of `STARTS_AFTER` once the verdict it starts from is
+    in, with that verdict.
 
     Refutation's UNSAT wins at once.  A mode's verdict is accepted only once
     every mode before it in the registry has returned UNKNOWN, so the result
@@ -1249,12 +1298,25 @@ def solve_auto(
     import multiprocessing.connection  # here, not at the top: only auto mode pays its import
 
     entries = list(mode_registry().items())
+    names = [name for name, _ in entries]
+    starts_after = {names.index(m): names.index(first) for m, first in STARTS_AFTER.items()}
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     ctx = multiprocessing.get_context("fork")
     n = min(len(entries), len(os.sched_getaffinity(0)))
     tasks = ctx.SimpleQueue()
-    for i in [*range(len(entries)), *[None] * n]:
-        tasks.put(i)
+    queued = 0
+
+    def queue(i: int, after: Optional[Verdict]) -> None:
+        nonlocal queued
+        tasks.put((i, after))
+        queued += 1
+        if queued == len(entries):  # then one stop per worker
+            for _ in range(n):
+                tasks.put(None)
+
+    for i in range(len(entries)):
+        if i not in starts_after:
+            queue(i, None)
     woken, wake = ctx.Pipe(duplex=False)
     cancel = threading.Event()
     workers: dict = {}  # result connection -> worker process
@@ -1321,6 +1383,9 @@ def solve_auto(
                         raise RuntimeError(f"auto-mode worker exited with code {proc.exitcode}")
                     continue
                 decided[i] = got
+                for m, first in starts_after.items():
+                    if first == i and not isinstance(got, Exception):
+                        queue(m, got)
             while accepted < len(entries) and decided[accepted] is not None:
                 got = decided[accepted]
                 if isinstance(got, Exception):

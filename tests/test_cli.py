@@ -132,6 +132,18 @@ class TestSolveCommand:
         assert report["verdict"] == "sat" and report["bounded"] is True
         assert report["bounds"] == {"max_list_len": 1, "max_elem": 1, "int_lo": 0, "int_hi": 5}
 
+    def test_model_printed_only_for_sat(self, capsys):
+        # list mode's unknown verdict carries the model whose definite
+        # clauses passed; it is not an answer, so it is not printed
+        code, out, _ = run(capsys, "solve", str(BENCH / "take_drop.smt2"), "--mode", "list")
+        assert code == 2
+        assert out.splitlines() == ["unknown", "; patterns hold but do not imply the goals"]
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "take_drop.smt2"), "--mode", "list", "--json"
+        )
+        assert code == 2
+        assert "model" not in json.loads(out)
+
     def test_deterministic_output(self, capsys):
         runs = []
         for _ in range(2):
@@ -222,6 +234,24 @@ class TestExternalSmtWiring:
         assert code == 0
         # plain validity from the external prover: no bounded qualifier
         assert out.splitlines()[0] == "sat"
+
+    def test_command_split_as_a_shell_would(self, capsys):
+        # quoted arguments stay whole: the stub answers unsat to every query
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "reva.smt2"), "--mode", "list",
+            "--smt-cmd", "sh -c 'cat >/dev/null; echo unsat'",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "sat"
+
+    @pytest.mark.parametrize("flag", ["--smt-cmd", "--int-chc-cmd"])
+    @pytest.mark.parametrize("command", ["sh -c 'cat", " "])
+    def test_malformed_command_usage_error(self, capsys, flag, command):
+        # an unbalanced quote, or no words at all
+        code, out, err = run(capsys, "solve", str(BENCH / "reva.smt2"), flag, command)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"usage error: bad {flag}")
 
     def test_auto_timeout_kills_external_solver(self, capsys, tmp_path):
         import multiprocessing

@@ -116,6 +116,20 @@ class TestListMode:
         assert verdict.kind is VerdictKind.UNKNOWN
         assert "goal" in verdict.reason
 
+    def test_derivable_asked_once_per_atom(self, monkeypatch, sort_system):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return derivable(*args)
+
+        monkeypatch.setattr(solver, "derivable", counted)
+        verdict = solve_list_mode(sort_system, SolverConfig(seed=2))
+        assert verdict.kind is VerdictKind.UNKNOWN
+        # every rejection is counted, each atom asked about once
+        assert verdict.stats["rejected_cex"] == 128
+        assert len(calls) == len(set(calls)) == 16
+
 
 class TestCounterexampleHygiene:
     SPURIOUS = Sample("reva", ((0, 1, 2), (), (1, 2, 0)), ("counterexample",))
@@ -202,6 +216,31 @@ class TestListLenMode:
         # the goal is implied at the default bound
         checker = BoundedChecker(Bounds())
         assert check_goal(verdict.model, take_drop, checker).status == "valid"
+
+    def test_starts_from_list_mode_verdict(self, monkeypatch, take_drop):
+        cfg = SolverConfig(seed=0)
+        alone = solve_list_len_mode(take_drop, cfg)
+        after = solve_list_mode(take_drop, cfg)
+        # the checked model of list mode's loop, no bounds: not a sat
+        assert after.kind is VerdictKind.UNKNOWN
+        assert after.model is not None and after.bounds is None
+        loops = []
+        loop = solver._model_loop
+
+        def counted(*args, **kwargs):
+            loops.append(args)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_model_loop", counted)
+        verdict = solve_list_len_mode(take_drop, cfg, after=after)
+        assert loops == []
+        assert verdict.kind is VerdictKind.SAT
+        assert verdict.model.render() == alone.model.render()
+        assert (verdict.bounds, verdict.stats) == (alone.bounds, alone.stats)
+        # a verdict without a model is the loop's reason to give up
+        gave_up = Verdict(VerdictKind.UNKNOWN, reason="iteration limit", mode="list")
+        assert solve_list_len_mode(take_drop, cfg, after=gave_up) is gave_up
+        assert loops == []
 
     def test_reva_still_sat_with_lengths(self, reva):
         verdict = solve_list_len_mode(reva, SolverConfig(seed=0))
@@ -430,6 +469,54 @@ class TestSolveAuto:
             assert verdict.kind is not VerdictKind.UNKNOWN, path.name
             assert threading.active_count() == before, path.name
             assert multiprocessing.active_children() == [], path.name
+
+    def test_list_len_reuses_list_mode_loop(self, monkeypatch, take_drop, tmp_path):
+        # the loops run in forked workers: each appends a line to the log
+        log = tmp_path / "loops"
+        loop = solver._model_loop
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write("loop\n")
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_model_loop", counted)
+        verdict = solve_auto(take_drop, SolverConfig(seed=0))
+        assert verdict.mode == "list-len"
+        # list, set and multiset; list-len strengthens list's model
+        assert log.read_text().splitlines() == ["loop"] * 3
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_list_len_queued_with_list_verdict(self, monkeypatch, reva, tmp_path, cpus):
+        # the runners run in forked workers: each start is a line of the log
+        log = tmp_path / "starts"
+
+        def stub(name):
+            def runner(*args, after=None, **kwargs):
+                got = None if after is None else (after.mode, after.reason)
+                with open(log, "a") as handle:
+                    handle.write(f"{name} {got}\n")
+                return Verdict(VerdictKind.UNKNOWN, reason=f"{name} stub")
+
+            return runner
+
+        def collection(*args, mode, **kwargs):
+            return stub("set" if mode is Mode.SET else "multiset")(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_list_mode", stub("list"))
+        monkeypatch.setattr(solver, "solve_collection_mode", collection)
+        monkeypatch.setattr(solver, "solve_list_len_mode", stub("list-len"))
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        # a list-len task that is never queued would show as a timeout
+        verdict = solve_auto(reva, SolverConfig(seed=0, timeout=5))
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert verdict.reason == "list-len stub"
+        starts = log.read_text().splitlines()
+        want = ["list None", "set None", "multiset None", "list-len ('list', 'list stub')"]
+        assert sorted(starts) == sorted(want)
+        if cpus == 1:
+            assert starts == want
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def stub_modes(monkeypatch, list_mode, set_mode, cpus):
