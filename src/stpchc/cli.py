@@ -152,7 +152,7 @@ def cmd_solve(ns) -> int:
     verdict_line = verdict.kind.value
     if verdict.kind is VerdictKind.SAT and verdict.bounded:
         verdict_line = "sat (bounded)"
-    # an UNKNOWN verdict may carry the model that passed the definite clauses
+    # list mode's UNKNOWN verdict may carry the model that passed the definite clauses
     model = verdict.model if verdict.kind is VerdictKind.SAT else None
     report = {
         "verdict": verdict.kind.value,

@@ -187,7 +187,9 @@ class VerdictKind(Enum):
 @dataclass
 class Verdict:
     kind: VerdictKind
-    # a sat's model; on an UNKNOWN, the model whose definite clauses passed
+    # a sat's model, the only one that models the system; list mode's
+    # UNKNOWN after its definite clauses passed carries the model they passed
+    # on, for list-len mode to start from
     model: Optional["CandidateModel"] = None
     derivation: Optional["RefutationWitness"] = None
     reason: Optional[str] = None
@@ -443,9 +445,10 @@ def admit_counterexamples(
 ) -> tuple[list[Sample], int]:
     """Head instances of clause counterexamples, gated by the bounded
     derivability check: spurious instances never reach the learning data.
-    `refused`, when given, holds the `(pred, values)` atoms the check has
-    rejected under `cfg`: they are rejected again without asking it, and the
-    atoms it rejects now are added."""
+    `refused` holds the `(pred, values)` atoms the check has rejected under
+    `cfg`: they are rejected again without asking it, and the atoms it
+    rejects now are added.  Without it, a fresh set is used."""
+    refused = set() if refused is None else refused
     rejected = 0
     for env in assignments:
         try:
@@ -468,6 +471,7 @@ def screen_samples(
     """Derived samples are trusted; counterexample-provenance samples must
     pass the derivability gate before they are used.  `refused` as for
     `admit_counterexamples`."""
+    refused = set() if refused is None else refused
     out, rejected = [], 0
     for s in samples:
         if s.derived or _derivable(system, s.predicate, s.values, cfg, refused):
@@ -478,16 +482,15 @@ def screen_samples(
 
 
 def _derivable(system: ChcSystem, pred: str, values: tuple, cfg: SolverConfig,
-               refused: Optional[set]) -> bool:
+               refused: set) -> bool:
     """`derivable` at `cfg`'s depth and budget, remembering its rejections
-    in `refused` when given.  Its answer depends on these arguments alone,
-    so a remembered rejection stands."""
-    if refused is not None and (pred, values) in refused:
+    in `refused`.  Its answer depends on these arguments alone, so a
+    remembered rejection stands."""
+    if (pred, values) in refused:
         return False
     if derivable(system, pred, values, cfg.revalidate_depth, cfg.sample_budget()):
         return True
-    if refused is not None:
-        refused.add((pred, values))
+    refused.add((pred, values))
     return False
 
 
@@ -616,17 +619,19 @@ def _model_loop(
     return unknown("iteration limit")
 
 
-def _check_goals(loop: Verdict, system: ChcSystem, checker, cancel: threading.Event) -> Verdict:
+def _check_goals(loop: Verdict, system: ChcSystem, checker, cancel: threading.Event,
+                 keep_model: bool = False) -> Verdict:
     """Finish a model loop's verdict by checking the goals on the model whose
-    definite clauses passed.  Its UNKNOWN verdicts keep that model, with
-    `bounds` None, so that list-len mode can start from it."""
+    definite clauses passed.  With `keep_model`, its UNKNOWN verdicts keep
+    that model, with `bounds` None, so that list-len mode can start from it."""
     if loop.kind is not VerdictKind.SAT:
         return loop
     gres = check_goal(loop.model, system, checker, cancel)
     if gres.status == "valid":
         return replace(loop, bounds=loop.bounds or gres.bounds)
     reason = gres.reason if gres.status == "unknown" else "patterns hold but do not imply the goals"
-    return Verdict(VerdictKind.UNKNOWN, model=loop.model, reason=reason, stats=loop.stats)
+    model = loop.model if keep_model else None
+    return Verdict(VerdictKind.UNKNOWN, model=model, reason=reason, stats=loop.stats)
 
 
 # The mode runners.  Each is called as `runner(system, cfg, checker=...,
@@ -653,7 +658,7 @@ def solve_list_mode(
         cancel,
         initial_samples=initial_samples,
     )
-    return _check_goals(loop, system, checker, cancel)
+    return _check_goals(loop, system, checker, cancel, keep_model=True)
 
 
 def solve_collection_mode(
@@ -1257,13 +1262,14 @@ def _run(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
 def _mode_worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
                  int_backend) -> None:
     """The body of one auto-mode worker process: run the entries whose
-    `(index, after)` tasks it takes from `tasks`, until it takes None,
+    `(index, after)` tasks it takes from `tasks` until it is killed,
     passing `after` to the runner unless it is None, and send
     `(index, verdict)`, or `(index, exception)` for a runner that raised, on
     `out`.  The worker leads its own process group, so that the parent's kill
     also reaches the external solvers it starts."""
     os.setpgrp()
-    for i, after in iter(tasks.get, None):
+    while True:
+        i, after = tasks.get()
         name, runner = entries[i]
         if after is not None:
             runner = partial(runner, after=after)
@@ -1304,19 +1310,9 @@ def solve_auto(
     ctx = multiprocessing.get_context("fork")
     n = min(len(entries), len(os.sched_getaffinity(0)))
     tasks = ctx.SimpleQueue()
-    queued = 0
-
-    def queue(i: int, after: Optional[Verdict]) -> None:
-        nonlocal queued
-        tasks.put((i, after))
-        queued += 1
-        if queued == len(entries):  # then one stop per worker
-            for _ in range(n):
-                tasks.put(None)
-
     for i in range(len(entries)):
         if i not in starts_after:
-            queue(i, None)
+            tasks.put((i, None))
     woken, wake = ctx.Pipe(duplex=False)
     cancel = threading.Event()
     workers: dict = {}  # result connection -> worker process
@@ -1375,17 +1371,14 @@ def solve_auto(
                     continue
                 try:
                     i, got = conn.recv()
-                except EOFError:  # the worker has exited
-                    pending.remove(conn)
+                except EOFError:  # the worker died
                     proc = workers[conn]
                     proc.join()
-                    if proc.exitcode:
-                        raise RuntimeError(f"auto-mode worker exited with code {proc.exitcode}")
-                    continue
+                    raise RuntimeError(f"auto-mode worker exited with code {proc.exitcode}")
                 decided[i] = got
                 for m, first in starts_after.items():
                     if first == i and not isinstance(got, Exception):
-                        queue(m, got)
+                        tasks.put((m, got))
             while accepted < len(entries) and decided[accepted] is not None:
                 got = decided[accepted]
                 if isinstance(got, Exception):

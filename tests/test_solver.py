@@ -365,6 +365,14 @@ class TestCollectionMode:
         verdict = solve_collection_mode(reva, SolverConfig(seed=0), Mode.MULTISET)
         assert verdict.kind is VerdictKind.UNKNOWN
 
+    @pytest.mark.parametrize("mode", [Mode.SET, Mode.MULTISET])
+    def test_unknown_keeps_no_model(self, reva, mode):
+        # the patterns hold, but only list mode's unknown keeps their model,
+        # the one list-len mode starts from
+        verdict = solve_collection_mode(reva, SolverConfig(seed=0), mode)
+        assert verdict.reason == "patterns hold but do not imply the goals"
+        assert verdict.model is None
+
 
 class TestRefute:
     def test_unsat_suite(self):
