@@ -485,7 +485,7 @@ class _Parser:
                 raise self.fail("expected a command", node)
             try:
                 self.command(node)
-            except (IndexError, AttributeError):
+            except (IndexError, AttributeError, TypeError):
                 raise self.fail("malformed command", node) from None
         return ChcSystem(self.predicates, self.definite, self.goals)
 

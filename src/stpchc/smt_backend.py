@@ -24,10 +24,6 @@ results included; equal sides of one query share one cache.  The interpreter
 after it re-evaluates the whole formula there.
 The external provider drives an SMT process over the sequence theory; its
 counter-models are never trusted without concrete re-evaluation.
-
-A bounded search takes a stop event and raises `Cancelled` at the next search
-node once the event is set; it never returns a partial list, which would read
-as bounded validity.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import functools
 import itertools
 import operator
 import subprocess
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -82,10 +77,6 @@ from .formulas import (
     render_formula,
     term_vars,
 )
-
-
-class Cancelled(Exception):
-    """A search stopped because its stop event was set."""
 
 
 class ValidityKind(Enum):
@@ -439,7 +430,6 @@ class _Query:
     bounds: Bounds
     lists_upto: tuple  # lists_upto[n]: every list of length at most n
     limit: int
-    cancel: threading.Event
     results: list = field(default_factory=list)
 
 
@@ -581,8 +571,6 @@ def _search(q: _Query, env: dict, pending: list) -> None:
     it returns."""
     if len(q.results) >= q.limit:
         return
-    if q.cancel.is_set():
-        raise Cancelled
     trail: list[str] = []
     try:
         live = _propagate(q, env, pending, trail)
@@ -644,9 +632,7 @@ class BoundedChecker:
             return ValidityResult(ValidityKind.INVALID, assignment=cexs[0])
         return ValidityResult(ValidityKind.VALID_BOUNDED, bounds=self.bounds)
 
-    def counterexamples(
-        self, f: Formula, limit: int = 1, cancel: Optional[threading.Event] = None
-    ) -> list[dict]:
+    def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
         variables = formula_vars(f)
         conjuncts = _flatten_and(f.a) if isinstance(f, FImp) else []
         side = functools.partial(_side, sides={})
@@ -659,7 +645,6 @@ class BoundedChecker:
             bounds=self.bounds,
             lists_upto=self._lists_upto,
             limit=limit,
-            cancel=cancel or threading.Event(),
         )
         _search(q, {}, [_plan_conjunct(c, side) for c in conjuncts])
         for cex in q.results:

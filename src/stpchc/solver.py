@@ -16,16 +16,16 @@ bounded domain.  Auto mode reports `unsat` only for a derivation that
 `replay_derivation` confirms.
 
 The modes live in one registry (`mode_registry`), which `solve` dispatches
-through.  Auto mode runs the modes in forked worker processes, one per usable
-CPU, and accepts their verdicts in registry order, beside the refutation
-search in a thread of its own process; at the deadline or once a verdict is
-decided it kills the workers and sets the thread's stop event.  List-len
-mode is queued once list mode's verdict is in, and strengthens the checked
-model that verdict carries instead of running the loop again
-(`STARTS_AFTER`).  A single-mode solve runs in process, with a stop event set
-by a timer at `SolverConfig.timeout`.  The model loop, the refutation joins,
-the integer fitter and the bounded checker test the event and raise
-`Cancelled`, which `_run` turns into UNKNOWN.
+through.  Every solve runs in forked worker processes, each the leader of its
+own process group, under one scheduler (`_schedule`).  Auto mode forks the
+refutation search first, in a process of its own, then one worker per usable
+CPU, at most one per mode; a single-mode solve forks one worker and no
+refutation.  Verdicts are accepted in registry order.  List-len mode is queued
+once list mode's verdict is in, and strengthens the checked model that
+verdict carries instead of running the loop again (`STARTS_AFTER`).  At the
+deadline, or once a verdict is decided, the scheduler kills every worker's
+process group, external solvers included, and reaps every worker.  That is
+the one way a solve stops, so nothing below the scheduler polls for it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import itertools
 import os
 import random
 import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -121,7 +119,7 @@ from .pattern_core import (
     solving_path,
     strip,
 )
-from .smt_backend import Bounds, BoundedChecker, Cancelled, ValidityKind
+from .smt_backend import Bounds, BoundedChecker, ValidityKind
 from .stp_inference import InferConfig, infer
 
 
@@ -391,12 +389,12 @@ def clause_formula(model: CandidateModel, clause: Clause) -> Formula:
     return FImp(ante, cons)
 
 
-def _check_clauses(model, clauses, checker, cex_limit, cancel) -> CheckOutcome:
+def _check_clauses(model, clauses, checker, cex_limit) -> CheckOutcome:
     bounds = None
     for clause in clauses:
         f = clause_formula(model, clause)
         if isinstance(checker, BoundedChecker):
-            cexs = checker.counterexamples(f, limit=cex_limit, cancel=cancel)
+            cexs = checker.counterexamples(f, limit=cex_limit)
             if cexs:
                 return CheckOutcome("cex", clause, cexs, bounds)
             bounds = checker.bounds
@@ -410,14 +408,13 @@ def _check_clauses(model, clauses, checker, cex_limit, cancel) -> CheckOutcome:
     return CheckOutcome("valid", bounds=bounds)
 
 
-def check_definite(model: CandidateModel, system: ChcSystem, checker, cex_limit: int = 16,
-                   cancel: Optional[threading.Event] = None) -> CheckOutcome:
-    return _check_clauses(model, system.definite, checker, cex_limit, cancel)
+def check_definite(model: CandidateModel, system: ChcSystem, checker,
+                   cex_limit: int = 16) -> CheckOutcome:
+    return _check_clauses(model, system.definite, checker, cex_limit)
 
 
-def check_goal(model: CandidateModel, system: ChcSystem, checker,
-               cancel: Optional[threading.Event] = None) -> CheckOutcome:
-    return _check_clauses(model, system.goals, checker, 1, cancel)
+def check_goal(model: CandidateModel, system: ChcSystem, checker) -> CheckOutcome:
+    return _check_clauses(model, system.goals, checker, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +562,6 @@ def _model_loop(
     cfg: SolverConfig,
     checker,
     build: Callable[[dict], CandidateModel],
-    cancel: threading.Event,
     initial_samples: Optional[Sequence[Sample]] = None,
 ) -> Verdict:
     """Sample, infer a model with `build`, check it and learn from the
@@ -586,12 +582,10 @@ def _model_loop(
         samples.extend(screened)
     depth_bump = 0
     for _ in range(cfg.max_iterations):
-        if cancel.is_set():
-            raise Cancelled
         stats["iterations"] += 1
         model = build(_by_pred(system, samples))
         try:
-            dres = check_definite(model, system, checker, cfg.cex_batch, cancel)
+            dres = check_definite(model, system, checker, cfg.cex_batch)
         except NotSolvableError as exc:
             return unknown(str(exc))
         if dres.status == "unknown":
@@ -619,14 +613,13 @@ def _model_loop(
     return unknown("iteration limit")
 
 
-def _check_goals(loop: Verdict, system: ChcSystem, checker, cancel: threading.Event,
-                 keep_model: bool = False) -> Verdict:
+def _check_goals(loop: Verdict, system: ChcSystem, checker, keep_model: bool = False) -> Verdict:
     """Finish a model loop's verdict by checking the goals on the model whose
     definite clauses passed.  With `keep_model`, its UNKNOWN verdicts keep
     that model, with `bounds` None, so that list-len mode can start from it."""
     if loop.kind is not VerdictKind.SAT:
         return loop
-    gres = check_goal(loop.model, system, checker, cancel)
+    gres = check_goal(loop.model, system, checker)
     if gres.status == "valid":
         return replace(loop, bounds=loop.bounds or gres.bounds)
     reason = gres.reason if gres.status == "unknown" else "patterns hold but do not imply the goals"
@@ -635,30 +628,27 @@ def _check_goals(loop: Verdict, system: ChcSystem, checker, cancel: threading.Ev
 
 
 # The mode runners.  Each is called as `runner(system, cfg, checker=...,
-# int_backend=..., cancel=...)` and ignores the backends it has no use for;
-# `_run` names its verdict after its registry entry.  A mode of
-# `STARTS_AFTER` also takes `after=` in auto mode.
+# int_backend=...)` and ignores the backends it has no use for; `_worker`
+# names its verdict after its registry entry.  A mode of `STARTS_AFTER` also
+# takes `after=` when the mode it starts after is solved beside it.
 
 def solve_list_mode(
     system: ChcSystem,
     cfg: SolverConfig = SolverConfig(),
     checker=None,
     int_backend=None,
-    cancel: Optional[threading.Event] = None,
     *,
     initial_samples: Optional[Sequence[Sample]] = None,
 ) -> Verdict:
     checker = checker or _checker(cfg)
-    cancel = cancel or threading.Event()
     loop = _model_loop(
         system,
         cfg,
         checker,
         lambda table: build_list_model(system, table, cfg),
-        cancel,
         initial_samples=initial_samples,
     )
-    return _check_goals(loop, system, checker, cancel, keep_model=True)
+    return _check_goals(loop, system, checker, keep_model=True)
 
 
 def solve_collection_mode(
@@ -667,20 +657,17 @@ def solve_collection_mode(
     mode: Mode = Mode.MULTISET,
     checker=None,
     int_backend=None,
-    cancel: Optional[threading.Event] = None,
 ) -> Verdict:
     # collection atoms have no external encoding; this mode always checks
     # with the bounded evaluator
     checker = _checker(cfg, COLLECTION_BOUNDS)
-    cancel = cancel or threading.Event()
     loop = _model_loop(
         system,
         cfg,
         checker,
         lambda table: build_collection_model(system, table, cfg, mode),
-        cancel,
     )
-    return _check_goals(loop, system, checker, cancel)
+    return _check_goals(loop, system, checker)
 
 
 # ---------------------------------------------------------------------------
@@ -887,10 +874,8 @@ class BuiltinIntChc:
         self.checker = checker
 
     def solve(
-        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random,
-        cancel: Optional[threading.Event] = None,
+        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
     ) -> Optional[dict[str, Formula]]:
-        cancel = cancel or threading.Event()
         checker = self.checker or _checker(cfg)
         samples = collect_samples(
             abstract, cfg.sample_budget(cfg.sample_depth + 1), rng
@@ -919,9 +904,7 @@ class BuiltinIntChc:
             )
 
         for _ in range(40):
-            if cancel.is_set():
-                raise Cancelled
-            outcome = check_definite(model(), abstract, checker, 1, cancel)
+            outcome = check_definite(model(), abstract, checker, 1)
             if outcome.status == "valid":
                 break
             if outcome.status == "unknown":
@@ -940,16 +923,16 @@ class BuiltinIntChc:
 
 class ExternalIntChc:
     """Child process consuming a HORN problem over integers and producing a
-    model as define-fun forms.  The stop event is not polled: a call ends
-    when the process does or after `timeout` seconds."""
+    model as define-fun forms.  A call ends when the process does, after
+    `timeout` seconds, or when the solve's deadline kills its worker's
+    process group, this process included."""
 
     def __init__(self, cmd, timeout: float = 30.0):
         self.cmd = cmd if isinstance(cmd, list) else [cmd]
         self.timeout = timeout
 
     def solve(
-        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random,
-        cancel: Optional[threading.Event] = None,
+        self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
     ) -> Optional[dict[str, Formula]]:
         import subprocess
 
@@ -1018,7 +1001,6 @@ def solve_list_len_mode(
     cfg: SolverConfig = SolverConfig(),
     checker=None,
     int_backend=None,
-    cancel: Optional[threading.Event] = None,
     *,
     after: Optional[Verdict] = None,
 ) -> Verdict:
@@ -1031,7 +1013,6 @@ def solve_list_len_mode(
     its model is the loop's, so the loop is not run again, and a verdict
     without a model is returned as it is, the reason the loop gave up.  With
     `after` None, this mode runs the loop itself."""
-    cancel = cancel or threading.Event()
     checker = checker or _checker(cfg)
     int_backend = int_backend or BuiltinIntChc()
     res = after if after is not None else _model_loop(
@@ -1039,7 +1020,6 @@ def solve_list_len_mode(
         cfg,
         checker,
         lambda table: build_list_model(system, table, cfg),
-        cancel,
     )
     if res.model is None:
         return res
@@ -1048,7 +1028,7 @@ def solve_list_len_mode(
         return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=res.stats)
 
     abstract = length_abstract(system)
-    int_models = int_backend.solve(abstract, cfg, random.Random(cfg.seed + 1), cancel=cancel)
+    int_models = int_backend.solve(abstract, cfg, random.Random(cfg.seed + 1))
     if int_models is None:
         return unknown("no integer model for the length abstraction")
     model = CandidateModel(
@@ -1057,10 +1037,10 @@ def solve_list_len_mode(
             for pred in system.predicates
         }
     )
-    dres = check_definite(model, system, checker, 1, cancel)
+    dres = check_definite(model, system, checker, 1)
     if dres.status != "valid":
         return unknown("length-strengthened model fails a definite clause")
-    gres = check_goal(model, system, checker, cancel)
+    gres = check_goal(model, system, checker)
     if gres.status == "valid":
         return Verdict(
             VerdictKind.SAT, model=model, bounds=dres.bounds or gres.bounds,
@@ -1092,15 +1072,12 @@ class RefutationWitness:
 def refute(
     system: ChcSystem,
     budget: RefuteBudget = RefuteBudget(),
-    cancel: Optional[threading.Event] = None,
 ) -> Optional[RefutationWitness]:
     """Exhaustive bottom-up derivation over a small value domain, checking
     the goal bodies after each level; a hit yields a replayable derivation
     of false.  Level 0 applies the facts; a later level applies every rule
     to the atoms derived so far (earlier clauses of the same level included)
-    and keeps the combinations that use an atom of the previous level.
-    Raises `Cancelled` once `cancel` is set."""
-    cancel = cancel or threading.Event()
+    and keeps the combinations that use an atom of the previous level."""
     tables = {p: AtomTable() for p in system.predicates}
     domains = {sort: _bounded_domain(sort, budget, set()) for sort in Sort}
     facts = [(i, plan_join(c)) for i, c in enumerate(system.definite) if not c.body_atoms]
@@ -1114,8 +1091,6 @@ def refute(
         for idx, plan in rules if depth else facts:
             clause = plan.clause
             for rows, binding in join(plan, tables):
-                if cancel.is_set():
-                    raise Cancelled
                 if depth and not any(
                     previous[a.pred] <= r < start[a.pred]
                     for a, r in zip(clause.body_atoms, rows)
@@ -1123,8 +1098,6 @@ def refute(
                     continue
                 free = [n for n in plan.free if n not in binding]
                 for extra in itertools.product(*(domains[plan.sorts[n]] for n in free)):
-                    if cancel.is_set():
-                        raise Cancelled
                     env = {**binding, **dict(zip(free, extra))}
                     try:
                         if not eval_formula(clause.constraint, env):
@@ -1149,8 +1122,6 @@ def refute(
                     if total >= budget.max_atoms:
                         return None
         for gi, plan in enumerate(goals):
-            if cancel.is_set():
-                raise Cancelled
             found = match_goal(plan, tables)
             if found is not None:
                 atoms, binding = found
@@ -1208,14 +1179,13 @@ def mode_registry() -> dict[str, Callable[..., Verdict]]:
 
 
 # A mode that starts from the verdict of a mode before it in the registry:
-# auto mode runs it once that verdict is in and passes it as `after`.
+# when both are solved, it runs once that verdict is in, as `after`.
 STARTS_AFTER = {"list-len": "list"}
 
 
-def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None,
-                cancel: Optional[threading.Event] = None) -> Verdict:
+def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None) -> Verdict:
     """`refute` as a runner: UNSAT only for a witness that replays."""
-    witness = refute(system, cfg.refute, cancel=cancel)
+    witness = refute(system, cfg.refute)
     if witness is None:
         return Verdict(VerdictKind.UNKNOWN)
     if replay_derivation(system, witness):
@@ -1223,48 +1193,12 @@ def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=
     return Verdict(VerdictKind.UNKNOWN, reason="refutation witness does not replay")
 
 
-@contextmanager
-def _stop_signal(timeout: Optional[float]):
-    """The stop event of one solve and its deadline.  A timer sets the event
-    once `timeout` seconds have passed; it is cancelled on exit."""
-    cancel = threading.Event()
-    if timeout is None:
-        yield cancel, None
-        return
-    deadline = time.monotonic() + timeout
-    timer = threading.Timer(timeout, cancel.set)
-    timer.start()
-    try:
-        yield cancel, deadline
-    finally:
-        timer.cancel()
-        timer.join()
-
-
-def _run(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
-         cancel: threading.Event, deadline: Optional[float]) -> Verdict:
-    """Run the `(name, runner)` entries in order until one gives a definitive
-    verdict or the stop event is set, and return the last verdict, named
-    after its entry.  A stopped runner gives UNKNOWN with reason `timeout`
-    once the deadline has passed, `cancelled` otherwise."""
-    for name, runner in entries:
-        try:
-            verdict = runner(system, cfg, checker=checker, int_backend=int_backend, cancel=cancel)
-        except Cancelled:
-            expired = deadline is not None and time.monotonic() >= deadline
-            verdict = Verdict(VerdictKind.UNKNOWN, reason="timeout" if expired else "cancelled")
-        verdict = replace(verdict, mode=name)
-        if verdict.kind is not VerdictKind.UNKNOWN or cancel.is_set():
-            break
-    return verdict
-
-
-def _mode_worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
-                 int_backend) -> None:
-    """The body of one auto-mode worker process: run the entries whose
-    `(index, after)` tasks it takes from `tasks` until it is killed,
-    passing `after` to the runner unless it is None, and send
-    `(index, verdict)`, or `(index, exception)` for a runner that raised, on
+def _worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
+            int_backend) -> None:
+    """The body of one worker process: run the entries whose `(index, after)`
+    tasks it takes from `tasks` until it is killed, passing `after` to the
+    runner unless it is None, and send `(index, verdict)`, the verdict named
+    after its entry, or `(index, exception)` for a runner that raised, on
     `out`.  The worker leads its own process group, so that the parent's kill
     also reaches the external solvers it starts."""
     os.setpgrp()
@@ -1274,84 +1208,77 @@ def _mode_worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, chec
         if after is not None:
             runner = partial(runner, after=after)
         try:
-            got = _run([(name, runner)], system, cfg, checker, int_backend, threading.Event(), None)
+            got = replace(runner(system, cfg, checker=checker, int_backend=int_backend), mode=name)
         except Exception as exc:  # raised by the parent, in registry order
             got = exc
         out.send((i, got))
 
 
-def solve_auto(
-    system: ChcSystem,
-    cfg: SolverConfig = SolverConfig(),
-    checker=None,
-    int_backend=None,
-) -> Verdict:
-    """Run the registry's modes in forked worker processes, one per usable
-    CPU and at most one per mode, beside the refutation search in a thread.
-    Workers take the modes first in, first out: the registry's modes at the
-    start, and a mode of `STARTS_AFTER` once the verdict it starts from is
-    in, with that verdict.
+def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
+              refutation: bool) -> Verdict:
+    """Run the `(name, runner)` entries in forked worker processes, one per
+    usable CPU and at most one per entry, and with `refutation` the
+    refutation search in a process of its own, forked first.  Workers take
+    the entries first in, first out: each entry at the start, except a mode
+    of `STARTS_AFTER` whose first mode is an entry too, which is queued once
+    that mode's verdict is in, with that verdict.
 
-    Refutation's UNSAT wins at once.  A mode's verdict is accepted only once
-    every mode before it in the registry has returned UNKNOWN, so the result
-    is that of running the modes in order, whatever the number of CPUs; its
-    `stats["attempts"]` lists `(mode, outcome, reason)` for those modes.
+    Refutation's UNSAT wins at once.  An entry's verdict is accepted only once
+    every entry before it has returned UNKNOWN, so the result is that of
+    running the entries in order, whatever the number of CPUs; its
+    `stats["attempts"]` lists `(mode, outcome, reason)` for those entries.
     When every runner returns UNKNOWN, the verdict is the later of
-    refutation's and the last mode's that has a reason, or else the earlier
-    of the two.  At the deadline the verdict is UNKNOWN with reason
-    `timeout`, named after the first undecided mode.  Returns once every
-    worker is killed and reaped and the thread has stopped."""
-    import multiprocessing.connection  # here, not at the top: only auto mode pays its import
+    refutation's and the last entry's that has a reason, or else the earlier
+    of the two.  At `cfg.timeout` the verdict is UNKNOWN with reason
+    `timeout`, named after the first undecided entry.  Returns once every
+    worker's process group is killed and every worker reaped."""
+    import multiprocessing.connection  # here, not at the top: `import stpchc` alone does not pay it
 
-    entries = list(mode_registry().items())
     names = [name for name, _ in entries]
-    starts_after = {names.index(m): names.index(first) for m, first in STARTS_AFTER.items()}
+    starts_after = {
+        names.index(m): names.index(first)
+        for m, first in STARTS_AFTER.items() if m in names and first in names
+    }
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     ctx = multiprocessing.get_context("fork")
-    n = min(len(entries), len(os.sched_getaffinity(0)))
-    tasks = ctx.SimpleQueue()
-    for i in range(len(entries)):
-        if i not in starts_after:
-            tasks.put((i, None))
-    woken, wake = ctx.Pipe(duplex=False)
-    cancel = threading.Event()
+    queues: list = []  # every task queue
     workers: dict = {}  # result connection -> worker process
-    refuted: list = []
-    thread = None
 
-    def refutation():
-        try:
-            refuted.append(_run([("refutation", _refutation)], system, cfg, checker,
-                                int_backend, cancel, deadline))
-        except Exception as exc:  # re-raised by the caller below
-            refuted.append(exc)
-        wake.send_bytes(b"")
+    def queue(*tasks):
+        q = ctx.SimpleQueue()
+        queues.append(q)
+        for task in tasks:
+            q.put(task)
+        return q
 
-    decided: list = [None] * len(entries)  # per mode: its verdict or exception
-    accepted = 0  # modes 0..accepted-1 returned UNKNOWN
-    unknown: list[Verdict] = []  # refutation's and the last mode's, in arrival order
+    def start(entries, tasks):
+        """Fork a worker on `entries` that takes `tasks`; its result connection."""
+        receive, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_worker,
+            args=(entries, tasks, send, system, cfg, checker, int_backend),
+            daemon=True,
+        )
+        proc.start()
+        workers[receive] = proc
+        os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
+        send.close()
+        return receive
+
+    decided: list = [None] * len(entries)  # per entry: its verdict or exception
+    accepted = 0  # entries 0..accepted-1 returned UNKNOWN
+    unknown: list[Verdict] = []  # refutation's and the last entry's, in arrival order
 
     def attempts(k: int) -> list:
         return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
 
     try:
-        # fork before the refutation thread starts, so that no worker
-        # inherits a lock that thread holds
-        for _ in range(n):
-            receive, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_mode_worker,
-                args=(entries, tasks, send, system, cfg, checker, int_backend),
-                daemon=True,
-            )
-            proc.start()
-            workers[receive] = proc
-            os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
-            send.close()
-        thread = threading.Thread(target=refutation, daemon=True)
-        thread.start()
-        pending = [woken, *workers]
-        while len(unknown) < 2:
+        refuter = start([("refutation", _refutation)], queue((0, None))) if refutation else None
+        tasks = queue(*((i, None) for i in range(len(entries)) if i not in starts_after))
+        for _ in range(min(len(entries), len(os.sched_getaffinity(0)))):
+            start(entries, tasks)
+        pending = list(workers)
+        while len(unknown) < (2 if refutation else 1):
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
             ready = multiprocessing.connection.wait(pending, left)
             if not ready:
@@ -1359,9 +1286,14 @@ def solve_auto(
                 return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
                                stats={"attempts": attempts(accepted)})
             for conn in ready:
-                if conn is woken:
+                try:
+                    i, got = conn.recv()
+                except EOFError:  # the worker died
+                    proc = workers[conn]
+                    proc.join()
+                    raise RuntimeError(f"solver worker exited with code {proc.exitcode}")
+                if conn is refuter:
                     pending.remove(conn)
-                    got = refuted[0]
                     if isinstance(got, Exception):
                         raise got
                     got = replace(got, stats={**got.stats, "attempts": []})
@@ -1369,12 +1301,6 @@ def solve_auto(
                         return got
                     unknown.append(got)
                     continue
-                try:
-                    i, got = conn.recv()
-                except EOFError:  # the worker died
-                    proc = workers[conn]
-                    proc.join()
-                    raise RuntimeError(f"auto-mode worker exited with code {proc.exitcode}")
                 decided[i] = got
                 for m, first in starts_after.items():
                     if first == i and not isinstance(got, Exception):
@@ -1391,26 +1317,36 @@ def solve_auto(
                     unknown.append(got)
         return next((v for v in reversed(unknown) if v.reason is not None), unknown[0])
     finally:
-        cancel.set()
         for proc in workers.values():
             if proc.exitcode is None:
                 os.killpg(proc.pid, signal.SIGKILL)
         for proc in workers.values():
             proc.join()
-        if thread is not None:
-            thread.join()
-        for conn in (woken, wake, *workers):
+        for conn in workers:
             conn.close()
-        tasks.close()
+        for q in queues:
+            q.close()
+
+
+def solve_auto(
+    system: ChcSystem,
+    cfg: SolverConfig = SolverConfig(),
+    checker=None,
+    int_backend=None,
+) -> Verdict:
+    """The registry's modes and the refutation search, under `_schedule`."""
+    return _schedule(list(mode_registry().items()), system, cfg, checker, int_backend,
+                     refutation=True)
 
 
 def solve(system: ChcSystem, cfg: SolverConfig = SolverConfig(), mode: str = "auto",
           checker=None, int_backend=None) -> Verdict:
-    """Solve in `mode`: "auto" or a name of `mode_registry()`."""
+    """Solve in `mode`: "auto" or a name of `mode_registry()`, the latter in
+    one worker under `_schedule`, with no refutation."""
     if mode == "auto":
         return solve_auto(system, cfg, checker, int_backend)
     registry = mode_registry()
     if mode not in registry:
         raise ValueError(f"unknown mode {mode!r}")
-    with _stop_signal(cfg.timeout) as (cancel, deadline):
-        return _run([(mode, registry[mode])], system, cfg, checker, int_backend, cancel, deadline)
+    return _schedule([(mode, registry[mode])], system, cfg, checker, int_backend,
+                     refutation=False)

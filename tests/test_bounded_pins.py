@@ -12,7 +12,7 @@ from stpchc import solver
 from stpchc.chc_core import parse_smtlib
 from stpchc.formulas import FAnd, FImp, FPrefix, FSuffix, Sort, TConcat, TRev, formula_vars
 from stpchc.smt_backend import BoundedChecker, Bounds
-from stpchc.solver import SolverConfig, solve
+from stpchc.solver import SolverConfig
 
 from test_bounded_differential import BOUNDS as SMALL_BOUNDS
 from test_bounded_differential import LIST_VARS, random_atom, random_formula
@@ -93,15 +93,15 @@ def test_multiset_solve_queries(monkeypatch):
     calls = []
 
     class Recording(BoundedChecker):
-        def counterexamples(self, f, limit=1, cancel=None):
-            cexs = super().counterexamples(f, limit=limit, cancel=cancel)
+        def counterexamples(self, f, limit=1):
+            cexs = super().counterexamples(f, limit=limit)
             calls.append((repr(f), limit, canonical(cexs)))
             return cexs
 
     # multiset mode builds its own checker at `solver.COLLECTION_BOUNDS`
     monkeypatch.setattr(solver, "BoundedChecker", Recording)
     system = parse_smtlib((BENCH / "sort.smt2").read_text())
-    verdict = solve(system, SolverConfig(seed=0), mode="multiset", checker=Recording())
+    verdict = solver.solve_collection_mode(system, SolverConfig(seed=0), solver.Mode.MULTISET)
     assert verdict.kind is solver.VerdictKind.SAT
     assert len(calls) == 9
     assert digest(calls) == "13628e665e9914bd"

@@ -178,7 +178,14 @@ class TestParserRobustness:
                 pass  # any malformed prefix must raise the parse error type
 
     def test_garbage_tokens(self):
-        for bad in ["(((", ")", "(assert)", "(declare-fun p)", "(assert (=>))"]:
+        for bad in [
+            "(((", ")", "(assert)", "(declare-fun p)", "(assert (=>))",
+            "(declare-fun p Int Bool)",
+            "(declare-fun p (Int) Bool)(assert (forall x (p x)))",
+            "(declare-fun p (Int) Bool)(assert (forall (x) (p x)))",
+            "(declare-datatypes ((L 0)) (nil))",
+            "(declare-datatypes ((L 0)) (((nil) (cons (head Int) tail))))",
+        ]:
             with pytest.raises(ParseError):
                 parse_smtlib(bad)
 

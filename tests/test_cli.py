@@ -284,6 +284,43 @@ class TestExternalSmtWiring:
                 assert time.monotonic() < deadline, f"solver {pid} still running"
                 time.sleep(0.02)
 
+    @pytest.mark.parametrize("system, options", [
+        ("reva.smt2", ["--mode", "list", "--smt-cmd"]),
+        # at these bounds list mode's loop takes some 30 ms, not 300: the
+        # integer backend starts well before the deadline
+        ("take_drop.smt2", ["--mode", "list-len", "--bounds", "3,1", "--int-chc-cmd"]),
+    ])
+    def test_single_mode_timeout_kills_external_solver(self, capsys, tmp_path, system, options):
+        import multiprocessing
+        import time
+
+        pids = tmp_path / "pids"
+        stub = tmp_path / "slow_solver.sh"
+        stub.write_text(f"#!/bin/sh\necho $$ >> {pids}\nexec sleep 30\n")
+        stub.chmod(0o755)
+        started = time.monotonic()
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / system), "--timeout", "0.3", *options, str(stub)
+        )
+        assert time.monotonic() - started < 0.3 + 0.7
+        assert code == 2
+        assert out.splitlines() == ["unknown", "; timeout"]
+        assert multiprocessing.active_children() == []
+        stubs = pids.read_text().split()
+        assert stubs
+        # killed with its worker's process group: gone, or a zombie not yet reaped
+        deadline = time.monotonic() + 1.0
+        for pid in stubs:
+            while True:
+                try:
+                    status = Path(f"/proc/{pid}/status").read_text()
+                except FileNotFoundError:
+                    break
+                if "\nState:\tZ" in status:
+                    break
+                assert time.monotonic() < deadline, f"solver {pid} still running"
+                time.sleep(0.02)
+
 
 class TestByteDeterminism:
     def test_same_seed_same_bytes_across_processes(self):
