@@ -224,8 +224,6 @@ class _Parser:
         if isinstance(node, _Tok):
             if node.text == "Int":
                 return Sort.INT
-            if node.text == "Bool":
-                return Sort.BOOL
             if node.text in self.adts:
                 return Sort.LIST
             raise self.fail(f"unsupported sort {node.text}", node)
@@ -529,7 +527,7 @@ def render_smtlib(system: ChcSystem) -> str:
         )
 
     def sort_name(s: Sort) -> str:
-        return {Sort.INT: "Int", Sort.BOOL: "Bool", Sort.LIST: "Lst"}[s]
+        return {Sort.INT: "Int", Sort.LIST: "Lst"}[s]
 
     for name, sig in system.predicates.items():
         args = " ".join(sort_name(s) for s in sig)

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Union
 
 class Sort(Enum):
     INT = "Int"
-    BOOL = "Bool"
     LIST = "List"
 
 
@@ -119,12 +118,6 @@ class TCollOf:
 
 
 @dataclass(frozen=True)
-class TCollUnion:
-    a: "Term"
-    b: "Term"
-
-
-@dataclass(frozen=True)
 class TCollDiff:
     a: "Term"
     b: "Term"
@@ -138,7 +131,7 @@ class TCount:
 
 Term = Union[
     TVar, TInt, TSeq, TCons, TAdd, TSub, TMul, TIte, TLen, TConcat, TRev,
-    TLdiff, TRdiff, TCollOf, TCollUnion, TCollDiff, TCount,
+    TLdiff, TRdiff, TCollOf, TCollDiff, TCount,
 ]
 
 
@@ -199,26 +192,12 @@ class FLt:
 
 
 @dataclass(frozen=True)
-class FPrefix:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
-class FSuffix:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
 class FSubset:
     a: Term
     b: Term
 
 
-Formula = Union[
-    FTrue, FFalse, FAnd, FOr, FNot, FImp, FEq, FLe, FLt, FPrefix, FSuffix, FSubset
-]
+Formula = Union[FTrue, FFalse, FAnd, FOr, FNot, FImp, FEq, FLe, FLt, FSubset]
 
 
 def fand(parts: Iterable[Formula]) -> Formula:
@@ -306,14 +285,6 @@ def eval_term(t: Term, env: Mapping[str, object]):
         if isinstance(v, int):
             v = (v,)
         return frozenset(v) if t.mode == "set" else tuple(sorted(v))
-    if tt is TCollUnion:
-        a = eval_term(t.a, env)
-        b = eval_term(t.b, env)
-        if isinstance(a, frozenset):
-            if a & b:
-                raise Undefined("overlapping set union")
-            return a | b
-        return tuple(sorted(a + b))
     if tt is TCollDiff:
         a = eval_term(t.a, env)
         b = eval_term(t.b, env)
@@ -332,14 +303,6 @@ def eval_term(t: Term, env: Mapping[str, object]):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _is_prefix(a, b) -> bool:
-    return b[: len(a)] == a
-
-
-def _is_suffix(a, b) -> bool:
-    return len(a) <= len(b) and (not a or b[-len(a):] == a)
-
-
 def _is_subset(a, b) -> bool:
     if isinstance(a, frozenset):
         return a <= b
@@ -351,34 +314,31 @@ _ATOMS = {
     FEq: operator.eq,
     FLe: operator.le,
     FLt: operator.lt,
-    FPrefix: _is_prefix,
-    FSuffix: _is_suffix,
     FSubset: _is_subset,
 }
 
 
-def eval_formula(f: Formula, env: Mapping[str, object], term=eval_term) -> bool:
-    """The truth of `f` under `env`, with the atoms' terms evaluated by
-    `term` (a caching evaluator may stand in for `eval_term`)."""
+def eval_formula(f: Formula, env: Mapping[str, object]) -> bool:
+    """The truth of `f` under `env`."""
     ft = type(f)
     if ft is FTrue:
         return True
     if ft is FFalse:
         return False
     if ft is FAnd:
-        return all(eval_formula(p, env, term) for p in f.parts)
+        return all(eval_formula(p, env) for p in f.parts)
     if ft is FOr:
-        return any(eval_formula(p, env, term) for p in f.parts)
+        return any(eval_formula(p, env) for p in f.parts)
     if ft is FNot:
-        return not eval_formula(f.f, env, term)
+        return not eval_formula(f.f, env)
     if ft is FImp:
-        return (not eval_formula(f.a, env, term)) or eval_formula(f.b, env, term)
+        return (not eval_formula(f.a, env)) or eval_formula(f.b, env)
     holds = _ATOMS.get(ft)
     if holds is None:
         raise TypeError(f"not a formula: {f!r}")
     try:
-        a = term(f.a, env)
-        b = term(f.b, env)
+        a = eval_term(f.a, env)
+        b = eval_term(f.b, env)
     except Undefined:
         return False
     return holds(a, b)
@@ -398,7 +358,6 @@ _TERM_CHILDREN = {
     TLdiff: ("prefix", "t"),
     TRdiff: ("t", "suffix"),
     TCollOf: ("t",),
-    TCollUnion: ("a", "b"),
     TCollDiff: ("a", "b"),
     TCount: ("x", "l"),
 }
@@ -517,8 +476,6 @@ def render_term(t: Term, list_style: str = "seq") -> str:
     if tt is TCollOf:
         fn = "set.of" if t.mode == "set" else "bag.of"
         return f"({fn} {r(t.t)})"
-    if tt is TCollUnion:
-        return f"(union {r(t.a)} {r(t.b)})"
     if tt is TCollDiff:
         return f"(difference {r(t.a)} {r(t.b)})"
     if tt is TCount:
@@ -540,12 +497,5 @@ def render_formula(f: Formula, list_style: str = "seq") -> str:
         return f"(not {render_formula(f.f, list_style)})"
     if ft is FImp:
         return f"(=> {render_formula(f.a, list_style)} {render_formula(f.b, list_style)})"
-    ops = {
-        FEq: "=",
-        FLe: "<=",
-        FLt: "<",
-        FPrefix: "seq.prefixof",
-        FSuffix: "seq.suffixof",
-        FSubset: "subset",
-    }
+    ops = {FEq: "=", FLe: "<=", FLt: "<", FSubset: "subset"}
     return f"({ops[ft]} {render_term(f.a, list_style)} {render_term(f.b, list_style)})"

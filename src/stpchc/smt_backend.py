@@ -4,14 +4,12 @@ The bounded provider enumerates assignments over small lists and integers.
 Each query is planned once: the antecedent of an implication is split into
 conjuncts, and for each the plan holds its sorted variables and, for an
 equation, the bare-variable sides that can define a variable and the sides
-that can be matched against the other side's value; for a prefix/suffix
-atom, the variable on the container or contained side.  One recursive search
+that can be matched against the other side's value.  One recursive search
 then walks the assignments.  At each node it decides every conjunct whose
 variables are all assigned, so a partial assignment that already falsifies
 the antecedent is refuted before its remaining variables are enumerated;
 assigns the variable an equation forces, solved by `chc_core.match_term`,
-the same matcher the ground joins use; narrows a prefix/suffix operand to
-the candidates the other side allows; and otherwise enumerates the next
+the same matcher the ground joins use; and otherwise enumerates the next
 variable, one buried inside a term before the bare side of an equation.
 Variables only the consequent mentions are swept at the leaves.
 
@@ -46,8 +44,6 @@ from .formulas import (
     FImp,
     FNot,
     FOr,
-    FPrefix,
-    FSuffix,
     FSubset,
     FTrue,
     Formula,
@@ -55,7 +51,6 @@ from .formulas import (
     TAdd,
     TCollDiff,
     TCollOf,
-    TCollUnion,
     TConcat,
     TCons,
     TCount,
@@ -77,6 +72,7 @@ from .formulas import (
     render_formula,
     term_vars,
 )
+from .pattern_core import bag_minus
 
 
 class ValidityKind(Enum):
@@ -192,17 +188,6 @@ def _term(t: Term) -> Callable:
             v = x(env)
             return view((v,) if isinstance(v, int) else v)
         return coll_of
-    if tt is TCollUnion:
-        a, b = _term(t.a), _term(t.b)
-
-        def union(env):
-            x, y = a(env), b(env)
-            if isinstance(x, frozenset):
-                if x & y:
-                    raise Undefined("overlapping set union")
-                return x | y
-            return tuple(sorted(x + y))
-        return union
     if tt is TCollDiff:
         a, b = _term(t.a), _term(t.b)
 
@@ -212,10 +197,10 @@ def _term(t: Term) -> Callable:
                 if not y <= x:
                     raise Undefined("set difference without containment")
                 return x - y
-            rest = _bag_minus(x, y)
+            rest = bag_minus(x, y)
             if rest is None:
                 raise Undefined("multiset difference without containment")
-            return tuple(sorted(rest))
+            return rest
         return difference
     if tt is TCount:
         x, l = _term(t.x), _term(t.l)
@@ -227,24 +212,14 @@ def _term(t: Term) -> Callable:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _bag_minus(whole, part) -> Optional[list]:
-    """What is left of multiset `whole` once each element of `part` is taken
-    out once, or None when `part` is not a sub-multiset of `whole`."""
-    rest = list(whole)
-    for v in part:
-        if v not in rest:
-            return None
-        rest.remove(v)
-    return rest
-
-
 def _is_subset(a, b) -> bool:
     if isinstance(a, frozenset):
         return a <= b
-    return _bag_minus(b, a) is not None
+    return bag_minus(b, a) is not None
 
 
-# `formulas._ATOMS`, with a multiset inclusion that builds no `Counter`
+# `formulas._ATOMS`, with a multiset inclusion that builds no `Counter`:
+# compiled multisets are sorted tuples, so one merge takes the difference
 _HOLDS = {**_ATOMS, FSubset: _is_subset}
 
 
@@ -354,7 +329,6 @@ class _Conjunct:
     """What the search needs to know of one antecedent conjunct, worked out
     once per query."""
 
-    formula: Formula
     names: tuple[str, ...]  # sorted
     holds: Callable  # the compiled formula
     # FEq: (name, compiled other side) for each bare-variable side whose
@@ -366,19 +340,11 @@ class _Conjunct:
     inverts: tuple = ()
     # FEq: the names of the bare-variable sides, a-side first
     bare: tuple[str, ...] = ()
-    # FPrefix/FSuffix: the variable that is the container side, and the one
-    # that is the contained side (reversed when `reverse`); `a` and `b` are
-    # the compiled sides
-    container: Optional[str] = None
-    contained: Optional[str] = None
-    reverse: bool = False
-    a: Optional[Callable] = None
-    b: Optional[Callable] = None
 
 
 # Collection views and counts.  `match_term` solves no variable below one,
 # so the plan does not match an equation side that is one.
-_COLLECTION_TERMS = (TCollDiff, TCollOf, TCollUnion, TCount)
+_COLLECTION_TERMS = (TCollDiff, TCollOf, TCount)
 
 
 def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
@@ -386,11 +352,9 @@ def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
     query."""
     names = tuple(sorted(formula_vars(c)))
     holds = _formula(c, side)
-    ct = type(c)
-    if ct is FEq:
+    if type(c) is FEq:
         sides = ((c.a, c.b), (c.b, c.a))
         return _Conjunct(
-            c,
             names,
             holds,
             defines=tuple(
@@ -403,19 +367,7 @@ def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
             ),
             bare=tuple(s.name for s, _ in sides if type(s) is TVar),
         )
-    if ct is FPrefix or ct is FSuffix:
-        inner = c.a.t if type(c.a) is TRev else c.a
-        return _Conjunct(
-            c,
-            names,
-            holds,
-            container=c.b.name if type(c.b) is TVar else None,
-            contained=inner.name if type(inner) is TVar else None,
-            reverse=type(c.a) is TRev,
-            a=side(c.a),
-            b=side(c.b),
-        )
-    return _Conjunct(c, names, holds)
+    return _Conjunct(names, holds)
 
 
 @dataclass
@@ -427,8 +379,6 @@ class _Query:
     target: Callable  # the compiled consequent of an implication, else formula
     names: list[str]  # every variable, in order of first occurrence
     domains: dict[str, tuple]
-    bounds: Bounds
-    lists_upto: tuple  # lists_upto[n]: every list of length at most n
     limit: int
     results: list = field(default_factory=list)
 
@@ -507,53 +457,6 @@ def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:
     return live
 
 
-def _narrowed(q: _Query, c: _Conjunct, v: str, env: dict) -> Optional[list]:
-    """Candidate values for `v`, the only unassigned variable of a
-    prefix/suffix conjunct, or None when the conjunct does not narrow it (a
-    side that mentions `v` raises `KeyError`)."""
-    prefix = type(c.formula) is FPrefix
-    if c.container == v:
-        try:
-            part = c.a(env)
-        except KeyError:
-            return None
-        if not isinstance(part, tuple):
-            return None
-        room = q.bounds.max_list_len - len(part)
-        if room < 0:
-            return []
-        if prefix:
-            return [part + u for u in q.lists_upto[room]]
-        return [u + part for u in q.lists_upto[room]]
-    if c.contained == v:
-        try:
-            whole = c.b(env)
-        except KeyError:
-            return None
-        if not isinstance(whole, tuple):
-            return None
-        if prefix:
-            parts = [whole[:k] for k in range(len(whole) + 1)]
-        else:
-            parts = [whole[len(whole) - k:] for k in range(len(whole) + 1)]
-        return [p[::-1] for p in parts] if c.reverse else parts
-    return None
-
-
-def _narrowing(q: _Query, live: list, env: dict):
-    """(variable, candidates) from the first live conjunct that narrows its
-    only unassigned variable, else (None, None)."""
-    for c in live:
-        if c.container is None and c.contained is None:
-            continue
-        unknown = [v for v in c.names if v not in env]
-        if len(unknown) == 1:
-            dom = _narrowed(q, c, unknown[0], env)
-            if dom is not None:
-                return unknown[0], dom
-    return None, None
-
-
 def _pick(c: _Conjunct, env: dict) -> str:
     """The variable of `c` to enumerate: a variable buried inside a term
     before the bare side of an equation, so that side gets forced instead."""
@@ -576,7 +479,6 @@ def _search(q: _Query, env: dict, pending: list) -> None:
         live = _propagate(q, env, pending, trail)
         if live is None:
             return
-        narrowed_var, narrowed_dom = _narrowing(q, live, env)
         in_live = {v for c in live for v in c.names}
         unassigned = [n for n in q.names if n not in env]
         enumerable = [u for u in unassigned if u in in_live]
@@ -588,7 +490,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
                 _sweep(q, env, cons_only)
                 return
             v = enumerable[0]
-            for val in narrowed_dom if narrowed_var == v else q.domains[v]:
+            for val in q.domains[v]:
                 env[v] = val
                 if all(c.holds(env) for c in live) and _sweep(
                     q, env, cons_only
@@ -596,12 +498,8 @@ def _search(q: _Query, env: dict, pending: list) -> None:
                     break
             env.pop(v, None)
             return
-        if narrowed_var is not None:
-            v, dom = narrowed_var, narrowed_dom
-        else:
-            v = _pick(live[0], env)
-            dom = q.domains[v]
-        for val in dom:
+        v = _pick(live[0], env)
+        for val in q.domains[v]:
             env[v] = val
             _search(q, env, live)
             del env[v]
@@ -620,9 +518,6 @@ class BoundedChecker:
     def __init__(self, bounds: Bounds = Bounds()):
         self.bounds = bounds
         self._lists = _all_lists(bounds.max_list_len, bounds.max_elem)
-        self._lists_upto = tuple(
-            _all_lists(n, bounds.max_elem) for n in range(bounds.max_list_len + 1)
-        )
         self._ints = tuple(range(bounds.int_lo, bounds.int_hi + 1))
 
     # -- public api ---------------------------------------------------------
@@ -642,8 +537,6 @@ class BoundedChecker:
             names=list(variables),
             domains={n: self._ints if s is Sort.INT else self._lists
                      for n, s in variables.items()},
-            bounds=self.bounds,
-            lists_upto=self._lists_upto,
             limit=limit,
         )
         _search(q, {}, [_plan_conjunct(c, side) for c in conjuncts])
@@ -700,17 +593,13 @@ class ExternalSmtChecker:
     """Child-process SMT provider speaking SMT-LIB 2 with the sequence
     theory; validity of f is checked as unsatisfiability of (not f)."""
 
-    def __init__(self, cmd, timeout: float = 10.0, native_reverse: bool = False):
+    def __init__(self, cmd, timeout: float = 10.0):
         self.cmd = cmd if isinstance(cmd, list) else [cmd]
         self.timeout = timeout
-        self.native_reverse = native_reverse
 
     def script(self, f: Formula) -> str:
         variables = formula_vars(f)
-        lines = ["(set-logic ALL)"]
-        if not self.native_reverse:
-            lines.append(_REV_DEF)
-        lines.append(_DIFF_DEFS)
+        lines = ["(set-logic ALL)", _REV_DEF, _DIFF_DEFS]
         for name, sort in variables.items():
             s = "Int" if sort is Sort.INT else "(Seq Int)"
             lines.append(f"(declare-const {name} {s})")

@@ -31,6 +31,7 @@ the one way a solve stops, so nothing below the scheduler polls for it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import signal
@@ -773,7 +774,8 @@ def _abs_clause(clause: Clause, in_goal: bool) -> Clause:
 
 def _affine_equations(rows: list[tuple[int, ...]], arity: int) -> list[Formula]:
     """Exact affine relations satisfied by every row: the nullspace of
-    [args | 1], one linear equality per basis vector."""
+    [args | 1], one linear equality with coprime integer coefficients per
+    basis vector."""
     if not rows:
         return []
     width = arity + 1
@@ -803,15 +805,8 @@ def _affine_equations(rows: list[tuple[int, ...]], arity: int) -> list[Formula]:
         vec[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
             vec[pc] = -matrix[row_idx][fc]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in vec))
         ints = [int(x * denom) for x in vec]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
         term: Optional[Term] = None
         for i, coeff in enumerate(ints[:-1]):
             if coeff == 0:
@@ -825,12 +820,6 @@ def _affine_equations(rows: list[tuple[int, ...]], arity: int) -> list[Formula]:
             term = TAdd(term, TInt(const))
         equations.append(FEq(term, TInt(0)))
     return equations
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a or 1
 
 
 def _int_model_candidates(rows: list[tuple[int, ...]], arity: int) -> list[Formula]:

@@ -1,4 +1,4 @@
-"""Differential check: the propagating/narrowing/inverting search must agree
+"""Differential check: the propagating/inverting search must agree
 with a naive full-product enumeration about counterexample existence."""
 
 import itertools
@@ -10,8 +10,6 @@ from stpchc.formulas import (
     FImp,
     FNot,
     FOr,
-    FPrefix,
-    FSuffix,
     Sort,
     TAdd,
     TCons,
@@ -85,10 +83,12 @@ def random_atom(rng):
     kind = rng.choice(["eq", "eq", "prefix", "suffix", "int_eq"])
     if kind == "eq":
         return FEq(random_seq_term(rng), random_seq_term(rng))
-    if kind == "prefix":
-        return FPrefix(random_seq_term(rng), random_seq_term(rng))
-    if kind == "suffix":
-        return FSuffix(random_seq_term(rng), random_seq_term(rng))
+    if kind == "prefix":  # a is a prefix of b
+        a, b = random_seq_term(rng), random_seq_term(rng)
+        return FEq(b, TConcat(a, TLdiff(a, b)))
+    if kind == "suffix":  # a is a suffix of b
+        a, b = random_seq_term(rng), random_seq_term(rng)
+        return FEq(b, TConcat(TRdiff(b, a), a))
     return FEq(random_int_term(rng), random_int_term(rng))
 
 

@@ -185,6 +185,7 @@ class TestParserRobustness:
             "(declare-fun p (Int) Bool)(assert (forall (x) (p x)))",
             "(declare-datatypes ((L 0)) (nil))",
             "(declare-datatypes ((L 0)) (((nil) (cons (head Int) tail))))",
+            "(declare-fun p (Bool Int) Bool)",
         ]:
             with pytest.raises(ParseError):
                 parse_smtlib(bad)

@@ -162,6 +162,22 @@ class TestSolveCommand:
         assert code == 2
         assert "error" in err
 
+    def test_bool_argument_rejected(self, capsys, tmp_path):
+        # only Int and list arguments are solved; a Bool one is refused, not
+        # enumerated as a list and printed as an Int
+        p = tmp_path / "bool.smt2"
+        p.write_text(
+            "(set-logic HORN)\n"
+            "(declare-fun p (Bool Int) Bool)\n"
+            "(assert (forall ((b Bool)) (p b 0)))\n"
+            "(assert (forall ((b Bool) (n Int)) (=> (and (p b n) (< n 3)) (p b (+ n 1)))))\n"
+            "(assert (forall ((b Bool) (n Int)) (=> (and (p b n) (> n 5)) false)))\n"
+        )
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unsupported sort Bool (line 2, column 17)")
+
     def test_deep_nesting_reported(self, capsys, tmp_path):
         # deeper than the interpreter's recursion limit: still a located
         # parse error, not a traceback with the exit code of unsat

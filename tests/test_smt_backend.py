@@ -11,7 +11,6 @@ from stpchc.formulas import (
     FImp,
     FLe,
     FNot,
-    FPrefix,
     FSubset,
     Sort,
     TCollOf,
@@ -19,6 +18,7 @@ from stpchc.formulas import (
     TCount,
     TInt,
     TIte,
+    TLdiff,
     TLen,
     TRev,
     TSeq,
@@ -67,7 +67,7 @@ class TestBoundedChecker:
         # l3 is forced by the antecedent, so this must be fast despite three
         # list variables
         ante = FEq(L3, TConcat(TRev(L1), L2))
-        cons = FPrefix(TRev(L1), L3)
+        cons = FEq(L3, TConcat(TRev(L1), TLdiff(TRev(L1), L3)))  # rev(l1) prefixes l3
         start = time.monotonic()
         res = BoundedChecker().check_validity(FImp(ante, cons))
         assert res.kind is ValidityKind.VALID_BOUNDED
@@ -152,8 +152,6 @@ class TestExternalChecker:
         assert "(declare-const l1 (Seq Int))" in script
         assert "(assert (not (= l1 (seq.++ (seq.rev l2) l2))))" in script
         assert "define-fun-rec seq.rev" in script
-        native = ExternalSmtChecker(["true"], native_reverse=True)
-        assert "define-fun-rec" not in native.script(FEq(L1, TRev(L2)))
 
     def test_collection_atoms_are_not_sent(self):
         # the process is never started: `/nonexistent/solver` would say why

@@ -1,4 +1,5 @@
 import gc
+import math
 import multiprocessing
 import random
 import sys
@@ -19,7 +20,8 @@ from stpchc.chc_core import (
     parse_smtlib,
 )
 from stpchc.formulas import (
-    FEq, FImp, FNot, FPrefix, FTrue, Sort, TConcat, TInt, TRev, TVar, eval_formula,
+    FEq, FImp, FNot, FTrue, Sort, TAdd, TConcat, TInt, TLdiff, TMul, TRev, TVar,
+    eval_formula,
 )
 from stpchc.pattern_core import Mode
 from stpchc.smt_backend import Bounds, BoundedChecker
@@ -282,6 +284,37 @@ class TestBuiltinIntFitter:
         f = models["append"]
         assert eval_formula(f, {"$arg0": 2, "$arg1": 3, "$arg2": 5})
         assert not eval_formula(f, {"$arg0": 2, "$arg1": 3, "$arg2": 4})
+
+
+def _coefficients(t) -> list[int]:
+    """The integer coefficients of an affine equation side, constant last."""
+    if type(t) is TAdd:
+        return _coefficients(t.a) + _coefficients(t.b)
+    if type(t) is TMul:
+        return [t.factor]
+    return [1] if type(t) is TVar else [t.value]
+
+
+class TestAffineEquations:
+    def test_coefficients_are_coprime_integers(self):
+        # rows on a random integer affine image of k parameters, so the
+        # nullspace needs fractions cleared and coefficients other than 1
+        rng = random.Random(5)
+        scaled = 0
+        for _ in range(300):
+            arity, k = rng.randint(1, 4), rng.randint(0, 2)
+            image = [[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(arity)]
+            rows = []
+            for _ in range(rng.randint(1, 10)):
+                params = [rng.randint(-4, 4) for _ in range(k)] + [1]
+                rows.append(tuple(sum(a * p for a, p in zip(col, params)) for col in image))
+            for eq in solver._affine_equations(rows, arity):
+                coeffs = _coefficients(eq.a)
+                assert eq.b == TInt(0) and math.gcd(*coeffs) == 1, (rows, eq)
+                scaled += any(abs(c) > 1 for c in coeffs)
+                for row in rows:
+                    assert eval_formula(eq, {f"$arg{i}": v for i, v in enumerate(row)})
+        assert scaled > 0
 
 
 class TestExternalIntBackend:
@@ -720,7 +753,9 @@ class TestNoReferenceCycles:
 
     def test_bounded_search_leaves_no_garbage(self):
         l1, l2, l3 = (TVar(n, Sort.LIST) for n in ("l1", "l2", "l3"))
-        f = FImp(FEq(l3, TConcat(TRev(l1), l2)), FPrefix(TRev(l1), l3))
+        # the consequent says that rev(l1) is a prefix of l3
+        f = FImp(FEq(l3, TConcat(TRev(l1), l2)),
+                 FEq(l3, TConcat(TRev(l1), TLdiff(TRev(l1), l3))))
         checker = BoundedChecker(Bounds())
         gc.collect()
         gc.disable()
@@ -760,7 +795,7 @@ class TestNoReferenceCycles:
         from stpchc.smt_backend import _uses_collections
 
         l1, l2 = TVar("l1", Sort.LIST), TVar("l2", Sort.LIST)
-        f = FImp(FEq(l1, TConcat(TRev(l1), l2)), FPrefix(l1, l2))
+        f = FImp(FEq(l1, TConcat(TRev(l1), l2)), FEq(l2, TConcat(l1, TLdiff(l1, l2))))
         gc.collect()
         gc.disable()
         try:
