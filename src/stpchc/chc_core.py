@@ -571,11 +571,6 @@ def render_smtlib(system: ChcSystem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# term rendering uses nil/cons; teach render_term about TSeq-as-list
-# (render_term in formulas prints sequence constants; lists in clauses are
-# built from cons/nil so TSeq only appears as NIL there)
-
-# ---------------------------------------------------------------------------
 # ground samples and term matching
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
-"""Validity checking with two providers.
+"""Clause checking: one protocol, two checkers.
 
-The bounded provider enumerates assignments over small lists and integers.
+A checker answers `counterexamples(f, limit)`: at most `limit` assignments
+that falsify `f`, each re-evaluated by the interpreter `formulas.eval_formula`,
+so `[]` means `f` holds.  A checker that cannot decide raises `Unknown` with
+its reason.  Its `bounds` say where the answer holds: the bounded checker's
+`Bounds`, or None for an answer that holds for every value.
+
+The bounded checker enumerates assignments over small lists and integers.
 Each query is planned once: the antecedent of an implication is split into
 conjuncts, and for each the plan holds its sorted variables and, for an
 equation, the bare-variable sides that can define a variable and the sides
@@ -17,11 +23,11 @@ The search walks no term tree.  Each query compiles its conjuncts and its
 consequent once, to closures over the environment (Feeley & Lapalme, "Using
 closures for code generation", 1987).  Every atom side with a variable below
 its root keeps its own cache, keyed by the values of its variables, undefined
-results included; equal sides of one query share one cache.  The interpreter
-`formulas.eval_formula` stays the oracle: a counterexample is reported only
-after it re-evaluates the whole formula there.
-The external provider drives an SMT process over the sequence theory; its
-counter-models are never trusted without concrete re-evaluation.
+results included; equal sides of one query share one cache.
+
+The external checker drives an SMT process over the sequence theory, through
+`ask`, the one helper that runs an external solver; collection atoms have no
+encoding there.  Its counter-models are never trusted without re-evaluation.
 """
 
 from __future__ import annotations
@@ -31,13 +37,11 @@ import itertools
 import operator
 import subprocess
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 from .chc_core import match_term, read_sexps, symbol
 from .formulas import (
     _ATOMS,
-    _TERM_CHILDREN,
     FAnd,
     FEq,
     FFalse,
@@ -75,13 +79,6 @@ from .formulas import (
 from .pattern_core import bag_minus
 
 
-class ValidityKind(Enum):
-    VALID = "valid"
-    VALID_BOUNDED = "valid (bounded)"
-    INVALID = "invalid"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class Bounds:
     max_list_len: int = 4
@@ -90,16 +87,8 @@ class Bounds:
     int_hi: int = 5
 
 
-@dataclass
-class ValidityResult:
-    kind: ValidityKind
-    assignment: Optional[dict] = None
-    reason: Optional[str] = None
-    bounds: Optional[Bounds] = None
-
-    @property
-    def valid(self) -> bool:
-        return self.kind in (ValidityKind.VALID, ValidityKind.VALID_BOUNDED)
+class Unknown(Exception):
+    """A checker cannot decide; the message is the reason."""
 
 
 def _all_lists(max_len: int, max_elem: int) -> tuple[tuple[int, ...], ...]:
@@ -512,20 +501,13 @@ def _search(q: _Query, env: dict, pending: list) -> None:
 
 class BoundedChecker:
     """Exhaustive counterexample search within the bounds; sound for
-    counterexamples, complete only inside the bounds (so a pass is
-    reported as bounded validity, never plain validity)."""
+    counterexamples, complete only inside the bounds (so a pass holds only
+    within `bounds`).  It never raises `Unknown`."""
 
     def __init__(self, bounds: Bounds = Bounds()):
         self.bounds = bounds
         self._lists = _all_lists(bounds.max_list_len, bounds.max_elem)
         self._ints = tuple(range(bounds.int_lo, bounds.int_hi + 1))
-
-    # -- public api ---------------------------------------------------------
-    def check_validity(self, f: Formula) -> ValidityResult:
-        cexs = self.counterexamples(f, limit=1)
-        if cexs:
-            return ValidityResult(ValidityKind.INVALID, assignment=cexs[0])
-        return ValidityResult(ValidityKind.VALID_BOUNDED, bounds=self.bounds)
 
     def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
         variables = formula_vars(f)
@@ -548,33 +530,20 @@ class BoundedChecker:
 # ---------------------------------------------------------------------------
 # external SMT process
 
-_HAS_COLLECTIONS = (FSubset,)
-
-
-def _uses_collections(f: Formula) -> bool:
-    if isinstance(f, _HAS_COLLECTIONS):
-        return True
-    if isinstance(f, (FAnd, FOr)):
-        return any(_uses_collections(p) for p in f.parts)
-    if isinstance(f, FNot):
-        return _uses_collections(f.f)
-    if isinstance(f, FImp):
-        return _uses_collections(f.a) or _uses_collections(f.b)
-    if hasattr(f, "a"):
-        return _term_uses_collections(f.a) or _term_uses_collections(f.b)
-    return False
-
-
-def _term_uses_collections(t: Term) -> bool:
-    if isinstance(t, _COLLECTION_TERMS):
-        return True
-    tt = type(t)
-    if tt in (TVar, TInt, TSeq):
-        return False
-    if tt is TIte:
-        return (_uses_collections(t.cond) or _term_uses_collections(t.then)
-                or _term_uses_collections(t.other))
-    return any(_term_uses_collections(getattr(t, fn)) for fn in _TERM_CHILDREN[tt])
+def ask(cmd: list[str], script: str, timeout: float) -> tuple[str, str]:
+    """Run `cmd` on `script`: the first line of its output, stripped, and the
+    lines after it.  Any failure of the call raises `Unknown`: a command that
+    cannot run, a timeout, output that is not text, or no output."""
+    try:
+        proc = subprocess.run(
+            cmd, input=script, capture_output=True, text=True, timeout=timeout
+        )
+    except (OSError, subprocess.SubprocessError, UnicodeDecodeError) as exc:
+        raise Unknown(str(exc)) from None
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise Unknown("no solver output")
+    return lines[0].strip(), "\n".join(lines[1:])
 
 
 _REV_DEF = """(define-fun-rec seq.rev ((s (Seq Int))) (Seq Int)
@@ -590,12 +559,14 @@ _DIFF_DEFS = """(define-fun ldiff ((p (Seq Int)) (t (Seq Int))) (Seq Int)
 
 
 class ExternalSmtChecker:
-    """Child-process SMT provider speaking SMT-LIB 2 with the sequence
-    theory; validity of f is checked as unsatisfiability of (not f)."""
+    """Child-process SMT checker speaking SMT-LIB 2 with the sequence
+    theory: f holds when (not f) is unsatisfiable, for every value."""
 
-    def __init__(self, cmd, timeout: float = 10.0):
-        self.cmd = cmd if isinstance(cmd, list) else [cmd]
-        self.timeout = timeout
+    TIMEOUT = 10.0  # seconds per query
+    bounds = None
+
+    def __init__(self, cmd: list[str]):
+        self.cmd = cmd
 
     def script(self, f: Formula) -> str:
         variables = formula_vars(f)
@@ -609,43 +580,22 @@ class ExternalSmtChecker:
             lines.append("(get-value (" + " ".join(variables) + "))")
         return "\n".join(lines) + "\n"
 
-    def check_validity(self, f: Formula) -> ValidityResult:
-        if _uses_collections(f):
-            return ValidityResult(
-                ValidityKind.UNKNOWN, reason="collection atoms are not encoded"
-            )
-        try:
-            proc = subprocess.run(
-                self.cmd,
-                input=self.script(f),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            return ValidityResult(ValidityKind.UNKNOWN, reason=str(exc))
-        out = proc.stdout.strip().splitlines()
-        if not out:
-            return ValidityResult(ValidityKind.UNKNOWN, reason="no solver output")
-        verdict = out[0].strip()
+    def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
+        verdict, rest = ask(self.cmd, self.script(f), self.TIMEOUT)
         if verdict == "unsat":
-            return ValidityResult(ValidityKind.VALID)
+            return []
         if verdict != "sat":
-            return ValidityResult(ValidityKind.UNKNOWN, reason=verdict)
-        assignment = _parse_model("\n".join(out[1:]), formula_vars(f))
+            raise Unknown(verdict)
+        assignment = _parse_model(rest, formula_vars(f))
         if assignment is None:
-            return ValidityResult(
-                ValidityKind.UNKNOWN, reason="counter-model not parseable"
-            )
+            raise Unknown("counter-model not parseable")
         try:
             holds = eval_formula(f, assignment)
         except Exception:
             holds = True
         if holds:
-            return ValidityResult(
-                ValidityKind.UNKNOWN, reason="counter-model failed re-evaluation"
-            )
-        return ValidityResult(ValidityKind.INVALID, assignment=assignment)
+            raise Unknown("counter-model failed re-evaluation")
+        return [assignment]
 
 
 def _parse_model(text: str, variables: dict) -> Optional[dict]:

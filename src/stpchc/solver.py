@@ -120,7 +120,7 @@ from .pattern_core import (
     solving_path,
     strip,
 )
-from .smt_backend import Bounds, BoundedChecker, ValidityKind
+from .smt_backend import Bounds, BoundedChecker, Unknown, ask
 from .stp_inference import InferConfig, infer
 
 
@@ -378,7 +378,7 @@ class CheckOutcome:
     status: str  # "valid" | "cex" | "unknown"
     clause: Optional[Clause] = None
     assignments: list = field(default_factory=list)
-    bounds: Optional[Bounds] = None  # set once a clause passed a bounded check
+    bounds: Optional[Bounds] = None  # valid: the checker's, once a clause passed
     reason: Optional[str] = None
 
 
@@ -391,22 +391,14 @@ def clause_formula(model: CandidateModel, clause: Clause) -> Formula:
 
 
 def _check_clauses(model, clauses, checker, cex_limit) -> CheckOutcome:
-    bounds = None
     for clause in clauses:
-        f = clause_formula(model, clause)
-        if isinstance(checker, BoundedChecker):
-            cexs = checker.counterexamples(f, limit=cex_limit)
-            if cexs:
-                return CheckOutcome("cex", clause, cexs, bounds)
-            bounds = checker.bounds
-        else:
-            res = checker.check_validity(f)
-            if res.kind is ValidityKind.INVALID:
-                return CheckOutcome("cex", clause, [res.assignment], bounds)
-            if res.kind is ValidityKind.UNKNOWN:
-                return CheckOutcome("unknown", clause, reason=res.reason)
-            bounds = bounds or res.bounds
-    return CheckOutcome("valid", bounds=bounds)
+        try:
+            cexs = checker.counterexamples(clause_formula(model, clause), limit=cex_limit)
+        except Unknown as exc:
+            return CheckOutcome("unknown", clause, reason=str(exc))
+        if cexs:
+            return CheckOutcome("cex", clause, cexs)
+    return CheckOutcome("valid", bounds=checker.bounds if clauses else None)
 
 
 def check_definite(model: CandidateModel, system: ChcSystem, checker,
@@ -675,9 +667,12 @@ def solve_collection_mode(
 # length abstraction
 
 def length_abstract(system: ChcSystem) -> ChcSystem:
-    """Lists become their lengths: nil -> 0, cons -> +1; list equalities
-    become integer equalities; list disequalities survive only in goal
-    bodies, elsewhere they become true."""
+    """Lists become their lengths: nil -> 0, cons -> +1.  In a definite
+    clause, a list equality becomes the equality of the lengths where it
+    occurs positively and false where negatively, so every constraint that
+    holds on lists holds on their lengths.  In a goal, every list equality
+    becomes the equality of the lengths, negated or not; goals keep their
+    concrete check."""
     return ChcSystem(
         predicates={
             name: tuple(Sort.INT for _ in sig)
@@ -705,6 +700,9 @@ def _abs_term(t: Term, sorts) -> Term:
     if tt is TMul:
         return TMul(t.factor, _abs_term(t.t, sorts))
     if tt is TIte:
+        # the condition is abstracted as in a goal, which may not hold on the
+        # lengths where it holds on the lists: a clause whose terms test a
+        # list equality relies on list-len mode's concrete re-check
         return TIte(
             _abs_formula(t.cond, sorts, True),
             _abs_term(t.then, sorts),
@@ -719,33 +717,33 @@ def _is_list_term(t: Term, sorts) -> bool:
         return sorts.get(t.name) is Sort.LIST
     if tt is TSeq or tt is TCons:
         return True
+    if tt is TIte:
+        return _is_list_term(t.then, sorts)
     return False
 
 
-def _abs_formula(f: Formula, sorts, in_goal: bool) -> Formula:
+def _abs_formula(f: Formula, sorts, in_goal: bool, positive: bool = True) -> Formula:
+    """`f` over lengths; `positive` is the polarity of `f` in the clause."""
     ft = type(f)
     if ft in (FTrue, FFalse):
         return f
     if ft is FAnd:
-        return fand(_abs_formula(p, sorts, in_goal) for p in f.parts)
+        return fand(_abs_formula(p, sorts, in_goal, positive) for p in f.parts)
     if ft is FOr:
-        return for_(_abs_formula(p, sorts, in_goal) for p in f.parts)
+        return for_(_abs_formula(p, sorts, in_goal, positive) for p in f.parts)
     if ft is FNot:
-        inner = f.f
-        if isinstance(inner, FEq) and (
-            _is_list_term(inner.a, sorts) or _is_list_term(inner.b, sorts)
-        ):
-            if in_goal:
-                return FNot(
-                    FEq(_abs_term(inner.a, sorts), _abs_term(inner.b, sorts))
-                )
-            return TRUE
-        return FNot(_abs_formula(inner, sorts, in_goal))
+        inner = _abs_formula(f.f, sorts, in_goal, not positive)
+        return TRUE if type(inner) is FFalse else FNot(inner)
     if ft is FImp:
         return FImp(
-            _abs_formula(f.a, sorts, in_goal), _abs_formula(f.b, sorts, in_goal)
+            _abs_formula(f.a, sorts, in_goal, not positive),
+            _abs_formula(f.b, sorts, in_goal, positive),
         )
     if ft is FEq:
+        if not (in_goal or positive) and (
+            _is_list_term(f.a, sorts) or _is_list_term(f.b, sorts)
+        ):
+            return FALSE  # equal lengths do not make equal lists
         return FEq(_abs_term(f.a, sorts), _abs_term(f.b, sorts))
     if ft is FLt:
         return FLt(_abs_term(f.a, sorts), _abs_term(f.b, sorts))
@@ -779,7 +777,7 @@ def _affine_equations(rows: list[tuple[int, ...]], arity: int) -> list[Formula]:
     if not rows:
         return []
     width = arity + 1
-    matrix = [[Fraction(v) for v in row] + [Fraction(1)] for row in rows[:80]]
+    matrix = [[Fraction(v) for v in row] + [Fraction(1)] for row in rows]
     # row-reduce
     pivots: list[int] = []
     r = 0
@@ -859,13 +857,10 @@ class BuiltinIntChc:
     least-model tuples and weaken per failing clause until the definite
     clauses pass the bounded check."""
 
-    def __init__(self, checker: Optional[BoundedChecker] = None):
-        self.checker = checker
-
     def solve(
         self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
     ) -> Optional[dict[str, Formula]]:
-        checker = self.checker or _checker(cfg)
+        checker = _checker(cfg)
         samples = collect_samples(
             abstract, cfg.sample_budget(cfg.sample_depth + 1), rng
         )
@@ -904,44 +899,30 @@ class BuiltinIntChc:
             chosen[pred] += 1
         else:
             return None
-        # prefer candidates that also pass the abstract goals, but a failing
-        # abstract goal does not disqualify (the abstraction is heuristic
-        # on goals)
         return {pred: menus[pred][chosen[pred]] for pred in abstract.predicates}
 
 
 class ExternalIntChc:
     """Child process consuming a HORN problem over integers and producing a
     model as define-fun forms.  A call ends when the process does, after
-    `timeout` seconds, or when the solve's deadline kills its worker's
+    `TIMEOUT` seconds, or when the solve's deadline kills its worker's
     process group, this process included."""
 
-    def __init__(self, cmd, timeout: float = 30.0):
-        self.cmd = cmd if isinstance(cmd, list) else [cmd]
-        self.timeout = timeout
+    TIMEOUT = 30.0  # seconds per call
+
+    def __init__(self, cmd: list[str]):
+        self.cmd = cmd
 
     def solve(
         self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
     ) -> Optional[dict[str, Formula]]:
-        import subprocess
-
-        script = render_smtlib(abstract)
         try:
-            proc = subprocess.run(
-                self.cmd,
-                input=script,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except Exception:
+            verdict, model = ask(self.cmd, render_smtlib(abstract), self.TIMEOUT)
+        except Unknown:
             return None
-        lines = proc.stdout.strip().splitlines()
-        if not lines or lines[0].strip() != "sat":
+        if verdict != "sat":
             return None
-        return parse_int_model(
-            "\n".join(lines[1:]), abstract.predicates
-        )
+        return parse_int_model(model, abstract.predicates)
 
 
 def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]:
@@ -1216,11 +1197,11 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
     every entry before it has returned UNKNOWN, so the result is that of
     running the entries in order, whatever the number of CPUs; its
     `stats["attempts"]` lists `(mode, outcome, reason)` for those entries.
-    When every runner returns UNKNOWN, the verdict is the later of
-    refutation's and the last entry's that has a reason, or else the earlier
-    of the two.  At `cfg.timeout` the verdict is UNKNOWN with reason
-    `timeout`, named after the first undecided entry.  Returns once every
-    worker's process group is killed and every worker reaped."""
+    When every runner returns UNKNOWN, the verdict is the last entry's if it
+    has a reason, and otherwise refutation's.  At `cfg.timeout` the verdict
+    is UNKNOWN with reason `timeout`, named after the first undecided entry.
+    Returns once every worker's process group is killed and every worker
+    reaped."""
     import multiprocessing.connection  # here, not at the top: `import stpchc` alone does not pay it
 
     names = [name for name, _ in entries]
@@ -1256,7 +1237,7 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
 
     decided: list = [None] * len(entries)  # per entry: its verdict or exception
     accepted = 0  # entries 0..accepted-1 returned UNKNOWN
-    unknown: list[Verdict] = []  # refutation's and the last entry's, in arrival order
+    refuted = None  # refutation's UNKNOWN verdict, once it is in
 
     def attempts(k: int) -> list:
         return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
@@ -1267,7 +1248,7 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
         for _ in range(min(len(entries), len(os.sched_getaffinity(0)))):
             start(entries, tasks)
         pending = list(workers)
-        while len(unknown) < (2 if refutation else 1):
+        while accepted < len(entries) or (refutation and refuted is None):
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
             ready = multiprocessing.connection.wait(pending, left)
             if not ready:
@@ -1288,23 +1269,22 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
                     got = replace(got, stats={**got.stats, "attempts": []})
                     if got.kind is not VerdictKind.UNKNOWN:
                         return got
-                    unknown.append(got)
+                    refuted = got
                     continue
                 decided[i] = got
                 for m, first in starts_after.items():
                     if first == i and not isinstance(got, Exception):
                         tasks.put((m, got))
             while accepted < len(entries) and decided[accepted] is not None:
-                got = decided[accepted]
-                if isinstance(got, Exception):
-                    raise got
-                got = replace(got, stats={**got.stats, "attempts": attempts(accepted)})
-                if got.kind is not VerdictKind.UNKNOWN:
-                    return got
+                verdict = decided[accepted]
+                if isinstance(verdict, Exception):
+                    raise verdict
+                verdict = replace(verdict, stats={**verdict.stats, "attempts": attempts(accepted)})
+                if verdict.kind is not VerdictKind.UNKNOWN:
+                    return verdict
                 accepted += 1
-                if accepted == len(entries):
-                    unknown.append(got)
-        return next((v for v in reversed(unknown) if v.reason is not None), unknown[0])
+        # every runner returned UNKNOWN: `verdict` is the last entry's
+        return verdict if verdict.reason is not None or refuted is None else refuted
     finally:
         for proc in workers.values():
             if proc.exitcode is None:

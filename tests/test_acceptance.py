@@ -341,8 +341,8 @@ def test_chc_end_to_end(bench):
         args = [TVar(f"l{i}", Sort.LIST) for i in range(3)]
         got = verdict.model.models["reva"].formula(args)
         want = FEq(args[2], TConcat(TRev(args[0]), args[1]))
-        assert checker.check_validity(FImp(got, want)).valid
-        assert checker.check_validity(FImp(want, got)).valid
+        assert checker.counterexamples(FImp(got, want)) == []
+        assert checker.counterexamples(FImp(want, got)) == []
 
         verdict = solve(bench["take_drop"], SolverConfig(seed=0), mode="list-len")
         assert verdict.kind is VerdictKind.SAT
@@ -389,8 +389,8 @@ def test_counterexample_hygiene(bench):
         args = [TVar(f"l{i}", Sort.LIST) for i in range(3)]
         got = verdict.model.models["reva"].formula(args)
         want = FEq(args[2], TConcat(TRev(args[0]), args[1]))
-        assert checker.check_validity(FImp(got, want)).valid
-        assert checker.check_validity(FImp(want, got)).valid
+        assert checker.counterexamples(FImp(got, want)) == []
+        assert checker.counterexamples(FImp(want, got)) == []
 
 
 def test_sort_rule_non_example():

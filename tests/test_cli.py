@@ -251,6 +251,20 @@ class TestExternalSmtWiring:
         # plain validity from the external prover: no bounded qualifier
         assert out.splitlines()[0] == "sat"
 
+    def test_output_that_is_not_text_is_unknown(self, capsys, tmp_path):
+        import sys as _sys
+
+        stub = tmp_path / "not_text.py"
+        stub.write_text("import sys\nsys.stdin.read()\nsys.stdout.buffer.write(b'\\xff\\n')\n")
+        code, out, err = run(
+            capsys, "solve", str(BENCH / "reva.smt2"), "--mode", "list",
+            "--smt-cmd", f"{_sys.executable} {stub}",
+        )
+        assert code == 2
+        assert out.splitlines()[0] == "unknown"
+        assert "'utf-8' codec can't decode byte 0xff" in out
+        assert "Traceback" not in err
+
     def test_command_split_as_a_shell_would(self, capsys):
         # quoted arguments stay whole: the stub answers unsat to every query
         code, out, _ = run(
@@ -339,33 +353,31 @@ class TestExternalSmtWiring:
 
 
 class TestByteDeterminism:
-    def test_same_seed_same_bytes_across_processes(self):
+    @staticmethod
+    def solve_twice(path, seed):
+        """The output of two `solve` processes on the package under test."""
+        import os
         import subprocess
         import sys as _sys
 
-        cmd = [
-            _sys.executable, "-m", "stpchc.cli", "solve",
-            str(BENCH / "reva.smt2"), "--seed", "3",
-        ]
-        outs = [
-            subprocess.run(cmd, capture_output=True, text=True).stdout
+        import stpchc
+
+        src = str(Path(stpchc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [_sys.executable, "-m", "stpchc.cli", "solve", str(path), "--seed", str(seed)]
+        return [
+            subprocess.run(cmd, capture_output=True, text=True, env=env).stdout
             for _ in range(2)
         ]
+
+    def test_same_seed_same_bytes_across_processes(self):
+        outs = self.solve_twice(BENCH / "reva.smt2", 3)
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0].startswith("sat")
 
     def test_unsat_instance_bytes(self):
-        import subprocess
-        import sys as _sys
-
-        cmd = [
-            _sys.executable, "-m", "stpchc.cli", "solve",
-            str(BENCH / "unsat" / "plus_reach.smt2"), "--seed", "1",
-        ]
-        outs = [
-            subprocess.run(cmd, capture_output=True, text=True).stdout
-            for _ in range(2)
-        ]
+        outs = self.solve_twice(BENCH / "unsat" / "plus_reach.smt2", 1)
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[0] == "unsat"
 

@@ -5,31 +5,31 @@ from pathlib import Path
 
 import pytest
 
+from stpchc.chc_core import parse_smtlib
 from stpchc.formulas import (
     FEq,
     FFalse,
     FImp,
     FLe,
-    FNot,
-    FSubset,
     Sort,
-    TCollOf,
     TConcat,
-    TCount,
     TInt,
-    TIte,
     TLdiff,
     TLen,
     TRev,
     TSeq,
     TVar,
 )
+from stpchc.pattern_core import parse_pattern
 from stpchc.smt_backend import (
     BoundedChecker,
     Bounds,
     ExternalSmtChecker,
-    ValidityKind,
+    Unknown,
 )
+from stpchc.solver import CandidateModel, PredicateModel, check_definite
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
 L1 = TVar("l1", Sort.LIST)
 L2 = TVar("l2", Sort.LIST)
@@ -40,18 +40,16 @@ class TestBoundedChecker:
     def test_valid_identity(self):
         # l2 = reverse(eps) . l2
         f = FEq(L2, TConcat(TRev(TSeq(())), L2))
-        res = BoundedChecker().check_validity(f)
-        assert res.kind is ValidityKind.VALID_BOUNDED
-        assert res.bounds is not None
+        checker = BoundedChecker()
+        assert checker.counterexamples(f) == []
+        assert checker.bounds == Bounds()
 
     def test_concat_model_counterexample(self):
         # under the plain concatenation model, consing on the left is not
         # the same as appending on the right
         ante = FEq(L3, TConcat(L1, TConcat(TSeq((0,)), L2)))
         cons = FEq(L3, TConcat(TSeq((0,)), TConcat(L1, L2)))
-        res = BoundedChecker().check_validity(FImp(ante, cons))
-        assert res.kind is ValidityKind.INVALID
-        env = res.assignment
+        [env] = BoundedChecker().counterexamples(FImp(ante, cons))
         assert env["l3"] == env["l1"] + (0,) + env["l2"]
         assert env["l3"] != (0,) + env["l1"] + env["l2"]
 
@@ -69,22 +67,29 @@ class TestBoundedChecker:
         ante = FEq(L3, TConcat(TRev(L1), L2))
         cons = FEq(L3, TConcat(TRev(L1), TLdiff(TRev(L1), L3)))  # rev(l1) prefixes l3
         start = time.monotonic()
-        res = BoundedChecker().check_validity(FImp(ante, cons))
-        assert res.kind is ValidityKind.VALID_BOUNDED
+        assert BoundedChecker().counterexamples(FImp(ante, cons)) == []
         assert time.monotonic() - start < 2.0
 
     def test_never_upgrades_to_plain_valid(self):
-        f = FEq(L1, L1)
-        assert BoundedChecker().check_validity(f).kind is ValidityKind.VALID_BOUNDED
+        # a pass of the bounded checker holds within its bounds only
+        reva = parse_smtlib((BENCH / "reva.smt2").read_text())
+        sig = reva.predicates["reva"]
+        model = CandidateModel(
+            {"reva": PredicateModel("reva", sig, patterns=(parse_pattern("(x, y, x^R y)"),))}
+        )
+        checker = BoundedChecker(Bounds(max_list_len=2, max_elem=1))
+        outcome = check_definite(model, reva, checker)
+        assert outcome.status == "valid"
+        assert outcome.bounds == checker.bounds
 
     def test_evaluation_fault_is_raised_not_bounded_validity(self):
         # `len` of an Int is a fault of the formula: neither the target check
         # nor a forced equation may read it as "no counterexample here"
         x, n = TVar("x", Sort.INT), TVar("n", Sort.INT)
         with pytest.raises(TypeError):
-            BoundedChecker().check_validity(FImp(FLe(TInt(0), x), FEq(TLen(x), TInt(0))))
+            BoundedChecker().counterexamples(FImp(FLe(TInt(0), x), FEq(TLen(x), TInt(0))))
         with pytest.raises(TypeError):
-            BoundedChecker().check_validity(FImp(FEq(n, TLen(x)), FFalse()))
+            BoundedChecker().counterexamples(FImp(FEq(n, TLen(x)), FFalse()))
 
 
 def make_stub(tmp_path: Path, body: str) -> str:
@@ -97,8 +102,8 @@ class TestExternalChecker:
     def test_unsat_means_valid(self, tmp_path):
         cmd = make_stub(tmp_path, "print('unsat')")
         checker = ExternalSmtChecker(cmd.split())
-        res = checker.check_validity(FEq(L1, L1))
-        assert res.kind is ValidityKind.VALID
+        assert checker.counterexamples(FEq(L1, L1)) == []
+        assert checker.bounds is None  # the answer holds for every value
 
     def test_sat_with_verified_counterexample(self, tmp_path):
         cmd = make_stub(
@@ -110,9 +115,7 @@ class TestExternalChecker:
             """,
         )
         checker = ExternalSmtChecker(cmd.split())
-        res = checker.check_validity(FEq(L1, L2))
-        assert res.kind is ValidityKind.INVALID
-        assert res.assignment == {"l1": (1, 0), "l2": ()}
+        assert checker.counterexamples(FEq(L1, L2)) == [{"l1": (1, 0), "l2": ()}]
 
     def test_bogus_counterexample_rejected(self, tmp_path):
         cmd = make_stub(
@@ -124,9 +127,8 @@ class TestExternalChecker:
             """,
         )
         checker = ExternalSmtChecker(cmd.split())
-        res = checker.check_validity(FEq(L1, L2))
-        assert res.kind is ValidityKind.UNKNOWN
-        assert "re-evaluation" in res.reason
+        with pytest.raises(Unknown, match="re-evaluation"):
+            checker.counterexamples(FEq(L1, L2))
 
     def test_symbolic_counterexample_rejected(self, tmp_path):
         cmd = make_stub(
@@ -138,13 +140,24 @@ class TestExternalChecker:
             """,
         )
         checker = ExternalSmtChecker(cmd.split())
-        res = checker.check_validity(FEq(L1, L2))
-        assert res.kind is ValidityKind.UNKNOWN
+        with pytest.raises(Unknown, match="^counter-model not parseable$"):
+            checker.counterexamples(FEq(L1, L2))
 
     def test_process_failure_is_unknown(self):
         checker = ExternalSmtChecker(["/nonexistent/solver"])
-        res = checker.check_validity(FEq(L1, L2))
-        assert res.kind is ValidityKind.UNKNOWN
+        with pytest.raises(Unknown, match="No such file"):
+            checker.counterexamples(FEq(L1, L2))
+
+    def test_no_output_is_unknown(self):
+        checker = ExternalSmtChecker(["true"])
+        with pytest.raises(Unknown, match="^no solver output$"):
+            checker.counterexamples(FEq(L1, L2))
+
+    def test_output_that_is_not_text_is_unknown(self, tmp_path):
+        cmd = make_stub(tmp_path, "sys.stdin.read()\nsys.stdout.buffer.write(b'\\xff\\n')")
+        checker = ExternalSmtChecker(cmd.split())
+        with pytest.raises(Unknown, match="'utf-8' codec can't decode byte 0xff"):
+            checker.counterexamples(FEq(L1, L2))
 
     def test_script_declares_and_negates(self, tmp_path):
         checker = ExternalSmtChecker(["true"])
@@ -152,17 +165,3 @@ class TestExternalChecker:
         assert "(declare-const l1 (Seq Int))" in script
         assert "(assert (not (= l1 (seq.++ (seq.rev l2) l2))))" in script
         assert "define-fun-rec seq.rev" in script
-
-    def test_collection_atoms_are_not_sent(self):
-        # the process is never started: `/nonexistent/solver` would say why
-        checker = ExternalSmtChecker(["/nonexistent/solver"])
-        n = TVar("n", Sort.INT)
-        bag = TCollOf(L1, "multiset")
-        for f in (
-            FSubset(bag, TCollOf(L2, "multiset")),
-            FImp(FEq(L1, L2), FEq(n, TCount(TInt(0), L1))),
-            FNot(FEq(L1, TIte(FSubset(bag, bag), L2, L1))),
-        ):
-            res = checker.check_validity(f)
-            assert res.kind is ValidityKind.UNKNOWN
-            assert res.reason == "collection atoms are not encoded"

@@ -19,12 +19,13 @@ from stpchc.chc_core import (
     derivable,
     parse_smtlib,
 )
+from stpchc.chc_core import ChcSystem, Clause, PredicateAtom
 from stpchc.formulas import (
-    FEq, FImp, FNot, FTrue, Sort, TAdd, TConcat, TInt, TLdiff, TMul, TRev, TVar,
-    eval_formula,
+    FAnd, FEq, FImp, FLe, FLt, FNot, FOr, FTrue, Sort, TAdd, TConcat, TCons, TInt, TIte,
+    TLdiff, TMul, TRev, TSeq, TVar, eval_formula,
 )
 from stpchc.pattern_core import Mode
-from stpchc.smt_backend import Bounds, BoundedChecker
+from stpchc.smt_backend import Bounds, BoundedChecker, ExternalSmtChecker
 from stpchc.solver import (
     BuiltinIntChc,
     CandidateModel,
@@ -89,8 +90,8 @@ class TestListMode:
         checker = BoundedChecker(Bounds())
         from stpchc.formulas import FImp
 
-        assert checker.check_validity(FImp(got, want)).valid
-        assert checker.check_validity(FImp(want, got)).valid
+        assert checker.counterexamples(FImp(got, want)) == []
+        assert checker.counterexamples(FImp(want, got)) == []
 
     def test_reva_from_facts_only_uses_counterexamples(self, reva):
         # with depth-0 sampling only the base facts are known, so the loop
@@ -155,8 +156,8 @@ class TestCounterexampleHygiene:
         checker = BoundedChecker(Bounds())
         from stpchc.formulas import FImp
 
-        assert checker.check_validity(FImp(got, want)).valid
-        assert checker.check_validity(FImp(want, got)).valid
+        assert checker.counterexamples(FImp(got, want)) == []
+        assert checker.counterexamples(FImp(want, got)) == []
 
 
 class TestLengthAbstract:
@@ -196,6 +197,37 @@ class TestLengthAbstract:
         system = parse_smtlib(text)
         abstract = length_abstract(system)
         assert abstract.definite == system.definite
+
+    def test_definite_abstraction_holds_on_lengths(self):
+        # wherever a definite constraint holds on lists, its abstraction holds
+        # on their lengths: list equalities under a negation are dropped
+        rng = random.Random(7)
+        l, m = TVar("l", Sort.LIST), TVar("m", Sort.LIST)
+        x, y = TVar("x", Sort.INT), TVar("y", Sort.INT)
+        atoms = [FEq(l, m), FEq(l, TCons(TInt(0), m)), FEq(m, TSeq(())),
+                 FEq(TIte(FLt(x, y), l, m), TIte(FLt(x, y), m, l)),
+                 FEq(x, y), FLt(x, y), FLe(TAdd(x, TInt(1)), y)]
+
+        def formula(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms)
+            kind = rng.randrange(4)
+            if kind == 0:
+                return FNot(formula(depth - 1))
+            a, b = formula(depth - 1), formula(depth - 1)
+            return (FAnd((a, b)), FOr((a, b)), FImp(a, b))[kind - 1]
+
+        lists = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        envs = [{"l": a, "m": b, "x": i, "y": j}
+                for a in lists for b in lists for i in range(3) for j in range(3)]
+        for _ in range(300):
+            f = formula(3)
+            system = ChcSystem({"p": (Sort.INT,)}, [Clause((), f, PredicateAtom("p", (x,)))], [])
+            abstract = length_abstract(system).definite[0].constraint
+            for env in envs:
+                if eval_formula(f, env):
+                    lengths = {**env, "l": len(env["l"]), "m": len(env["m"])}
+                    assert eval_formula(abstract, lengths), (f, abstract, env)
 
     def test_abstraction_preserves_derived_samples(self, reva):
         budget = SampleBudget(depth=2, count=6)
@@ -393,6 +425,14 @@ class TestCollectionMode:
         insert = verdict.model.models["insert"]
         assert insert.patterns
         assert verdict.model.models["count"].count_model
+
+    def test_external_checker_is_not_used(self, sort_system):
+        # collection atoms have no SMT encoding: the mode checks them bounded
+        checker = ExternalSmtChecker(["/nonexistent/solver"])
+        verdict = solve_collection_mode(sort_system, SolverConfig(seed=0), Mode.MULTISET,
+                                        checker=checker)
+        assert verdict.kind is VerdictKind.SAT
+        assert verdict.bounded
 
     def test_reva_collection_mode_too_coarse(self, reva):
         verdict = solve_collection_mode(reva, SolverConfig(seed=0), Mode.MULTISET)
@@ -597,6 +637,28 @@ class TestSolveAuto:
         assert verdict.stats["attempts"] == []
         assert multiprocessing.active_children() == []
 
+    def test_all_unknown_verdict_is_the_last_modes(self, monkeypatch):
+        # refutation's verdict, which arrives last, does not replace the last
+        # mode's reason
+        system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
+        witness = refute(system)
+        altered = replace(witness, atoms=(replace(witness.atoms[0], values=((2,),)),))
+
+        def slow_refute(*args, **kwargs):
+            time.sleep(0.3)
+            return altered
+
+        def unknown():
+            return Verdict(VerdictKind.UNKNOWN, reason="stub")
+
+        self.stub_modes(monkeypatch, unknown, unknown, 2)
+        monkeypatch.setattr(solver, "refute", slow_refute)
+        verdict = solve_auto(system, SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert verdict.reason == "stub"
+        assert verdict.mode == "list-len"
+        assert multiprocessing.active_children() == []
+
     def test_runner_exception_is_raised(self, monkeypatch, reva):
         def boom():
             raise RuntimeError("boom")
@@ -787,20 +849,6 @@ class TestNoReferenceCycles:
             for _ in range(50):
                 assert infer_all(data).complete
                 assert reachable_patterns(data)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-    def test_collection_scan_leaves_no_garbage(self):
-        from stpchc.smt_backend import _uses_collections
-
-        l1, l2 = TVar("l1", Sort.LIST), TVar("l2", Sort.LIST)
-        f = FImp(FEq(l1, TConcat(TRev(l1), l2)), FEq(l2, TConcat(l1, TLdiff(l1, l2))))
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(50):
-                assert not _uses_collections(f)
             assert gc.collect() == 0
         finally:
             gc.enable()
