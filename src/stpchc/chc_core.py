@@ -278,6 +278,14 @@ class _Parser:
         self.ctor_to_adt[cons_name] = info
 
     # -- terms ------------------------------------------------------------
+    def typed(self, node, scope: dict[str, Sort], sort: Sort) -> Term:
+        """`node` parsed as a term of `sort`."""
+        t = self.parse_term(node, scope)
+        got = _sort_of(t)
+        if got is not sort:
+            raise self.fail(f"ill-sorted term: expected {sort.value}, got {got.value}", node)
+        return t
+
     def parse_term(self, node, scope: dict[str, Sort]) -> Term:
         if isinstance(node, _Tok):
             text = node.text
@@ -299,29 +307,27 @@ class _Parser:
             if info.nat_like:
                 if len(args) != 1:
                     raise self.fail(f"{op} expects one argument", node)
-                return TCons(TInt(0), self.parse_term(args[0], scope))
+                return TCons(TInt(0), self.typed(args[0], scope, Sort.LIST))
             if len(args) != 2:
                 raise self.fail(f"{op} expects two arguments", node)
-            return TCons(
-                self.parse_term(args[0], scope), self.parse_term(args[1], scope)
-            )
+            op = "cons"  # the datatype's own name for it
         if op == "cons" and len(args) == 2:
             return TCons(
-                self.parse_term(args[0], scope), self.parse_term(args[1], scope)
+                self.typed(args[0], scope, Sort.INT), self.typed(args[1], scope, Sort.LIST)
             )
         if op == "+":
-            terms = [self.parse_term(a, scope) for a in args]
+            terms = [self.typed(a, scope, Sort.INT) for a in args]
             out = terms[0]
             for t in terms[1:]:
                 out = TAdd(out, t)
             return out
         if op == "-":
             if len(args) == 1:
-                t = self.parse_term(args[0], scope)
+                t = self.typed(args[0], scope, Sort.INT)
                 if isinstance(t, TInt):
                     return TInt(-t.value)
                 return TSub(TInt(0), t)
-            terms = [self.parse_term(a, scope) for a in args]
+            terms = [self.typed(a, scope, Sort.INT) for a in args]
             out = terms[0]
             for t in terms[1:]:
                 out = TSub(out, t)
@@ -329,8 +335,8 @@ class _Parser:
         if op == "*":
             if len(args) != 2:
                 raise self.fail("only binary * is supported", node)
-            a = self.parse_term(args[0], scope)
-            b = self.parse_term(args[1], scope)
+            a = self.typed(args[0], scope, Sort.INT)
+            b = self.typed(args[1], scope, Sort.INT)
             if isinstance(a, TInt):
                 return TMul(a.value, b)
             if isinstance(b, TInt):
@@ -339,10 +345,11 @@ class _Parser:
         if op == "ite":
             if len(args) != 3:
                 raise self.fail("ite expects three arguments", node)
+            then = self.parse_term(args[1], scope)
             return TIte(
                 self.parse_formula(args[0], scope),
-                self.parse_term(args[1], scope),
-                self.parse_term(args[2], scope),
+                then,
+                self.typed(args[2], scope, _sort_of(then)),
             )
         raise self.fail(f"unsupported term operator {op}", node)
 
@@ -363,7 +370,9 @@ class _Parser:
         sig = self.predicates[name]
         if len(args) != len(sig):
             raise self.fail(f"{name} expects {len(sig)} arguments", node)
-        return PredicateAtom(name, tuple(self.parse_term(a, scope) for a in args))
+        return PredicateAtom(
+            name, tuple(self.typed(a, scope, sort) for a, sort in zip(args, sig))
+        )
 
     def parse_formula(self, node, scope) -> Formula:
         if isinstance(node, _Tok):
@@ -390,22 +399,15 @@ class _Parser:
             for a in reversed(args[:-1]):
                 out = FImp(self.parse_formula(a, scope), out)
             return out
-        if op == "=":
-            return FEq(
-                self.parse_term(args[0], scope), self.parse_term(args[1], scope)
-            )
-        if op == "distinct":
-            return FNot(
-                FEq(self.parse_term(args[0], scope), self.parse_term(args[1], scope))
-            )
-        if op == "<=":
-            return FLe(self.parse_term(args[0], scope), self.parse_term(args[1], scope))
-        if op == "<":
-            return FLt(self.parse_term(args[0], scope), self.parse_term(args[1], scope))
-        if op == ">=":
-            return FLe(self.parse_term(args[1], scope), self.parse_term(args[0], scope))
-        if op == ">":
-            return FLt(self.parse_term(args[1], scope), self.parse_term(args[0], scope))
+        if op in ("=", "distinct"):
+            a = self.parse_term(args[0], scope)
+            eq = FEq(a, self.typed(args[1], scope, _sort_of(a)))
+            return eq if op == "=" else FNot(eq)
+        if op in ("<=", "<", ">=", ">"):
+            a, b = self.typed(args[0], scope, Sort.INT), self.typed(args[1], scope, Sort.INT)
+            if op in (">=", ">"):
+                a, b = b, a
+            return FLe(a, b) if op in ("<=", ">=") else FLt(a, b)
         raise self.fail(f"unsupported formula operator {op}", node)
 
     # -- clauses -----------------------------------------------------------
@@ -419,6 +421,8 @@ class _Parser:
             and body[0].text == "forall"
         ):
             for v in body[1]:
+                if v[0].text in scope:
+                    raise self.fail(f"duplicate binder {v[0].text}", v[0])
                 scope[v[0].text] = self.parse_sort(v[1])
             body = body[2]
         self.add_clause(body, scope)
@@ -497,7 +501,9 @@ class _Parser:
             ret = node[3]
             if not (isinstance(ret, _Tok) and ret.text == "Bool"):
                 raise self.fail("declare-fun must return Bool", node)
-            self.predicates[name] = tuple(self.parse_sort(s) for s in node[2])
+            sig = tuple(self.parse_sort(s) for s in node[2])
+            if self.predicates.setdefault(name, sig) != sig:
+                raise self.fail(f"{name} redeclared with another signature", node[1])
             return
         if cmd == "declare-datatypes":
             decls, defs = node[1], node[2]
@@ -510,6 +516,17 @@ class _Parser:
             self.handle_assert(node[1])
             return
         raise self.fail(f"unsupported command {cmd}", node)
+
+
+def _sort_of(t: Term) -> Sort:
+    """The sort of a parsed term: the parser checked that an `ite`'s two
+    branches agree."""
+    if type(t) is TVar:
+        return t.sort
+    if type(t) is TIte:
+        return _sort_of(t.then)
+    return Sort.LIST if type(t) in (TSeq, TCons) else Sort.INT
+
 
 def parse_smtlib(text: str, nat_as_list: bool = False) -> ChcSystem:
     try:

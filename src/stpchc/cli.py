@@ -125,17 +125,24 @@ def _parse_command(flag: str, text: Optional[str]) -> Optional[list[str]]:
     return words
 
 
+def _read(path: str) -> Optional[str]:
+    """The text of `path`, or None after printing why it cannot be read."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_solve(ns) -> int:
     if ns.timeout is not None and not (math.isfinite(ns.timeout) and ns.timeout >= 0):
         raise UsageError(f"bad --timeout {ns.timeout}; expected a finite number of seconds >= 0")
     bounds = None if ns.bounds is None else _parse_bounds(ns.bounds)
     smt_cmd = _parse_command("--smt-cmd", ns.smt_cmd)
     int_chc_cmd = _parse_command("--int-chc-cmd", ns.int_chc_cmd)
-    try:
-        with open(ns.file) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text = _read(ns.file)
+    if text is None:
         return 2
     try:
         system = parse_smtlib(text, nat_as_list=ns.nat_as_list)
@@ -195,11 +202,8 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_infer(ns) -> int:
-    try:
-        with open(ns.file) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text = _read(ns.file)
+    if text is None:
         return 2
     cfg = InferConfig(
         constants=ns.constants, postfix=ns.postfix, reverse=ns.reverse

@@ -320,13 +320,11 @@ class _Conjunct:
 
     names: tuple[str, ...]  # sorted
     holds: Callable  # the compiled formula
-    # FEq: (name, compiled other side) for each bare-variable side whose
-    # variable the other side does not mention, a-side first
-    defines: tuple = ()
-    # FEq: (variables, compiled side, other side), a-side first, for each
-    # side whose other side is not a collection view: once `side` is known,
-    # `other side` is matched against its value
-    inverts: tuple = ()
+    # FEq: for each of its variables v, (compiled side, other side) of the
+    # first side, a-side first, that does not mention v and whose other side
+    # is not a collection view, or None: once v is the only unknown, the
+    # other side is matched against the side's value, which binds a bare v
+    forces: dict = field(default_factory=dict)
     # FEq: the names of the bare-variable sides, a-side first
     bare: tuple[str, ...] = ()
 
@@ -343,17 +341,17 @@ def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
     holds = _formula(c, side)
     if type(c) is FEq:
         sides = ((c.a, c.b), (c.b, c.a))
+        candidates = [
+            (_vars(s), _guarded(s), other) for s, other in sides
+            if not isinstance(other, _COLLECTION_TERMS)
+        ]
         return _Conjunct(
             names,
             holds,
-            defines=tuple(
-                (s.name, _guarded(other)) for s, other in sides
-                if type(s) is TVar and s.name not in _vars(other)
-            ),
-            inverts=tuple(
-                (tuple(_vars(s)), _guarded(s), other) for s, other in sides
-                if not isinstance(other, _COLLECTION_TERMS)
-            ),
+            forces={
+                v: next(((side, other) for vs, side, other in candidates if v not in vs), None)
+                for v in names
+            },
             bare=tuple(s.name for s, _ in sides if type(s) is TVar),
         )
     return _Conjunct(names, holds)
@@ -398,24 +396,18 @@ def _force(c: _Conjunct, v: str, env: dict) -> Optional[bool]:
     """Assign `v`, the only unassigned variable of an equation, the value the
     equation forces: True when it did, False when no value can satisfy the
     equation, None when the equation does not force one."""
-    for name, other in c.defines:
-        if name == v:
-            value = other(env)
-            if value is _UNDEF:
-                return False
-            env[v] = value
-            return True
-    for known_vars, known, other in c.inverts:
-        if all(n in env for n in known_vars):
-            value = known(env)
-            if value is _UNDEF:
-                return False
-            matched = match_term(other, value, env)
-            if matched and v in env:
-                return True
-            env.pop(v, None)
-            return False if matched is False else None
-    return None
+    entry = c.forces.get(v)
+    if entry is None:
+        return None
+    known, other = entry
+    value = known(env)
+    if value is _UNDEF:
+        return False
+    matched = match_term(other, value, env)
+    if matched and v in env:
+        return True
+    env.pop(v, None)
+    return False if matched is False else None
 
 
 def _propagate(q: _Query, env: dict, live: list, trail: list) -> Optional[list]:

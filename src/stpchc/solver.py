@@ -111,7 +111,6 @@ from .pattern_core import (
     Cells,
     Mode,
     NotSolvableError,
-    RuleSet,
     TuplePattern,
     atom_index,
     atom_is_const,
@@ -142,34 +141,22 @@ class RefuteBudget:
 COLLECTION_BOUNDS = Bounds(max_list_len=3)
 
 
+# the model loop's fixed budgets
+MAX_ITERATIONS = 50  # sample, infer and check rounds per loop
+REVALIDATE_DEPTH = 8  # derivation depth of `derivable`'s gate on counterexamples
+INFER = InferConfig(postfix=True, reverse=True)  # every rule but constant letters
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
     # the bounded checker's bounds in every mode; None: each mode's default,
     # `Bounds()` for list and list-len, `COLLECTION_BOUNDS` for set and multiset
     bounds: Optional[Bounds] = None
-    sample_depth: int = 3
-    samples_per_pred: int = 10
-    sample_cap: int = 32
-    value_lo: int = 0
-    value_hi: int = 3
-    max_list_len: int = 4
-    max_iterations: int = 50
-    cex_batch: int = 16
-    revalidate_depth: int = 8
-    infer: InferConfig = InferConfig(constants=False, postfix=True, reverse=True)
-    refute: RefuteBudget = RefuteBudget()
+    # the sampler's budget; a depth bump samples at `replace(sampling, depth=...)`,
+    # and inference reads the first `per_pred_cap` rows of each predicate
+    sampling: SampleBudget = SampleBudget(count=10)
     timeout: Optional[float] = None
-
-    def sample_budget(self, depth: Optional[int] = None) -> SampleBudget:
-        return SampleBudget(
-            depth=self.sample_depth if depth is None else depth,
-            count=self.samples_per_pred,
-            value_lo=self.value_lo,
-            value_hi=self.value_hi,
-            max_list_len=self.max_list_len,
-            per_pred_cap=self.sample_cap,
-        )
 
 
 def _checker(cfg: SolverConfig, default: Bounds = Bounds()) -> BoundedChecker:
@@ -246,9 +233,7 @@ class _CollectionTerms(Cells):
         return TCollOf(TSeq((letter,)), self.style)
 
 
-def pattern_to_formula(
-    t: TuplePattern, args: Sequence[Term], rules: RuleSet = RuleSet()
-) -> Formula:
+def pattern_to_formula(t: TuplePattern, args: Sequence[Term]) -> Formula:
     """Quantifier-free version of membership in the pattern, built by
     replaying a solving reduction: variables are solved to ldiff/rdiff chains
     over the arguments, then every component is reconstructed."""
@@ -256,7 +241,7 @@ def pattern_to_formula(
         raise ValueError("use collection_pattern_to_formula for collection modes")
     if len(args) != t.arity:
         raise ValueError("arity mismatch")
-    path = solving_path(t, rules)
+    path = solving_path(t)
     if path is None:
         raise NotSolvableError("only solvable patterns translate to formulas")
     terms = tuple(args)
@@ -478,7 +463,7 @@ def _derivable(system: ChcSystem, pred: str, values: tuple, cfg: SolverConfig,
     remembered rejection stands."""
     if (pred, values) in refused:
         return False
-    if derivable(system, pred, values, cfg.revalidate_depth, cfg.sample_budget()):
+    if derivable(system, pred, values, REVALIDATE_DEPTH, cfg.sampling):
         return True
     refused.add((pred, values))
     return False
@@ -505,9 +490,9 @@ def build_list_model(system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig
             models[pred] = PredicateModel(pred, sig)
             continue
         matrix = LearningData(
-            [[row[i] for i in list_pos] for row in rows[: cfg.sample_cap]]
+            [[row[i] for i in list_pos] for row in rows[: cfg.sampling.per_pred_cap]]
         )
-        models[pred] = PredicateModel(pred, sig, patterns=(infer(matrix, cfg.infer),))
+        models[pred] = PredicateModel(pred, sig, patterns=(infer(matrix, INFER),))
     return CandidateModel(models)
 
 
@@ -530,7 +515,7 @@ def build_collection_model(
             models[pred] = PredicateModel(pred, sig, mode=mode, empty=True)
             continue
         cells = []
-        for row in rows[: cfg.sample_cap]:
+        for row in rows[: cfg.sampling.per_pred_cap]:
             cells.append(
                 [
                     (set(v) if mode is Mode.SET else tuple(v))
@@ -539,7 +524,7 @@ def build_collection_model(
                     for v in row
                 ]
             )
-        t = infer_collection(CollectionData(cells, mode), cfg.infer)
+        t = infer_collection(CollectionData(cells, mode), INFER)
         models[pred] = PredicateModel(
             pred,
             sig,
@@ -568,17 +553,17 @@ def _model_loop(
 
     rng = random.Random(cfg.seed)
     refused: set = set()  # atoms `derivable` rejected, asked once per loop
-    samples = collect_samples(system, cfg.sample_budget(), rng)
+    samples = collect_samples(system, cfg.sampling, rng)
     if initial_samples:
         screened, rejected = screen_samples(system, initial_samples, cfg, refused)
         stats["rejected_cex"] += rejected
         samples.extend(screened)
     depth_bump = 0
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         stats["iterations"] += 1
         model = build(_by_pred(system, samples))
         try:
-            dres = check_definite(model, system, checker, cfg.cex_batch)
+            dres = check_definite(model, system, checker)
         except NotSolvableError as exc:
             return unknown(str(exc))
         if dres.status == "unknown":
@@ -596,9 +581,8 @@ def _model_loop(
             samples.extend(new)
             continue
         depth_bump += 1
-        more = collect_samples(
-            system, cfg.sample_budget(cfg.sample_depth + depth_bump), rng
-        )
+        budget = replace(cfg.sampling, depth=cfg.sampling.depth + depth_bump)
+        more = collect_samples(system, budget, rng)
         fresh = [s for s in more if (s.predicate, s.values) not in known]
         if not fresh:
             return unknown("counterexamples rejected and sampling is exhausted")
@@ -861,9 +845,8 @@ class BuiltinIntChc:
         self, abstract: ChcSystem, cfg: SolverConfig, rng: random.Random
     ) -> Optional[dict[str, Formula]]:
         checker = _checker(cfg)
-        samples = collect_samples(
-            abstract, cfg.sample_budget(cfg.sample_depth + 1), rng
-        )
+        budget = replace(cfg.sampling, depth=cfg.sampling.depth + 1)
+        samples = collect_samples(abstract, budget, rng)
         table = _by_pred(abstract, samples)
         menus: dict[str, list[Formula]] = {}
         chosen: dict[str, int] = {}
@@ -1155,7 +1138,7 @@ STARTS_AFTER = {"list-len": "list"}
 
 def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None) -> Verdict:
     """`refute` as a runner: UNSAT only for a witness that replays."""
-    witness = refute(system, cfg.refute)
+    witness = refute(system)
     if witness is None:
         return Verdict(VerdictKind.UNKNOWN)
     if replay_derivation(system, witness):

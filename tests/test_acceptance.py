@@ -14,7 +14,7 @@ import pytest
 
 from stpchc.data import LearningData
 from stpchc.collection_inference import CollectionData, infer_collection
-from stpchc.chc_core import parse_smtlib
+from stpchc.chc_core import SampleBudget, parse_smtlib
 from stpchc.formulas import FImp, Sort, TConcat, TRev, TVar, FEq
 from stpchc.pattern_core import (
     Mode,
@@ -381,7 +381,7 @@ def test_counterexample_hygiene(bench):
 
         spurious = Sample("reva", ((0, 1, 2), (), (1, 2, 0)), ("counterexample",))
         assert not derivable(bench["reva"], "reva", spurious.values, 10)
-        cfg = SolverConfig(seed=0, sample_depth=0, samples_per_pred=4)
+        cfg = SolverConfig(seed=0, sampling=SampleBudget(depth=0, count=4))
         verdict = solve_list_mode(bench["reva"], cfg, initial_samples=[spurious])
         assert verdict.kind is VerdictKind.SAT
         assert verdict.stats["rejected_cex"] >= 1

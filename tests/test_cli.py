@@ -178,6 +178,55 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: unsupported sort Bool (line 2, column 17)")
 
+    LST = "(declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))\n"
+
+    @pytest.mark.parametrize("clauses, message", [
+        (
+            "(declare-fun p (Lst) Bool)\n"
+            "(assert (p nil))\n"
+            "(declare-fun p (Lst Lst) Bool)\n"
+            "(assert (forall ((l Lst) (m Lst)) (=> (p l m) false)))\n",
+            "p redeclared with another signature (line 5, column 14)",
+        ),
+        (
+            "(declare-fun p (Lst) Bool)\n"
+            "(assert (forall ((n Int)) (p n)))\n"
+            "(assert (forall ((l Lst)) (=> (p l) false)))\n",
+            "ill-sorted term: expected List, got Int (line 4, column 30)",
+        ),
+        (
+            "(declare-fun p (Lst) Bool)\n"
+            "(assert (forall ((x Int) (x Lst)) (p x)))\n",
+            "duplicate binder x (line 4, column 27)",
+        ),
+        (
+            "(declare-fun p (Lst Int) Bool)\n"
+            "(assert (forall ((l Lst)) (p l (+ l 1))))\n",
+            "ill-sorted term: expected Int, got List (line 4, column 35)",
+        ),
+        (
+            "(declare-fun p (Lst) Bool)\n"
+            "(assert (forall ((l Lst)) (p (cons l nil))))\n",
+            "ill-sorted term: expected Int, got List (line 4, column 36)",
+        ),
+    ], ids=["redeclared", "int-as-list", "duplicate-binder", "list-plus", "list-head"])
+    def test_ill_sorted_input_rejected(self, capsys, tmp_path, clauses, message):
+        # a located parse error, not a traceback or a verdict on what the
+        # solver made of the input
+        p = tmp_path / "ill_sorted.smt2"
+        p.write_text("(set-logic HORN)\n" + self.LST + clauses)
+        code, out, err = run(capsys, "solve", str(p))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "infer"])
+    def test_non_utf8_input_rejected(self, capsys, tmp_path, command):
+        p = tmp_path / "bytes.smt2"
+        p.write_bytes(b"\xff(set-logic HORN)\n")
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     def test_deep_nesting_reported(self, capsys, tmp_path):
         # deeper than the interpreter's recursion limit: still a located
         # parse error, not a traceback with the exit code of unsat

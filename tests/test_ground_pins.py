@@ -5,6 +5,7 @@ sampled shows up here."""
 
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -82,5 +83,5 @@ def test_samples_pinned(name):
     for depth in range(3, 6):
         for seed in range(3):
             rng = random.Random(seed)
-            samples = collect_samples(system, SolverConfig().sample_budget(depth), rng)
+            samples = collect_samples(system, replace(SolverConfig().sampling, depth=depth), rng)
             assert digest((samples, rng.random())) == SAMPLE_PINS[name, depth, seed]

@@ -96,7 +96,7 @@ class TestListMode:
     def test_reva_from_facts_only_uses_counterexamples(self, reva):
         # with depth-0 sampling only the base facts are known, so the loop
         # must walk the counterexample-guided path
-        cfg = SolverConfig(seed=0, sample_depth=0, samples_per_pred=4)
+        cfg = SolverConfig(seed=0, sampling=SampleBudget(depth=0, count=4))
         verdict = solve_list_mode(reva, cfg)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.stats["accepted_cex"] >= 1
@@ -146,7 +146,7 @@ class TestCounterexampleHygiene:
         assert not derivable(reva, "reva", self.SPURIOUS.values, 10)
 
     def test_solve_converges_despite_spurious_injection(self, reva):
-        cfg = SolverConfig(seed=0, sample_depth=0, samples_per_pred=4)
+        cfg = SolverConfig(seed=0, sampling=SampleBudget(depth=0, count=4))
         verdict = solve_list_mode(reva, cfg, initial_samples=[self.SPURIOUS])
         assert verdict.kind is VerdictKind.SAT
         assert verdict.stats["rejected_cex"] >= 1
