@@ -9,10 +9,11 @@ evaluates to False, which matches their guarded use."""
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Union
+
+from .pattern_core import bag_minus
 
 
 class Sort(Enum):
@@ -292,10 +293,10 @@ def eval_term(t: Term, env: Mapping[str, object]):
             if not b <= a:
                 raise Undefined("set difference without containment")
             return a - b
-        ca, cb = Counter(a), Counter(b)
-        if cb - ca:
+        rest = bag_minus(a, b)  # multisets are sorted tuples
+        if rest is None:
             raise Undefined("multiset difference without containment")
-        return tuple(sorted((ca - cb).elements()))
+        return rest
     if tt is TCount:
         x = eval_term(t.x, env)
         l = eval_term(t.l, env)
@@ -306,7 +307,7 @@ def eval_term(t: Term, env: Mapping[str, object]):
 def _is_subset(a, b) -> bool:
     if isinstance(a, frozenset):
         return a <= b
-    return not (Counter(a) - Counter(b))
+    return bag_minus(b, a) is not None
 
 
 # the meaning of each atom, given the values of its two terms

@@ -25,6 +25,24 @@ closures for code generation", 1987).  Every atom side with a variable below
 its root keeps its own cache, keyed by the values of its variables, undefined
 results included; equal sides of one query share one cache.
 
+The search breaks the symmetry of element values (the least-number heuristic
+of SEM: Zhang & Zhang, IJCAI 1995).  Once per query, a union-find over its
+Int-valued terms, joined by equations and `ite` branches, puts every list
+element, `cons` head, `count` element and integer of a collection view in
+one element class.  The precondition is that no arithmetic (`+`, `-`, `*`,
+`len`, the result of `count`) and no order atom meets that class.  Then any
+permutation of element values that keeps each block (`0..max_elem` within
+the integer range, the integer range only, the elements only) and fixes the
+values of the query's constants maps counterexamples to counterexamples.  So
+where a branch assigns a list or an Int of the element class, it tries only
+the values whose new elements are each the least value of their block that
+the assignment so far does not use.  Every value it skips comes after the
+canonical value that stands for it, and the same counterexamples lie below
+both, so the reduced search decides validity, and finds the same first
+counterexample, as the full one.  A query asking for more than one
+counterexample that does have one is searched again without reduction, so
+its ordered list is exactly the full search's.
+
 The external checker drives an SMT process over the sequence theory, through
 `ask`, the one helper that runs an external solver; collection atoms have no
 encoding there.  Its counter-models are never trusted without re-evaluation.
@@ -42,6 +60,7 @@ from typing import Callable, Optional
 from .chc_core import match_term, read_sexps, symbol
 from .formulas import (
     _ATOMS,
+    _TERM_CHILDREN,
     FAnd,
     FEq,
     FFalse,
@@ -201,17 +220,6 @@ def _term(t: Term) -> Callable:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _is_subset(a, b) -> bool:
-    if isinstance(a, frozenset):
-        return a <= b
-    return bag_minus(b, a) is not None
-
-
-# `formulas._ATOMS`, with a multiset inclusion that builds no `Counter`:
-# compiled multisets are sorted tuples, so one merge takes the difference
-_HOLDS = {**_ATOMS, FSubset: _is_subset}
-
-
 def _guarded(t: Term) -> Callable:
     """`t` compiled as an atom side that is not cached: its value, or
     `_UNDEF` where it is undefined."""
@@ -291,7 +299,7 @@ def _formula(f: Formula, side: Callable) -> Callable:
     if ft is FImp:
         a, b = _formula(f.a, side), _formula(f.b, side)
         return lambda env: (not a(env)) or b(env)
-    holds = _HOLDS.get(ft)
+    holds = _ATOMS.get(ft)
     if holds is None:
         raise TypeError(f"not a formula: {f!r}")
     a, b = side(f.a), side(f.b)
@@ -311,6 +319,155 @@ def _vars(t: Term) -> dict:
     out: dict = {}
     term_vars(t, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# symmetry: which element values a query cannot tell apart
+
+# The union-find node every list element belongs to.
+_ELEM = "element"
+
+
+@dataclass
+class _Facts:
+    """What one walk over a query learns of its Int-valued terms.  A node is
+    an Int-valued term, `_ELEM`, or `(i,)` for the i-th integer constant, so
+    that two occurrences of one constant stay apart."""
+
+    joins: list = field(default_factory=list)  # pairs of nodes of one class
+    arithmetic: list = field(default_factory=list)  # nodes whose class is not permuted
+    constants: list = field(default_factory=list)  # (node, value)
+    fixed: set = field(default_factory=set)  # element values of list constants
+
+
+def _classify_term(t: Term, facts: _Facts):
+    """Walk `t` into `facts`: its node when `t` is Int-valued, else None."""
+    tt = type(t)
+    if tt is TVar:
+        return t if t.sort is Sort.INT else None
+    if tt is TInt:
+        node = (len(facts.constants),)
+        facts.constants.append((node, t.value))
+        return node
+    if tt is TSeq:
+        facts.fixed.update(t.values)
+        return None
+    if tt is TCons:
+        facts.joins.append((_classify_term(t.head, facts), _ELEM))
+        _classify_term(t.tail, facts)
+        return None
+    if tt is TAdd or tt is TSub:
+        facts.arithmetic += [_classify_term(t.a, facts), _classify_term(t.b, facts), t]
+        return t
+    if tt is TMul:
+        facts.arithmetic += [_classify_term(t.t, facts), t]
+        return t
+    if tt is TLen:
+        _classify_term(t.t, facts)
+        facts.arithmetic.append(t)
+        return t
+    if tt is TCount:
+        facts.joins.append((_classify_term(t.x, facts), _ELEM))
+        _classify_term(t.l, facts)
+        facts.arithmetic.append(t)
+        return t
+    if tt is TIte:
+        _classify_formula(t.cond, facts)
+        then, other = _classify_term(t.then, facts), _classify_term(t.other, facts)
+        if then is None:
+            return None
+        facts.joins += [(t, then), (t, other)]
+        return t
+    if tt is TCollOf:
+        node = _classify_term(t.t, facts)
+        if node is not None:
+            facts.joins.append((node, _ELEM))
+        return None
+    for name in _TERM_CHILDREN[tt]:  # a list or collection operation
+        _classify_term(getattr(t, name), facts)
+    return None
+
+
+def _classify_formula(f: Formula, facts: _Facts) -> None:
+    ft = type(f)
+    if ft is FAnd or ft is FOr:
+        for p in f.parts:
+            _classify_formula(p, facts)
+    elif ft is FNot:
+        _classify_formula(f.f, facts)
+    elif ft is FImp:
+        _classify_formula(f.a, facts)
+        _classify_formula(f.b, facts)
+    elif ft is not FTrue and ft is not FFalse:
+        a, b = _classify_term(f.a, facts), _classify_term(f.b, facts)
+        if ft is FEq:
+            if a is not None and b is not None:
+                facts.joins.append((a, b))
+        elif ft is not FSubset:  # an order atom; on lists, it orders elements
+            facts.arithmetic += [_ELEM if a is None else a, _ELEM if b is None else b]
+
+
+def _find(parent: dict, node):
+    while node in parent:
+        node = parent[node]
+    return node
+
+
+@dataclass
+class _Symmetry:
+    """The element values of a query that no permutation may move, the
+    variables whose values a permutation moves, and the canonical values of
+    each domain, by used set, built as the search asks for them."""
+
+    fixed: frozenset
+    lists: frozenset  # every List variable
+    ints: frozenset  # the Int variables of the element class
+    block_of: dict  # each permutable value -> the sorted values of its block
+    table: dict = field(default_factory=dict)  # (domain, used) -> values
+
+
+def _symmetry(f: Formula, variables: dict, bounds: Bounds) -> Optional[_Symmetry]:
+    """How the search may break the symmetry of `f`, or None when it may
+    not: when an element value meets arithmetic or an order, or when no
+    variable holds element values."""
+    facts = _Facts()
+    _classify_formula(f, facts)
+    parent: dict = {}
+    for a, b in facts.joins:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+    elem = _find(parent, _ELEM)
+    if any(_find(parent, node) == elem for node in facts.arithmetic):
+        return None
+    lists = frozenset(n for n, s in variables.items() if s is Sort.LIST)
+    ints = frozenset(
+        n for n, s in variables.items()
+        if s is Sort.INT and _find(parent, TVar(n, s)) == elem
+    )
+    if not lists and not ints:
+        return None
+    facts.fixed.update(v for node, v in facts.constants if _find(parent, node) == elem)
+    elems = set(range(bounds.max_elem + 1))
+    ints_range = set(range(bounds.int_lo, bounds.int_hi + 1))
+    block_of = {}
+    for block in (elems & ints_range, ints_range - elems, elems - ints_range):
+        ordered = tuple(sorted(block))
+        block_of.update(dict.fromkeys(ordered, ordered))
+    return _Symmetry(frozenset(facts.fixed), lists, ints, block_of)
+
+
+def _is_canonical(value, used: frozenset, block_of: dict) -> bool:
+    """Whether each element of `value` not in `used` is the least value of
+    its block that is neither in `used` nor earlier in `value`."""
+    seen = set(used)
+    for e in value if type(value) is tuple else (value,):
+        if e in seen:
+            continue
+        if e != next(x for x in block_of[e] if x not in seen):
+            return False
+        seen.add(e)
+    return True
 
 
 @dataclass(frozen=True)
@@ -367,7 +524,31 @@ class _Query:
     names: list[str]  # every variable, in order of first occurrence
     domains: dict[str, tuple]
     limit: int
+    symmetry: Optional[_Symmetry]  # None: every branch tries its whole domain
     results: list = field(default_factory=list)
+
+
+def _values(q: _Query, v: str, env: dict) -> tuple:
+    """The values a branch on `v` tries under `env`: its domain, or where the
+    query is symmetric and `v` holds element values, the values of its
+    domain that are canonical for the element values `env` uses, in domain
+    order."""
+    sym = q.symmetry
+    domain = q.domains[v]
+    if sym is None or (v not in sym.lists and v not in sym.ints):
+        return domain
+    used = set(sym.fixed)
+    for name, value in env.items():
+        if name in sym.lists:
+            used.update(value)
+        elif name in sym.ints:
+            used.add(value)
+    key = (v in sym.lists, frozenset(used))
+    values = sym.table.get(key)
+    if values is None:
+        values = tuple(x for x in domain if _is_canonical(x, key[1], sym.block_of))
+        sym.table[key] = values
+    return values
 
 
 def _report(q: _Query, env: dict) -> bool:
@@ -471,7 +652,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
                 _sweep(q, env, cons_only)
                 return
             v = enumerable[0]
-            for val in q.domains[v]:
+            for val in _values(q, v, env):
                 env[v] = val
                 if all(c.holds(env) for c in live) and _sweep(
                     q, env, cons_only
@@ -480,7 +661,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
             env.pop(v, None)
             return
         v = _pick(live[0], env)
-        for val in q.domains[v]:
+        for val in _values(q, v, env):
             env[v] = val
             _search(q, env, live)
             del env[v]
@@ -505,15 +686,23 @@ class BoundedChecker:
         variables = formula_vars(f)
         conjuncts = _flatten_and(f.a) if isinstance(f, FImp) else []
         side = functools.partial(_side, sides={})
+        symmetry = _symmetry(f, variables, self.bounds)
         q = _Query(
             formula=f,
             target=_formula(f.b if isinstance(f, FImp) else f, side),
             names=list(variables),
             domains={n: self._ints if s is Sort.INT else self._lists
                      for n, s in variables.items()},
-            limit=limit,
+            limit=limit if symmetry is None else 1,
+            symmetry=symmetry,
         )
-        _search(q, {}, [_plan_conjunct(c, side) for c in conjuncts])
+        plan = [_plan_conjunct(c, side) for c in conjuncts]
+        _search(q, {}, plan)
+        if q.results and q.limit < limit:
+            # the reduced search finds the first counterexample, not the
+            # ordered list: search again without reduction
+            q.symmetry, q.limit, q.results = None, limit, []
+            _search(q, {}, plan)
         for cex in q.results:
             assert eval_formula(f, cex) is False
         return q.results

@@ -780,14 +780,19 @@ class TestRefuteExamples:
 
 class TestTimeout:
     TIMEOUT = 0.1
+    # at the default bounds some modes finish inside the deadline (reva's list
+    # mode in about 50 ms); with lists up to length 6 every mode that reaches
+    # the checker takes seconds
+    BOUNDS = Bounds(max_list_len=6)
 
     @pytest.mark.parametrize("mode", ["auto", *mode_registry()])
     def test_every_mode_honours_timeout(self, mode, sort_system, reva):
         # sort first; a mode that gives up on sort before the deadline (list
         # mode does, in milliseconds) is timed on reva
+        cfg = SolverConfig(seed=0, timeout=self.TIMEOUT, bounds=self.BOUNDS)
         for system in (sort_system, reva):
             started = time.monotonic()
-            verdict = solve(system, SolverConfig(seed=0, timeout=self.TIMEOUT), mode=mode)
+            verdict = solve(system, cfg, mode=mode)
             elapsed = time.monotonic() - started
             assert elapsed < self.TIMEOUT + 0.7, (system, elapsed)
             if elapsed >= self.TIMEOUT:
