@@ -19,7 +19,7 @@ from typing import Optional
 
 from .alphabet import parse_cell
 from .chc_core import ParseError, parse_smtlib
-from .collection_inference import CollectionData, infer_all_collection, infer_collection
+from .collection_inference import CollectionData
 from .data import LearningData
 from .pattern_core import (
     Mode,
@@ -223,17 +223,15 @@ def _run_infer(ns, text: str, cfg: InferConfig) -> int:
             for line in _csv_rows(text)
         ]
         data = CollectionData(rows, mode)
-        infer_one, infer_every = infer_collection, infer_all_collection
     else:
         data = LearningData.from_csv(text)
-        infer_one, infer_every = infer, infer_all
     if ns.all:
-        result = infer_every(data, cfg)
+        result = infer_all(data, cfg)
         patterns = sorted(render_pattern(t) for t in result.patterns)
         if not result.complete:
             print("; warning: state limit hit, pattern set is partial", file=sys.stderr)
     else:
-        patterns = [render_pattern(infer_one(data, cfg))]
+        patterns = [render_pattern(infer(data, cfg))]
     if ns.json:
         print(json.dumps({"patterns": patterns}))
     else:

@@ -7,39 +7,23 @@ permutation.
 
 The rules are those of `pattern_core.RULE_TABLE`, restricted to the front
 rules with element and letter auxiliaries (collections have no back side and
-no reversal).  This module supplies the cell algebra of set and multiset
-data columns; the pattern side uses `pattern_core.BAGS`, and inference runs
-the rewrite loop and normal-form explorer of `stp_inference`.
+no reversal).  This module supplies only the data: `CollectionData` and the
+cell algebra of its columns.  Everything else is the one API of every mode:
+`stp_inference.infer` and `infer_all` read the algebra from the data, and
+`pattern_core.solving_path`, `is_solvable` and `member` read it from the
+pattern's mode (`pattern_core.BAGS` for set and multiset elements).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .pattern_core import (
-    BAGS,
-    DEFAULT_RULES,
-    Cells,
-    Mode,
-    NotSolvableError,
-    TuplePattern,
-    bag_minus,
-    find_path,
-    replays,
-)
-from .stp_inference import InferConfig, InferenceResult, final_state, infer_all
+from .pattern_core import BAGS, Cells, Mode, bag_minus, member
+from .stp_inference import infer
 
 # Collections are stored as sorted tuples of letters; set-mode cells simply
 # never contain duplicates.
 Coll = tuple[int, ...]
-
-
-def as_set(values: Iterable[int]) -> Coll:
-    return tuple(sorted(set(values)))
-
-
-def as_multiset(values: Iterable[int]) -> Coll:
-    return tuple(sorted(values))
 
 
 class CollectionData:
@@ -124,49 +108,7 @@ class _CollectionColumns(Cells):
 _COLUMNS = {mode: _CollectionColumns(mode) for mode in (Mode.SET, Mode.MULTISET)}
 
 
-# ---------------------------------------------------------------------------
-# inference
-
-def infer_collection(data: CollectionData, cfg: InferConfig = InferConfig()) -> TuplePattern:
-    """Deterministic collection-mode inference: strip shared sub-collections
-    (and shared elements, with constants enabled) until stuck."""
-    if data.m == 0 or data.n == 0:
-        raise ValueError("collection data must have at least one row and column")
-    return final_state(data, cfg).pattern
-
-
-def infer_all_collection(
-    data: CollectionData, cfg: InferConfig = InferConfig()
-) -> InferenceResult:
-    """All normal forms over every reduction order (see `infer_all`)."""
-    return infer_all(data, cfg)
-
-
-# ---------------------------------------------------------------------------
-# decision procedures (the residual method on atom bags)
-
-def collection_solving_path(t: TuplePattern) -> Optional[list]:
-    return find_path(t.elements, BAGS, DEFAULT_RULES, exhaustive=True)
-
-
-def collection_solvable(t: TuplePattern) -> bool:
-    return collection_solving_path(t) is not None
-
-
-def collection_member(values: Sequence[Iterable[int]], t: TuplePattern) -> bool:
-    """Tuple membership for set/multiset patterns: replay a solving reduction
-    of the pattern on the values, as one-row data."""
-    if t.mode not in (Mode.SET, Mode.MULTISET):
-        raise ValueError("collection_member expects a set or multiset pattern")
-    if len(values) != t.arity:
-        raise ValueError("arity mismatch")
-    path = collection_solving_path(t)
-    if path is None:
-        raise NotSolvableError("membership requires a solvable pattern")
-    normalize = as_set if t.mode is Mode.SET else as_multiset
-    vals = [normalize(v) for v in values]
-    if t.mode is Mode.SET:
-        for v, raw in zip(vals, values):
-            if len(tuple(raw)) != len(v):
-                return False
-    return replays(tuple((v,) for v in vals), path, _COLUMNS[t.mode])
+# `perfbench/` looks these names up; they are the generic entry points, kept
+# under their old names until the benchmark calls `infer` and `member`.
+infer_collection = infer
+collection_member = member

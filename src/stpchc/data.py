@@ -59,10 +59,6 @@ class LearningData:
         return f"LearningData[{body}]"
 
     @classmethod
-    def from_strings(cls, rows: Iterable[Sequence[str]]) -> "LearningData":
-        return cls([[parse_cell(c) for c in row] for row in rows])
-
-    @classmethod
     def from_csv(cls, text: str) -> "LearningData":
         reader = csv.reader(io.StringIO(text))
         rows = [[parse_cell(c) for c in row] for row in reader if row]

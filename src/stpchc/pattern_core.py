@@ -7,9 +7,10 @@ multiset sum in the collection modes).
 
 This module provides the data model, the rule table of the reduction
 relation with its extensions (constants, postfix, reverse), and the
-polynomial decision procedures built on it: solvability, membership,
-inclusion, equivalence, and the construction of two-row identifying
-learning data.
+polynomial decision procedures built on it: solvability and membership in
+every mode, the pattern's mode picking the algebra; inclusion, equivalence
+and the construction of two-row identifying learning data for sequence
+patterns.
 
 The rule table
 --------------
@@ -177,9 +178,6 @@ class TuplePattern:
 
     def has_reverse(self) -> bool:
         return any(atom_is_reversed(a) for el in self.elements for a in el)
-
-    def has_constants(self) -> bool:
-        return any(atom_is_const(a) for el in self.elements for a in el)
 
     def __str__(self) -> str:
         return render_pattern(self)
@@ -368,7 +366,6 @@ class RuleSet:
 
 
 DEFAULT_RULES = RuleSet()
-BASE_RULES = RuleSet(constants=True, postfix=False, reverse=False)
 
 
 @dataclass(frozen=True)
@@ -675,9 +672,13 @@ def solving_path(
     t: TuplePattern | Sequence[Element], rules: RuleSet = DEFAULT_RULES
 ) -> Optional[list[tuple[PredStep, tuple]]]:
     """A reduction sequence from `t` to a tuple of distinct variables, or
-    None if there is none.  Greedy reduction suffices without reverse atoms;
-    with them the search is exhaustive, because reverse atoms break weak
-    confluence, so a stuck greedy reduction proves nothing."""
+    None if there is none.  The pattern's mode picks the algebra (a bare
+    element tuple is a sequence pattern).  On sequences greedy reduction
+    suffices without reverse atoms; with them the search is exhaustive,
+    because reverse atoms break weak confluence, so a stuck greedy reduction
+    proves nothing.  On sets and multisets the search is always exhaustive."""
+    if isinstance(t, TuplePattern) and t.mode is not Mode.SEQUENCE:
+        return find_path(t.elements, BAGS, rules, exhaustive=True)
     elements = t.elements if isinstance(t, TuplePattern) else tuple(t)
     has_rev = any(atom_is_reversed(a) for el in elements for a in el)
     return find_path(elements, STRINGS, rules, exhaustive=rules.reverse and has_rev)
@@ -703,35 +704,37 @@ def residual(
     return None if res is None else TuplePattern(res)
 
 
-def _includes_elements(t1, t2, rules: RuleSet) -> bool:
-    if len(t1) != len(t2):
-        return False
-    path = solving_path(t2, rules)
-    if path is None:
-        raise NotSolvableError("inclusion requires a solvable right-hand pattern")
-    return replays(t1, path, STRINGS)
-
-
 def includes(
     t1: TuplePattern, t2: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Language inclusion of solvable patterns."""
-    if not is_solvable(t1, rules):
+    """Language inclusion of solvable sequence patterns."""
+    if not is_solvable(t1.elements, rules):
         raise NotSolvableError("inclusion requires solvable patterns")
-    return _includes_elements(t1.elements, t2.elements, rules)
+    if t1.arity != t2.arity:
+        return False
+    path = solving_path(t2.elements, rules)
+    if path is None:
+        raise NotSolvableError("inclusion requires a solvable right-hand pattern")
+    return replays(t1.elements, path, STRINGS)
 
 
 def member(
-    values: Sequence[Cell], t: TuplePattern, rules: RuleSet = DEFAULT_RULES
+    values: Sequence[Iterable[int]], t: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Tuple membership, decided through the inclusion procedure on the
-    constant pattern of `values`."""
-    if t.mode is not Mode.SEQUENCE:
-        raise ValueError("use collection_member for set/multiset patterns")
+    """Tuple membership in a pattern of any mode: a solving path of `t`
+    replays on the constant pattern of `values`.  Set and multiset cells
+    may come in any order; a set-mode cell with a repeated element is in no
+    set pattern's language."""
     if len(values) != t.arity:
         raise ValueError("arity mismatch")
-    consts = tuple(tuple(const_atom(v) for v in cell) for cell in values)
-    return _includes_elements(consts, t.elements, rules)
+    path = solving_path(t, rules)
+    if path is None:
+        raise NotSolvableError("membership requires a solvable pattern")
+    alg = STRINGS if t.mode is Mode.SEQUENCE else BAGS
+    consts = tuple(alg.rebuild([const_atom(v) for v in cell]) for cell in values)
+    if t.mode is Mode.SET and any(len(set(el)) != len(el) for el in consts):
+        return False
+    return replays(consts, path, alg)
 
 
 def equivalent(
@@ -828,12 +831,12 @@ def canonical_data(
     """Two-row learning data that identifies `t` among inference results:
     row one substitutes per-variable prefix codewords over letters a/b, row
     two the same codewords with a and b swapped."""
+    if t.mode is not Mode.SEQUENCE:
+        raise ValueError("identifying data is defined for sequence patterns")
     if rules is None:
         rules = RuleSet(constants=True, postfix=True, reverse=t.has_reverse())
     if not is_solvable(t, rules):
         raise NotSolvableError("identifying data exists only for solvable patterns")
-    if t.mode is not Mode.SEQUENCE:
-        raise ValueError("identifying data is defined for sequence patterns")
     variables = t.variables()
     reverse_safe = rules.reverse and t.has_reverse()
     codes = _codewords(len(variables), reverse_safe=reverse_safe)

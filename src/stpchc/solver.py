@@ -1,13 +1,16 @@
 """CHC solving by pattern inference.
 
-The core loop: sample the least model, infer one pattern per predicate,
-check the definite clauses, and feed revalidated counterexamples back as new
-samples, until the definite clauses pass; within one loop, `derivable` is
-asked about each atom once.  List, set and multiset mode then check the
-goals; list-len mode instead strengthens list mode's patterns with length
-invariants from an integer-CHC backend (external or the built-in linear
-fitter) on the length abstraction.  Around them: a breadth-first ground
-refutation search, and the mode sequencer that ties them together.
+The core loop (`_solve_patterns`): sample the least model, infer one pattern
+per predicate, check the definite clauses, and feed revalidated
+counterexamples back as new samples, until the definite clauses pass, then
+check the goals; within one loop, `derivable` is asked about each atom once.
+List, set and multiset mode are this one loop, the pattern mode picking the
+algebra of inference (`build_model`) and of the membership formulas
+(`pattern_to_formula`).  List-len mode instead strengthens list mode's
+patterns with length invariants from an integer-CHC backend (external or the
+built-in linear fitter) on the length abstraction.  Around them: a
+breadth-first ground refutation search, and the mode sequencer that ties
+them together.
 
 Sampling (`collect_samples`) and refutation (`refute`) run on the one ground
 join engine of `chc_core`: sampling with seeded-random values for the
@@ -64,8 +67,7 @@ from .chc_core import (
 )
 from .collection_inference import (
     CollectionData,
-    collection_solving_path,
-    infer_collection,
+    infer_collection,  # unused here; perfbench/tracing.py probes this name
 )
 from .data import LearningData
 from .formulas import (
@@ -235,15 +237,21 @@ class _CollectionTerms(Cells):
 
 def pattern_to_formula(t: TuplePattern, args: Sequence[Term]) -> Formula:
     """Quantifier-free version of membership in the pattern, built by
-    replaying a solving reduction: variables are solved to ldiff/rdiff chains
-    over the arguments, then every component is reconstructed."""
-    if t.mode is not Mode.SEQUENCE:
-        raise ValueError("use collection_pattern_to_formula for collection modes")
+    replaying a solving reduction.  Sequence mode solves the variables to
+    ldiff/rdiff chains over the arguments, then reconstructs every
+    component; set and multiset mode take the containment conditions of the
+    reduction's difference terms."""
     if len(args) != t.arity:
         raise ValueError("arity mismatch")
     path = solving_path(t)
     if path is None:
         raise NotSolvableError("only solvable patterns translate to formulas")
+    if t.mode is not Mode.SEQUENCE:
+        cells = _CollectionTerms(t.mode.value)
+        terms = tuple(TCollOf(a, cells.style) for a in args)
+        for step, _succ in path:
+            terms = strip(terms, step, cells)
+        return fand(cells.conditions)
     terms = tuple(args)
     for step, _succ in path:
         terms = strip(terms, step, _TERMS)
@@ -275,25 +283,6 @@ def pattern_to_formula(t: TuplePattern, args: Sequence[Term]) -> Formula:
     return fand(conditions)
 
 
-def collection_pattern_to_formula(
-    t: TuplePattern, args: Sequence[Term]
-) -> Formula:
-    """Membership in a set/multiset pattern as a chain of containment
-    conditions mirroring a solving reduction."""
-    if t.mode not in (Mode.SET, Mode.MULTISET):
-        raise ValueError("expects a collection pattern")
-    if len(args) != t.arity:
-        raise ValueError("arity mismatch")
-    path = collection_solving_path(t)
-    if path is None:
-        raise NotSolvableError("only solvable patterns translate to formulas")
-    cells = _CollectionTerms("set" if t.mode is Mode.SET else "multiset")
-    terms = tuple(TCollOf(a, cells.style) for a in args)
-    for step, _succ in path:
-        terms = strip(terms, step, cells)
-    return fand(cells.conditions)
-
-
 # ---------------------------------------------------------------------------
 # candidate models
 
@@ -317,14 +306,12 @@ class PredicateModel:
     def formula(self, args: Sequence[Term]) -> Formula:
         if self.empty:
             return FALSE
-        parts: list[Formula] = []
+        # sequence patterns range over the list arguments, collection
+        # patterns over every argument
+        over = args
         if self.mode is Mode.SEQUENCE:
-            list_args = [args[i] for i in self.list_positions()]
-            for t in self.patterns:
-                parts.append(pattern_to_formula(t, list_args))
-        else:
-            for t in self.patterns:
-                parts.append(collection_pattern_to_formula(t, args))
+            over = [args[i] for i in self.list_positions()]
+        parts = [pattern_to_formula(t, over) for t in self.patterns]
         if self.count_model:
             parts.append(FEq(args[2], TCount(args[0], args[1])))
         if self.length_formula is not None:
@@ -439,23 +426,6 @@ def admit_counterexamples(
     return [], rejected
 
 
-def screen_samples(
-    system: ChcSystem, samples: Sequence[Sample], cfg: SolverConfig,
-    refused: Optional[set] = None,
-) -> tuple[list[Sample], int]:
-    """Derived samples are trusted; counterexample-provenance samples must
-    pass the derivability gate before they are used.  `refused` as for
-    `admit_counterexamples`."""
-    refused = set() if refused is None else refused
-    out, rejected = [], 0
-    for s in samples:
-        if s.derived or _derivable(system, s.predicate, s.values, cfg, refused):
-            out.append(s)
-        else:
-            rejected += 1
-    return out, rejected
-
-
 def _derivable(system: ChcSystem, pred: str, values: tuple, cfg: SolverConfig,
                refused: set) -> bool:
     """`derivable` at `cfg`'s depth and budget, remembering its rejections
@@ -478,24 +448,6 @@ def _by_pred(system: ChcSystem, samples: Sequence[Sample]) -> dict[str, list[tup
     return table
 
 
-def build_list_model(system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig) -> CandidateModel:
-    models = {}
-    for pred, sig in system.predicates.items():
-        rows = samples_by_pred.get(pred, [])
-        list_pos = [i for i, s in enumerate(sig) if s is Sort.LIST]
-        if not rows:
-            models[pred] = PredicateModel(pred, sig, empty=True)
-            continue
-        if not list_pos:
-            models[pred] = PredicateModel(pred, sig)
-            continue
-        matrix = LearningData(
-            [[row[i] for i in list_pos] for row in rows[: cfg.sampling.per_pred_cap]]
-        )
-        models[pred] = PredicateModel(pred, sig, patterns=(infer(matrix, INFER),))
-    return CandidateModel(models)
-
-
 def _count_semantics(sig, rows) -> bool:
     if tuple(sig) != (Sort.INT, Sort.LIST, Sort.INT) or not rows:
         return False
@@ -505,63 +457,66 @@ def _count_semantics(sig, rows) -> bool:
     )
 
 
-def build_collection_model(
+def build_model(
     system: ChcSystem, samples_by_pred: dict, cfg: SolverConfig, mode: Mode
 ) -> CandidateModel:
+    """One pattern of `mode` per predicate, inferred from the first
+    `per_pred_cap` samples: in sequence mode over the list arguments (none:
+    no pattern), in set and multiset mode over every argument, an integer as
+    a singleton, with `count`'s semantics recognised.  A predicate without
+    samples is modelled empty."""
     models = {}
     for pred, sig in system.predicates.items():
         rows = samples_by_pred.get(pred, [])
         if not rows:
             models[pred] = PredicateModel(pred, sig, mode=mode, empty=True)
             continue
-        cells = []
-        for row in rows[: cfg.sampling.per_pred_cap]:
-            cells.append(
-                [
-                    (set(v) if mode is Mode.SET else tuple(v))
-                    if isinstance(v, tuple)
-                    else (v,)
-                    for v in row
-                ]
-            )
-        t = infer_collection(CollectionData(cells, mode), INFER)
+        capped = rows[: cfg.sampling.per_pred_cap]
+        if mode is Mode.SEQUENCE:
+            list_pos = [i for i, s in enumerate(sig) if s is Sort.LIST]
+            if not list_pos:
+                models[pred] = PredicateModel(pred, sig)
+                continue
+            data = LearningData([[row[i] for i in list_pos] for row in capped])
+        else:
+            cells = []
+            for row in capped:
+                cells.append(
+                    [
+                        (set(v) if mode is Mode.SET else v) if isinstance(v, tuple) else (v,)
+                        for v in row
+                    ]
+                )
+            data = CollectionData(cells, mode)
         models[pred] = PredicateModel(
             pred,
             sig,
-            patterns=(t,),
+            patterns=(infer(data, INFER),),
             mode=mode,
-            count_model=_count_semantics(sig, rows),
+            count_model=mode is not Mode.SEQUENCE and _count_semantics(sig, rows),
         )
     return CandidateModel(models)
 
 
-def _model_loop(
-    system: ChcSystem,
-    cfg: SolverConfig,
-    checker,
-    build: Callable[[dict], CandidateModel],
-    initial_samples: Optional[Sequence[Sample]] = None,
-) -> Verdict:
-    """Sample, infer a model with `build`, check it and learn from the
-    counterexamples.  SAT: the model passed the definite clauses, with the
-    bounds of those checks; the goals are left to the caller.  UNKNOWN: the
-    reason the loop gave up."""
+def _solve_patterns(system: ChcSystem, cfg: SolverConfig, checker, mode: Mode) -> Verdict:
+    """Sample, infer a model of `mode`'s patterns, check it and learn from the
+    counterexamples until the definite clauses pass, then check the goals.
+    SAT: the model, with the bounds of those checks.  UNKNOWN: the reason the
+    loop gave up, or why the goals failed; in sequence mode the latter keeps
+    the model whose definite clauses passed, with `bounds` None, so that
+    list-len mode can start from it."""
     stats = {"iterations": 0, "rejected_cex": 0, "accepted_cex": 0}
 
-    def unknown(reason: Optional[str]) -> Verdict:
-        return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=stats)
+    def unknown(reason: Optional[str], model: Optional[CandidateModel] = None) -> Verdict:
+        return Verdict(VerdictKind.UNKNOWN, model=model, reason=reason, stats=stats)
 
     rng = random.Random(cfg.seed)
     refused: set = set()  # atoms `derivable` rejected, asked once per loop
     samples = collect_samples(system, cfg.sampling, rng)
-    if initial_samples:
-        screened, rejected = screen_samples(system, initial_samples, cfg, refused)
-        stats["rejected_cex"] += rejected
-        samples.extend(screened)
     depth_bump = 0
     for _ in range(MAX_ITERATIONS):
         stats["iterations"] += 1
-        model = build(_by_pred(system, samples))
+        model = build_model(system, _by_pred(system, samples), cfg, mode)
         try:
             dres = check_definite(model, system, checker)
         except NotSolvableError as exc:
@@ -570,7 +525,12 @@ def _model_loop(
             return unknown(dres.reason)
         if dres.status == "valid":
             stats["samples"] = len(samples)
-            return Verdict(VerdictKind.SAT, model=model, bounds=dres.bounds, stats=stats)
+            gres = check_goal(model, system, checker)
+            if gres.status == "valid":
+                return Verdict(VerdictKind.SAT, model=model, bounds=dres.bounds or gres.bounds,
+                               stats=stats)
+            reason = gres.reason if gres.status == "unknown" else "patterns hold but do not imply the goals"
+            return unknown(reason, model if mode is Mode.SEQUENCE else None)
         known = {(s.predicate, s.values) for s in samples}
         new, rejected = admit_counterexamples(
             system, dres.clause, dres.assignments, cfg, known, refused
@@ -585,23 +545,9 @@ def _model_loop(
         more = collect_samples(system, budget, rng)
         fresh = [s for s in more if (s.predicate, s.values) not in known]
         if not fresh:
-            return unknown("counterexamples rejected and sampling is exhausted")
+            return unknown("counterexamples rejected and a deeper sample found no new atom")
         samples.extend(fresh)
     return unknown("iteration limit")
-
-
-def _check_goals(loop: Verdict, system: ChcSystem, checker, keep_model: bool = False) -> Verdict:
-    """Finish a model loop's verdict by checking the goals on the model whose
-    definite clauses passed.  With `keep_model`, its UNKNOWN verdicts keep
-    that model, with `bounds` None, so that list-len mode can start from it."""
-    if loop.kind is not VerdictKind.SAT:
-        return loop
-    gres = check_goal(loop.model, system, checker)
-    if gres.status == "valid":
-        return replace(loop, bounds=loop.bounds or gres.bounds)
-    reason = gres.reason if gres.status == "unknown" else "patterns hold but do not imply the goals"
-    model = loop.model if keep_model else None
-    return Verdict(VerdictKind.UNKNOWN, model=model, reason=reason, stats=loop.stats)
 
 
 # The mode runners.  Each is called as `runner(system, cfg, checker=...,
@@ -610,22 +556,9 @@ def _check_goals(loop: Verdict, system: ChcSystem, checker, keep_model: bool = F
 # takes `after=` when the mode it starts after is solved beside it.
 
 def solve_list_mode(
-    system: ChcSystem,
-    cfg: SolverConfig = SolverConfig(),
-    checker=None,
-    int_backend=None,
-    *,
-    initial_samples: Optional[Sequence[Sample]] = None,
+    system: ChcSystem, cfg: SolverConfig = SolverConfig(), checker=None, int_backend=None
 ) -> Verdict:
-    checker = checker or _checker(cfg)
-    loop = _model_loop(
-        system,
-        cfg,
-        checker,
-        lambda table: build_list_model(system, table, cfg),
-        initial_samples=initial_samples,
-    )
-    return _check_goals(loop, system, checker, keep_model=True)
+    return _solve_patterns(system, cfg, checker or _checker(cfg), Mode.SEQUENCE)
 
 
 def solve_collection_mode(
@@ -635,16 +568,8 @@ def solve_collection_mode(
     checker=None,
     int_backend=None,
 ) -> Verdict:
-    # collection atoms have no external encoding; this mode always checks
-    # with the bounded evaluator
-    checker = _checker(cfg, COLLECTION_BOUNDS)
-    loop = _model_loop(
-        system,
-        cfg,
-        checker,
-        lambda table: build_collection_model(system, table, cfg, mode),
-    )
-    return _check_goals(loop, system, checker)
+    # collection atoms have no external encoding: always the bounded evaluator
+    return _solve_patterns(system, cfg, _checker(cfg, COLLECTION_BOUNDS), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -961,19 +886,13 @@ def solve_list_len_mode(
     integer backend, embed its model through list lengths, conjoin with the
     inferred patterns, and re-check everything on the original system.
 
-    The patterns are those of list mode's model loop, whose definite clauses
-    passed.  `after` is list mode's verdict on the same system and config:
-    its model is the loop's, so the loop is not run again, and a verdict
-    without a model is returned as it is, the reason the loop gave up.  With
-    `after` None, this mode runs the loop itself."""
+    The patterns are those of list mode's model, whose definite clauses
+    passed.  `after` is list mode's verdict on the same system and config;
+    with `after` None, this mode runs list mode first.  A verdict without a
+    model is returned as it is, the reason list mode's loop gave up."""
     checker = checker or _checker(cfg)
     int_backend = int_backend or BuiltinIntChc()
-    res = after if after is not None else _model_loop(
-        system,
-        cfg,
-        checker,
-        lambda table: build_list_model(system, table, cfg),
-    )
+    res = after if after is not None else solve_list_mode(system, cfg, checker)
     if res.model is None:
         return res
 

@@ -9,8 +9,9 @@ normal forms.
 
 The rules are those of `pattern_core.RULE_TABLE`; this module supplies the
 cell algebra of sequence data columns (`COLUMNS`), and the rewrite loop and
-normal-form explorer that `collection_inference` runs on its set and
-multiset columns too.
+normal-form explorer of every mode: `infer` and `infer_all` take learning
+data or `collection_inference.CollectionData`, whose columns name their own
+algebra.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def final_state(data: LearningData, cfg: InferConfig = InferConfig()) -> Rewrite
 
 
 def infer(data: LearningData, cfg: InferConfig = InferConfig()) -> TuplePattern:
-    """The pattern of the deterministic normal form; it fits every row."""
+    """The pattern of the deterministic normal form on learning data or
+    collection data, in the data's mode; it fits every row."""
     return final_state(data, cfg).pattern
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from stpchc.data import LearningData
-from stpchc.collection_inference import CollectionData, infer_collection
+from stpchc.collection_inference import CollectionData
 from stpchc.chc_core import SampleBudget, parse_smtlib
 from stpchc.formulas import FImp, Sort, TConcat, TRev, TVar, FEq
 from stpchc.pattern_core import (
@@ -94,7 +94,7 @@ def test_worked_example_inference():
         assert time.monotonic() - started < 1.0
 
         started = time.monotonic()
-        got = infer_collection(
+        got = infer(
             CollectionData(
                 [
                     [s("a"), s("b"), s("ab")],
@@ -381,8 +381,10 @@ def test_counterexample_hygiene(bench):
 
         spurious = Sample("reva", ((0, 1, 2), (), (1, 2, 0)), ("counterexample",))
         assert not derivable(bench["reva"], "reva", spurious.values, 10)
+        # with depth-0 sampling the checker's counterexamples include
+        # underivable head instances; the gate rejects them
         cfg = SolverConfig(seed=0, sampling=SampleBudget(depth=0, count=4))
-        verdict = solve_list_mode(bench["reva"], cfg, initial_samples=[spurious])
+        verdict = solve_list_mode(bench["reva"], cfg)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.stats["rejected_cex"] >= 1
         checker = BoundedChecker(Bounds(max_list_len=4, max_elem=2))

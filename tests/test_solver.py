@@ -34,6 +34,7 @@ from stpchc.solver import (
     SolverConfig,
     Verdict,
     VerdictKind,
+    admit_counterexamples,
     check_definite,
     check_goal,
     length_abstract,
@@ -41,7 +42,6 @@ from stpchc.solver import (
     parse_int_model,
     refute,
     replay_derivation,
-    screen_samples,
     solve,
     solve_auto,
     solve_collection_mode,
@@ -133,21 +133,37 @@ class TestListMode:
         assert verdict.stats["rejected_cex"] == 128
         assert len(calls) == len(set(calls)) == 16
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_give_up_says_the_deeper_sample_found_nothing(self, reva, depth):
+        # reva's least model is infinite, so sampling is not exhausted: one
+        # deeper draw of a single sample per clause found no new atom
+        cfg = SolverConfig(seed=2, sampling=SampleBudget(depth=depth, count=1))
+        verdict = solve_list_mode(reva, cfg)
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert verdict.reason == "counterexamples rejected and a deeper sample found no new atom"
+
 
 class TestCounterexampleHygiene:
     SPURIOUS = Sample("reva", ((0, 1, 2), (), (1, 2, 0)), ("counterexample",))
 
-    def test_spurious_sample_rejected_by_screen(self, reva):
-        cfg = SolverConfig(seed=0)
-        kept, rejected = screen_samples(reva, [self.SPURIOUS], cfg)
-        assert kept == [] and rejected == 1
+    def test_spurious_counterexample_rejected_by_gate(self, reva):
+        # a counterexample to the recursive clause whose head is the spurious atom
+        clause = next(c for c in reva.definite if c.body_atoms)
+        env = {"x": 0, "l1": (1, 2), "l2": (), "l3": (1, 2, 0)}
+        refused = set()
+        new, rejected = admit_counterexamples(reva, clause, [env], SolverConfig(seed=0),
+                                              set(), refused)
+        assert new == [] and rejected == 1
+        assert refused == {("reva", self.SPURIOUS.values)}
 
     def test_derivable_rejects_spurious(self, reva):
         assert not derivable(reva, "reva", self.SPURIOUS.values, 10)
 
-    def test_solve_converges_despite_spurious_injection(self, reva):
+    def test_solve_converges_despite_spurious_counterexamples(self, reva):
+        # with depth-0 sampling the checker's counterexamples include
+        # underivable head instances; the gate rejects them
         cfg = SolverConfig(seed=0, sampling=SampleBudget(depth=0, count=4))
-        verdict = solve_list_mode(reva, cfg, initial_samples=[self.SPURIOUS])
+        verdict = solve_list_mode(reva, cfg)
         assert verdict.kind is VerdictKind.SAT
         assert verdict.stats["rejected_cex"] >= 1
         args = [TVar(n, Sort.LIST) for n in ("a", "b", "c")]
@@ -259,13 +275,13 @@ class TestListLenMode:
         assert after.kind is VerdictKind.UNKNOWN
         assert after.model is not None and after.bounds is None
         loops = []
-        loop = solver._model_loop
+        loop = solver._solve_patterns
 
         def counted(*args, **kwargs):
             loops.append(args)
             return loop(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_model_loop", counted)
+        monkeypatch.setattr(solver, "_solve_patterns", counted)
         verdict = solve_list_len_mode(take_drop, cfg, after=after)
         assert loops == []
         assert verdict.kind is VerdictKind.SAT
@@ -550,14 +566,14 @@ class TestSolveAuto:
     def test_list_len_reuses_list_mode_loop(self, monkeypatch, take_drop, tmp_path):
         # the loops run in forked workers: each appends a line to the log
         log = tmp_path / "loops"
-        loop = solver._model_loop
+        loop = solver._solve_patterns
 
         def counted(*args, **kwargs):
             with open(log, "a") as handle:
                 handle.write("loop\n")
             return loop(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_model_loop", counted)
+        monkeypatch.setattr(solver, "_solve_patterns", counted)
         verdict = solve_auto(take_drop, SolverConfig(seed=0))
         assert verdict.mode == "list-len"
         # list, set and multiset; list-len strengthens list's model

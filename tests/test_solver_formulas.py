@@ -30,7 +30,7 @@ from stpchc.formulas import (
     subst_term,
 )
 from stpchc.pattern_core import Mode, NotSolvableError, TuplePattern, member, parse_pattern, var_atom
-from stpchc.solver import collection_pattern_to_formula, pattern_to_formula
+from stpchc.solver import pattern_to_formula
 
 from helpers import random_solvable, random_tuple
 
@@ -86,7 +86,7 @@ class TestCollectionPatternToFormula:
             ((var_atom(0),), (var_atom(1),), (var_atom(0), var_atom(1))),
             Mode.MULTISET,
         )
-        f = collection_pattern_to_formula(t, [L1, L2, L3])
+        f = pattern_to_formula(t, [L1, L2, L3])
         assert eval_formula(f, {"l1": (1, 1), "l2": (1,), "l3": (1, 1, 1)})
         assert not eval_formula(f, {"l1": (1,), "l2": (1,), "l3": (1, 2)})
 
@@ -95,7 +95,7 @@ class TestCollectionPatternToFormula:
             ((var_atom(0),), (var_atom(1),), (var_atom(0), var_atom(1))),
             Mode.SET,
         )
-        f = collection_pattern_to_formula(t, [L1, L2, L3])
+        f = pattern_to_formula(t, [L1, L2, L3])
         assert eval_formula(f, {"l1": (1,), "l2": (2,), "l3": (1, 2)})
         # overlapping parts are not a disjoint union
         assert not eval_formula(f, {"l1": (1,), "l2": (1,), "l3": (1,)})
