@@ -19,13 +19,16 @@ bounded domain.  Auto mode reports `unsat` only for a derivation that
 `replay_derivation` confirms.
 
 The modes live in one registry (`mode_registry`), which `solve` dispatches
-through.  Every solve runs in forked worker processes, each the leader of its
-own process group, under one scheduler (`_schedule`).  Auto mode forks the
-refutation search first, in a process of its own, then one worker per usable
-CPU, at most one per mode; a single-mode solve forks one worker and no
-refutation.  Verdicts are accepted in registry order.  List-len mode is queued
-once list mode's verdict is in, and strengthens the checked model that
-verdict carries instead of running the loop again (`STARTS_AFTER`).  At the
+through.  The modes run in forked worker processes, each the leader of its
+own process group, under one scheduler (`_schedule`).  Auto mode first runs
+a slice of the refutation search in the calling process (`REFUTE_SLICE`) and
+returns a refutation found there without forking; only when the slice is
+inconclusive does it fork the suspended search into a process of its own,
+which resumes it.  Then it forks one worker per usable CPU, at most one per
+mode; a single-mode solve forks one worker and no refutation.  Verdicts are
+accepted in registry order.  List-len mode is queued once list mode's
+verdict is in, and strengthens the checked model that verdict carries
+instead of running the loop again (`STARTS_AFTER`).  At the
 deadline, or once a verdict is decided, the scheduler kills every worker's
 process group, external solvers included, and reaps every worker.  That is
 the one way a solve stops, so nothing below the scheduler polls for it.
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from .chc_core import (
     AtomTable,
@@ -941,15 +944,15 @@ class RefutationWitness:
     depth: int
 
 
-def refute(
+def _refuting(
     system: ChcSystem,
     budget: RefuteBudget = RefuteBudget(),
-) -> Optional[RefutationWitness]:
-    """Exhaustive bottom-up derivation over a small value domain, checking
-    the goal bodies after each level; a hit yields a replayable derivation
-    of false.  Level 0 applies the facts; a later level applies every rule
-    to the atoms derived so far (earlier clauses of the same level included)
-    and keeps the combinations that use an atom of the previous level."""
+    slice_units: float = math.inf,
+) -> Generator[None, None, Optional[RefutationWitness]]:
+    """`refute`'s search as a generator: it yields after each `slice_units`
+    units of work, a unit being one join match or one assignment of a rule's
+    free variables, and returns the witness or None.  Resumed, it goes on
+    with the same search, in whatever process holds it."""
     tables = {p: AtomTable() for p in system.predicates}
     domains = {sort: _bounded_domain(sort, budget, set()) for sort in Sort}
     facts = [(i, plan_join(c)) for i, c in enumerate(system.definite) if not c.body_atoms]
@@ -957,12 +960,17 @@ def refute(
     goals = [plan_join(g) for g in system.goals]
     total = 0
     start = {p: 0 for p in tables}
+    left = slice_units  # units before the next yield
 
     for depth in range(budget.depth + 1):
         previous, start = start, {p: len(t) for p, t in tables.items()}
         for idx, plan in rules if depth else facts:
             clause = plan.clause
             for rows, binding in join(plan, tables):
+                left -= 1
+                if not left:
+                    yield
+                    left = slice_units
                 if depth and not any(
                     previous[a.pred] <= r < start[a.pred]
                     for a, r in zip(clause.body_atoms, rows)
@@ -970,6 +978,10 @@ def refute(
                     continue
                 free = [n for n in plan.free if n not in binding]
                 for extra in itertools.product(*(domains[plan.sorts[n]] for n in free)):
+                    left -= 1
+                    if not left:
+                        yield
+                        left = slice_units
                     env = {**binding, **dict(zip(free, extra))}
                     try:
                         if not eval_formula(clause.constraint, env):
@@ -1001,6 +1013,31 @@ def refute(
         if all(len(t) == start[p] for p, t in tables.items()):
             return None
     return None
+
+
+def _finish(
+    levels: Generator[None, None, Optional[RefutationWitness]],
+) -> Optional[RefutationWitness]:
+    """Run the suspended search `levels` to its end; its witness or None."""
+    try:
+        while True:
+            next(levels)
+    except StopIteration as stop:
+        return stop.value
+
+
+def refute(
+    system: ChcSystem,
+    budget: RefuteBudget = RefuteBudget(),
+) -> Optional[RefutationWitness]:
+    """Exhaustive bottom-up derivation over a small value domain, checking
+    the goal bodies after each level; a hit yields a replayable derivation
+    of false.  Level 0 applies the facts; a later level applies every rule
+    to the atoms derived so far (earlier clauses of the same level included)
+    and keeps the combinations that use an atom of the previous level.  The
+    search is `_refuting`'s, run in one go; auto mode runs its first
+    `REFUTE_SLICE` units in the calling process."""
+    return _finish(_refuting(system, budget))
 
 
 def _replays(system: ChcSystem, clause: Clause, env: tuple, values: Optional[tuple],
@@ -1055,14 +1092,30 @@ def mode_registry() -> dict[str, Callable[..., Verdict]]:
 STARTS_AFTER = {"list-len": "list"}
 
 
-def _refutation(system: ChcSystem, cfg: SolverConfig, checker=None, int_backend=None) -> Verdict:
-    """`refute` as a runner: UNSAT only for a witness that replays."""
-    witness = refute(system)
+# The units of refutation work (`_refuting`) that auto mode does in the
+# calling process before it forks anything: about the work that takes as long
+# as what a refutation found there saves, that is importing
+# `multiprocessing.connection` and forking the refuter and the mode workers
+# (about 25 ms on 2 CPUs, Python 3.11).  A unit takes 4-21 us on the bundled
+# systems and about 8 us on the median one, so the slice takes about 25 ms.
+# Every bundled unsat system (at most 2,379 units) and reva (461) finish
+# inside it; take_drop (5,919) and sort (18,027) go on in the refuter.
+REFUTE_SLICE = 3_000
+
+
+def _refutation(system: ChcSystem, witness: Optional[RefutationWitness]) -> Verdict:
+    """A refutation's result as a verdict: UNSAT only for a witness that replays."""
     if witness is None:
         return Verdict(VerdictKind.UNKNOWN)
     if replay_derivation(system, witness):
         return Verdict(VerdictKind.UNSAT, derivation=witness)
     return Verdict(VerdictKind.UNKNOWN, reason="refutation witness does not replay")
+
+
+def _resumed(levels, system: ChcSystem, cfg: SolverConfig, checker=None,
+             int_backend=None) -> Verdict:
+    """The refuter's runner: the suspended search `levels`, run to its end."""
+    return _refutation(system, _finish(levels))
 
 
 def _worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
@@ -1090,10 +1143,16 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
               refutation: bool) -> Verdict:
     """Run the `(name, runner)` entries in forked worker processes, one per
     usable CPU and at most one per entry, and with `refutation` the
-    refutation search in a process of its own, forked first.  Workers take
-    the entries first in, first out: each entry at the start, except a mode
-    of `STARTS_AFTER` whose first mode is an entry too, which is queued once
-    that mode's verdict is in, with that verdict.
+    refutation search beside them.  Workers take the entries first in, first
+    out: each entry at the start, except a mode of `STARTS_AFTER` whose first
+    mode is an entry too, which is queued once that mode's verdict is in,
+    with that verdict.
+
+    Refutation runs its first `REFUTE_SLICE` units of work in this process,
+    before anything is forked.  A witness found there is returned when it
+    replays, even past the deadline; a search that ends there forks nothing
+    for refutation.  Otherwise the search, suspended, goes to a refuter
+    process of its own, forked before the workers, which resumes it.
 
     Refutation's UNSAT wins at once.  An entry's verdict is accepted only once
     every entry before it has returned UNKNOWN, so the result is that of
@@ -1104,6 +1163,36 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
     is UNKNOWN with reason `timeout`, named after the first undecided entry.
     Returns once every worker's process group is killed and every worker
     reaped."""
+    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    decided: list = [None] * len(entries)  # per entry: its verdict or exception
+    accepted = 0  # entries 0..accepted-1 returned UNKNOWN
+    refuted = None  # refutation's UNKNOWN verdict, once it is in
+    levels = None  # refutation's search, suspended after its slice
+
+    def attempts(k: int) -> list:
+        return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
+
+    def timed_out() -> Verdict:
+        first = entries[accepted][0] if accepted < len(entries) else "refutation"
+        return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
+                       stats={"attempts": attempts(accepted)})
+
+    def refutation_verdict(verdict: Verdict) -> Verdict:
+        return replace(verdict, mode="refutation", stats={**verdict.stats, "attempts": []})
+
+    if refutation:
+        levels = _refuting(system, RefuteBudget(), REFUTE_SLICE)
+        try:
+            next(levels)
+        except StopIteration as stop:
+            levels = None
+            got = refutation_verdict(_refutation(system, stop.value))
+            if got.kind is not VerdictKind.UNKNOWN:
+                return got
+            refuted = got
+    if deadline is not None and time.monotonic() >= deadline:
+        return timed_out()
+
     import multiprocessing.connection  # here, not at the top: `import stpchc` alone does not pay it
 
     names = [name for name, _ in entries]
@@ -1111,7 +1200,6 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
         names.index(m): names.index(first)
         for m, first in STARTS_AFTER.items() if m in names and first in names
     }
-    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     ctx = multiprocessing.get_context("fork")
     queues: list = []  # every task queue
     workers: dict = {}  # result connection -> worker process
@@ -1137,15 +1225,11 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
         send.close()
         return receive
 
-    decided: list = [None] * len(entries)  # per entry: its verdict or exception
-    accepted = 0  # entries 0..accepted-1 returned UNKNOWN
-    refuted = None  # refutation's UNKNOWN verdict, once it is in
-
-    def attempts(k: int) -> list:
-        return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
-
     try:
-        refuter = start([("refutation", _refutation)], queue((0, None))) if refutation else None
+        refuter = None
+        if levels is not None:
+            refuter = start([("refutation", partial(_resumed, levels))], queue((0, None)))
+            levels = None  # the refuter resumes the search; this process drops it
         tasks = queue(*((i, None) for i in range(len(entries)) if i not in starts_after))
         for _ in range(min(len(entries), len(os.sched_getaffinity(0)))):
             start(entries, tasks)
@@ -1154,9 +1238,7 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
             ready = multiprocessing.connection.wait(pending, left)
             if not ready:
-                first = entries[accepted][0] if accepted < len(entries) else "refutation"
-                return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
-                               stats={"attempts": attempts(accepted)})
+                return timed_out()
             for conn in ready:
                 try:
                     i, got = conn.recv()
@@ -1168,7 +1250,7 @@ def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
                     pending.remove(conn)
                     if isinstance(got, Exception):
                         raise got
-                    got = replace(got, stats={**got.stats, "attempts": []})
+                    got = refutation_verdict(got)
                     if got.kind is not VerdictKind.UNKNOWN:
                         return got
                     refuted = got

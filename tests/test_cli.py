@@ -111,6 +111,15 @@ class TestSolveCommand:
         assert code == 1
         assert out.splitlines()[0] == "unsat"
 
+    def test_zero_timeout_still_refutes_in_the_slice(self, capsys):
+        # the refutation's first slice runs before the deadline is checked,
+        # so a witness found there is printed whatever the timeout
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "unsat" / "direct_fact.smt2"), "--timeout", "0"
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "unsat"
+
     def test_json_single_object(self, capsys):
         code, out, _ = run(
             capsys, "solve", str(BENCH / "reva.smt2"), "--mode", "list", "--json"

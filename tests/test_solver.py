@@ -72,6 +72,40 @@ def sort_system():
     return load("sort.smt2")
 
 
+@pytest.fixture
+def starts(monkeypatch):
+    """The processes this process starts: one name per `Process.start` call."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def stub_refutation(monkeypatch, witness, in_slice, then=lambda: None):
+    """Replace auto mode's refutation search by one that returns `witness`,
+    within the slice it runs in the calling process, or else in the refuter
+    that resumes it, after calling `then` there."""
+
+    def levels(*args, **kwargs):
+        if not in_slice:
+            yield
+            then()
+        return witness
+
+    monkeypatch.setattr(solver, "_refuting", levels)
+
+
+def unreplayable_witness(system):
+    """`system`'s witness with its first atom's values changed."""
+    witness = refute(system)
+    return replace(witness, atoms=(replace(witness.atoms[0], values=((2,),)),))
+
+
 def reverse_model_formula(args):
     from stpchc.formulas import TConcat, TRev
 
@@ -480,6 +514,27 @@ class TestRefute:
             for depth in (1, 3, 6):
                 assert refute(system, RefuteBudget(depth=depth)) is None
 
+    @pytest.mark.parametrize("slice_units", [1, 2, 7, 64, solver.REFUTE_SLICE, math.inf])
+    def test_resumed_search_finds_the_same_witness(self, slice_units):
+        # split the search after one slice and finish it: the same witness
+        # (the same derivation trees), or None for both
+        paths = [
+            *sorted(BENCH.glob("*.smt2")),
+            *sorted((BENCH / "unsat").glob("*.smt2")),
+            *sorted(PERF_SYSTEMS.glob("*.smt2")),
+        ]
+        assert len(paths) == 11
+        for path in paths:
+            system = parse_smtlib(path.read_text())
+            levels = solver._refuting(system, RefuteBudget(), slice_units)
+            try:
+                next(levels)
+            except StopIteration as stop:
+                got = stop.value
+            else:
+                got = solver._finish(levels)
+            assert got == refute(system), (path.name, slice_units)
+
     def test_derivation_is_replayable_structure(self):
         system = parse_smtlib((BENCH / "unsat" / "plus_reach.smt2").read_text())
         witness = refute(system)
@@ -520,24 +575,65 @@ class TestSolveAuto:
             assert replay_derivation(system, verdict.derivation)
             assert verdict.stats["attempts"] == [], path.name
 
-    def test_unreplayable_witness_is_not_unsat(self, monkeypatch):
-        system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
-        witness = refute(system)
-        node = witness.atoms[0]
-        assert node.values == ((1,),)
-        altered = replace(witness, atoms=(replace(node, values=((2,),)),))
-        monkeypatch.setattr(solver, "refute", lambda *args, **kwargs: altered)
-        verdict = solve_auto(system, SolverConfig(seed=0, timeout=30))
-        assert verdict.kind is not VerdictKind.UNSAT
+    def test_unsat_found_in_the_slice_starts_no_process(self, starts):
+        paths = [
+            *sorted((BENCH / "unsat").glob("*.smt2")),
+            *sorted(PERF_SYSTEMS.glob("*.smt2")),
+        ]
+        assert len(paths) == 8
+        for path in paths:
+            system = parse_smtlib(path.read_text())
+            verdict = solve_auto(system, SolverConfig(seed=0))
+            assert verdict.kind is VerdictKind.UNSAT, path.name
+            assert starts == [], path.name
 
-    def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, reva):
-        # refutation runs in a forked process, which sleeps past the test
-        monkeypatch.setattr(solver, "refute", lambda *args, **kwargs: time.sleep(30))
+    @pytest.mark.parametrize("name, refuter", [("reva.smt2", 0), ("sort.smt2", 1)])
+    def test_refuter_forked_only_past_the_slice(self, monkeypatch, starts, name, refuter):
+        # reva's search ends inside the slice, sort's does not
+        self.stub_modes(monkeypatch, lambda: Verdict(VerdictKind.SAT),
+                        lambda: Verdict(VerdictKind.SAT), 2)
+        verdict = solve_auto(load(name), SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.SAT
+        assert len(starts) == refuter + 2
+        assert multiprocessing.active_children() == []
+
+    def test_resumed_refuter_finds_the_same_witness(self, monkeypatch, starts):
+        # with a slice of 7 units, take_drop_swapped's witness (2,239 units
+        # in) is found by the refuter, from the search this process began
+        system = parse_smtlib((PERF_SYSTEMS / "take_drop_swapped.smt2").read_text())
+        monkeypatch.setattr(solver, "REFUTE_SLICE", 7)
+        self.stub_modes(monkeypatch, lambda: time.sleep(30), lambda: time.sleep(30), 2)
+        verdict = solve_auto(system, SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.UNSAT
+        assert verdict.mode == "refutation"
+        assert verdict.stats == {"attempts": []}
+        assert verdict.derivation == refute(system)
+        assert len(starts) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_unreplayable_witness_is_not_unsat(self, monkeypatch, starts):
+        system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
+        assert refute(system).atoms[0].values == ((1,),)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+        # found in the slice, and found by the refuter that resumes it
+        for in_slice in (True, False):
+            stub_refutation(monkeypatch, unreplayable_witness(system), in_slice)
+            starts.clear()
+            verdict = solve_auto(system, SolverConfig(seed=0, timeout=30))
+            assert verdict.kind is not VerdictKind.UNSAT, in_slice
+            # the two mode workers, and a refuter only past the slice
+            assert len(starts) == (2 if in_slice else 3)
+
+    def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, starts, reva):
+        # the slice is inconclusive; the refuter that resumes it sleeps past the test
+        stub_refutation(monkeypatch, None, False, lambda: time.sleep(30))
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
         started = time.monotonic()
         verdict = solve_auto(reva, SolverConfig(seed=0))
         assert time.monotonic() - started < 5
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list"
+        assert len(starts) == 3
         assert multiprocessing.active_children() == []
 
     def test_timeout_gives_unknown(self, take_drop):
@@ -653,26 +749,22 @@ class TestSolveAuto:
         assert verdict.stats["attempts"] == []
         assert multiprocessing.active_children() == []
 
-    def test_all_unknown_verdict_is_the_last_modes(self, monkeypatch):
-        # refutation's verdict, which arrives last, does not replace the last
-        # mode's reason
+    def test_all_unknown_verdict_is_the_last_modes(self, monkeypatch, starts):
+        # refutation's verdict, which the resumed refuter sends last, does not
+        # replace the last mode's reason
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
-        witness = refute(system)
-        altered = replace(witness, atoms=(replace(witness.atoms[0], values=((2,),)),))
-
-        def slow_refute(*args, **kwargs):
-            time.sleep(0.3)
-            return altered
+        stub_refutation(monkeypatch, unreplayable_witness(system), False,
+                        lambda: time.sleep(0.3))
 
         def unknown():
             return Verdict(VerdictKind.UNKNOWN, reason="stub")
 
         self.stub_modes(monkeypatch, unknown, unknown, 2)
-        monkeypatch.setattr(solver, "refute", slow_refute)
         verdict = solve_auto(system, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "stub"
         assert verdict.mode == "list-len"
+        assert len(starts) == 3
         assert multiprocessing.active_children() == []
 
     def test_runner_exception_is_raised(self, monkeypatch, reva):

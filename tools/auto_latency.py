@@ -1,0 +1,201 @@
+"""Time auto-mode solves in fresh processes and count what each one starts,
+on every bundled system at solver seeds 1 and 2.
+
+    python tools/auto_latency.py NAME=SRC_DIR [NAME=SRC_DIR ...] [--runs N] > BENCH_auto.json
+
+Each `SRC_DIR` is the directory that holds the `stpchc` package to run (`src`
+of a checkout), and `NAME` labels its report.  The systems are the `.smt2`
+files of `benchmarks/`, `benchmarks/unsat/` and `perfbench/systems/` next to
+this script.
+
+Time: each solve, `solve(system, SolverConfig(seed=k), mode="auto")`, runs in
+a fresh child process, timed from just before the call to its return (the
+import and the parse are not timed).  For each system and seed the versions
+alternate, `--runs` times (default 5), and the report keeps the min and the
+median.
+
+Counts, deterministic for a given number of usable CPUs: one child process
+per version runs every solve once and records
+
+- `processes`: the processes the solve starts (calls of `Process.start` in
+  the solving process);
+- `refute_units_caller`: the units of refutation work the solving process
+  does itself, a unit being one join match of a refutation rule or one
+  assignment of its free variables, counted by wrapping `solver.join` and
+  `itertools.product` as `solver` sees them;
+- `refute_units_refuter`: the units a forked refuter does to finish the
+  search, that is the units of a whole `refute(system)`, counted the same
+  way, less the caller's; a refuter killed when a mode wins does fewer.
+
+Two runs give identical counts.  Only the standard library is used, and
+nothing in `src/` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+
+
+def bundled_systems() -> list[Path]:
+    return [
+        *sorted((ROOT / "benchmarks").glob("*.smt2")),
+        *sorted((ROOT / "benchmarks" / "unsat").glob("*.smt2")),
+        *sorted((ROOT / "perfbench" / "systems").glob("*.smt2")),
+    ]
+
+
+def _label(path: Path) -> str:
+    return str(path.relative_to(ROOT))
+
+
+def _load(src_dir: str):
+    sys.path.insert(0, str(Path(src_dir).resolve()))
+    from stpchc import solver
+    from stpchc.chc_core import parse_smtlib
+
+    return solver, parse_smtlib
+
+
+def time_once(src_dir: str, path: str, seed: int) -> dict:
+    """One auto solve's verdict and seconds to verdict."""
+    solver, parse_smtlib = _load(src_dir)
+    system = parse_smtlib((ROOT / path).read_text())
+    started = time.perf_counter()
+    verdict = solver.solve(system, solver.SolverConfig(seed=seed), mode="auto")
+    return {"verdict": verdict.kind.value, "verdict_s": time.perf_counter() - started}
+
+
+def counts(src_dir: str) -> dict:
+    """Processes started and refutation units per system and seed."""
+    import itertools
+    import multiprocessing.process
+
+    solver, parse_smtlib = _load(src_dir)
+    tally = {"processes": 0, "units": 0}
+    join, product, start = solver.join, itertools.product, multiprocessing.process.BaseProcess.start
+
+    def counting_join(*args, **kwargs):
+        for match in join(*args, **kwargs):
+            tally["units"] += 1
+            yield match
+
+    def counting_product(*args, **kwargs):
+        for assignment in product(*args, **kwargs):
+            tally["units"] += 1
+            yield assignment
+
+    def counting_start(self):
+        tally["processes"] += 1
+        start(self)
+
+    solver.join = counting_join
+    solver.itertools = types.SimpleNamespace(**{**vars(itertools), "product": counting_product})
+    multiprocessing.process.BaseProcess.start = counting_start
+
+    out: dict = {}
+    for path in bundled_systems():
+        system = parse_smtlib(path.read_text())
+        tally["units"] = 0
+        solver.refute(system)
+        whole = tally["units"]
+        for seed in SEEDS:
+            tally.update(processes=0, units=0)
+            verdict = solver.solve(system, solver.SolverConfig(seed=seed), mode="auto")
+            caller = tally["units"]
+            out.setdefault(_label(path), {})[str(seed)] = {
+                "verdict": verdict.kind.value,
+                "winner": verdict.mode,
+                "processes": tally["processes"],
+                "refute_units_caller": caller,
+                "refute_units_refuter": whole - caller if tally["processes"] else 0,
+            }
+    return out
+
+
+def _child(*argv: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, *argv], capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("versions", nargs="+", help="NAME=SRC_DIR, one per version")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--part", help=argparse.SUPPRESS)  # a child: "counts" or "time:PATH:SEED"
+    ns = parser.parse_args(argv)
+    if ns.part == "counts":
+        print(json.dumps(counts(ns.versions[0])))
+        return 0
+    if ns.part:
+        _, path, seed = ns.part.split(":")
+        print(json.dumps(time_once(ns.versions[0], path, int(seed))))
+        return 0
+    versions = dict(v.split("=", 1) for v in ns.versions)
+    report = {name: {"counts": _child("--part", "counts", src)} for name, src in versions.items()}
+    times: dict = {name: {} for name in versions}
+    for run in range(ns.runs):
+        for path in bundled_systems():
+            for seed in SEEDS:
+                order = list(versions.items())
+                if run % 2:
+                    order.reverse()
+                for name, src in order:
+                    got = _child("--part", f"time:{_label(path)}:{seed}", src)
+                    want = report[name]["counts"][_label(path)][str(seed)]["verdict"]
+                    if got["verdict"] != want:
+                        raise SystemExit(f"{name} {path.name} seed {seed}: "
+                                         f"verdict {got['verdict']}, {want} before")
+                    times[name].setdefault(_label(path), {}).setdefault(str(seed), []).append(
+                        got["verdict_s"])
+    for name, by_path in times.items():
+        report[name]["verdict_s"] = {
+            path: {
+                seed: {"min": round(min(ts), 4), "median": round(statistics.median(ts), 4)}
+                for seed, ts in by_seed.items()
+            }
+            for path, by_seed in by_path.items()
+        }
+        rows = [
+            (report[name]["counts"][path][seed], t)
+            for path, by_seed in report[name]["verdict_s"].items()
+            for seed, t in by_seed.items()
+        ]
+        report[name]["totals"] = {
+            **{
+                f"{answer}_median_s": round(sum(t["median"] for c, t in rows
+                                                if c["verdict"] == answer), 4)
+                for answer in ("sat", "unsat")
+            },
+            **{
+                key: sum(c[key] for c, _ in rows)
+                for key in ("processes", "refute_units_caller", "refute_units_refuter")
+            },
+        }
+    print(json.dumps({
+        "what": "auto-mode seconds to verdict per bundled system and solver seed, "
+                f"min and median of {ns.runs} fresh processes per version, alternated; "
+                "processes started and refutation units in the solving process and "
+                "in the forked refuter, per solve",
+        "python": platform.python_version(),
+        "cpus": len(os.sched_getaffinity(0)),
+        "versions": report,
+    }, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
