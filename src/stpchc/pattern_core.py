@@ -12,6 +12,11 @@ every mode, the pattern's mode picking the algebra; inclusion, equivalence
 and the construction of two-row identifying learning data for sequence
 patterns.
 
+A pattern is solved once per rule set.  A solvable pattern's solving path
+depends on the pattern alone, so the decision procedures keep its steps on
+the `TuplePattern` (see `solving_steps`): membership of a tuple, and
+inclusion, replay those steps instead of searching for the path again.
+
 The rule table
 --------------
 `RULE_TABLE` is the one statement of the rules.  The same table drives
@@ -40,7 +45,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .alphabet import LETTER_A, LETTER_B, char_to_letter, letter_to_char
-from .data import Cell, LearningData
+from .data import LearningData
 
 Atom = int
 Element = tuple
@@ -160,6 +165,8 @@ class TuplePattern:
 
     elements: tuple
     mode: Mode = Mode.SEQUENCE
+    # (rule set, solving steps) pairs kept by `solving_steps` (not a field)
+    _steps = ()
 
     def __post_init__(self):
         els = tuple(tuple(el) for el in self.elements)
@@ -181,6 +188,10 @@ class TuplePattern:
 
     def __str__(self) -> str:
         return render_pattern(self)
+
+    def __getstate__(self):
+        # pickle the pattern without the solving steps cached on it
+        return {"elements": self.elements, "mode": self.mode}
 
 
 def measure(t: TuplePattern | Sequence[Element]) -> int:
@@ -368,7 +379,7 @@ class RuleSet:
 DEFAULT_RULES = RuleSet()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredStep:
     """One reduction step: `rule` rewrites the principal element `j`, using
     auxiliary element `i` (prefix/postfix families) or `letter` (constant
@@ -606,9 +617,9 @@ def compose(step: PredStep, rest: tuple, alg: Cells) -> tuple:
     return _replace(rest, j, alg.join(_aux(rest, step, source, alg), rest[j], front))
 
 
-def replays(cells: tuple, path, alg: Cells) -> bool:
-    """Whether every step of `path` strips in turn from `cells`."""
-    for step, _succ in path:
+def replays(cells: tuple, steps: Iterable[PredStep], alg: Cells) -> bool:
+    """Whether every one of `steps` strips in turn from `cells`."""
+    for step in steps:
         cells = strip(cells, step, alg)
         if cells is None:
             return False
@@ -684,9 +695,30 @@ def solving_path(
     return find_path(elements, STRINGS, rules, exhaustive=rules.reverse and has_rev)
 
 
+def solving_steps(t: TuplePattern, rules: RuleSet = DEFAULT_RULES) -> Optional[tuple]:
+    """The steps of `solving_path(t, rules)`, or None if `t` is not solvable
+    under `rules`.  The path is searched once per pattern and rule set: the
+    steps are kept on `t`, which equality, hashing, rendering and pickling
+    do not see."""
+    for kept, steps in t._steps:
+        if kept == rules:
+            return steps
+    path = solving_path(t, rules)
+    steps = None if path is None else tuple(step for step, _ in path)
+    object.__setattr__(t, "_steps", t._steps + ((rules, steps),))
+    return steps
+
+
 def is_solvable(
     t: TuplePattern | Sequence[Element], rules: RuleSet = DEFAULT_RULES
 ) -> bool:
+    """Whether `t` has a solving path under `rules`.  A pattern already
+    solved under `rules` answers from its kept steps.  Otherwise the path is
+    searched and not kept: a pattern asked only this (a generated or parsed
+    one) is mostly never queried again, so its steps would only hold
+    memory."""
+    if isinstance(t, TuplePattern) and any(kept == rules for kept, _ in t._steps):
+        return solving_steps(t, rules) is not None
     return solving_path(t, rules) is not None
 
 
@@ -707,83 +739,44 @@ def residual(
 def includes(
     t1: TuplePattern, t2: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Language inclusion of solvable sequence patterns."""
-    if not is_solvable(t1.elements, rules):
+    """Language inclusion of solvable sequence patterns: the solving steps
+    of `t2` replay on `t1`.  Each pattern is solved once per rule set."""
+    if t1.mode is not Mode.SEQUENCE or t2.mode is not Mode.SEQUENCE:
+        raise ValueError("inclusion is defined for sequence patterns")
+    if solving_steps(t1, rules) is None:
         raise NotSolvableError("inclusion requires solvable patterns")
     if t1.arity != t2.arity:
         return False
-    path = solving_path(t2.elements, rules)
-    if path is None:
+    steps = solving_steps(t2, rules)
+    if steps is None:
         raise NotSolvableError("inclusion requires a solvable right-hand pattern")
-    return replays(t1.elements, path, STRINGS)
+    return replays(t1.elements, steps, STRINGS)
 
 
 def member(
     values: Sequence[Iterable[int]], t: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Tuple membership in a pattern of any mode: a solving path of `t`
-    replays on the constant pattern of `values`.  Set and multiset cells
-    may come in any order; a set-mode cell with a repeated element is in no
-    set pattern's language."""
+    """Tuple membership in a pattern of any mode: the solving steps of `t`
+    replay on the constant pattern of `values`.  `t` is solved once per rule
+    set, so each further tuple costs one replay.  Set and multiset cells may
+    come in any order; a set-mode cell with a repeated element is in no set
+    pattern's language."""
     if len(values) != t.arity:
         raise ValueError("arity mismatch")
-    path = solving_path(t, rules)
-    if path is None:
+    steps = solving_steps(t, rules)
+    if steps is None:
         raise NotSolvableError("membership requires a solvable pattern")
     alg = STRINGS if t.mode is Mode.SEQUENCE else BAGS
     consts = tuple(alg.rebuild([const_atom(v) for v in cell]) for cell in values)
     if t.mode is Mode.SET and any(len(set(el)) != len(el) for el in consts):
         return False
-    return replays(consts, path, alg)
+    return replays(consts, steps, alg)
 
 
 def equivalent(
     t1: TuplePattern, t2: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
     return includes(t1, t2, rules) and includes(t2, t1, rules)
-
-
-# ---------------------------------------------------------------------------
-# brute-force membership (test oracle)
-
-def brute_force_member(values: Sequence[Cell], t: TuplePattern, max_len: int) -> bool:
-    """Search for a witness substitution binding each variable to a string of
-    length <= max_len.  Backtracking match, left to right."""
-    if len(values) != t.arity:
-        return False
-    elements = t.elements
-    binding: dict[int, tuple[int, ...]] = {}
-
-    def match_atoms(k: int, ai: int, pos: int) -> bool:
-        target = values[k]
-        if ai == len(elements[k]):
-            if pos != len(target):
-                return False
-            return k + 1 == len(elements) or match_atoms(k + 1, 0, 0)
-        a = elements[k][ai]
-        if atom_is_const(a):
-            if pos < len(target) and target[pos] == atom_letter(a):
-                return match_atoms(k, ai + 1, pos + 1)
-            return False
-        v = atom_index(a)
-        rev = atom_is_reversed(a)
-        if v in binding:
-            val = binding[v][::-1] if rev else binding[v]
-            if target[pos : pos + len(val)] == val:
-                return match_atoms(k, ai + 1, pos + len(val))
-            return False
-        limit = min(max_len, len(target) - pos)
-        for ln in range(limit + 1):
-            piece = target[pos : pos + ln]
-            binding[v] = piece[::-1] if rev else piece
-            if match_atoms(k, ai + 1, pos + ln):
-                return True
-            del binding[v]
-        return False
-
-    if not elements:
-        return len(values) == 0
-    return match_atoms(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

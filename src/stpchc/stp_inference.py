@@ -327,10 +327,3 @@ def _reach(columns: Columns, cfg: InferConfig, memo: dict) -> frozenset:
     result = frozenset(out)
     memo[columns] = result
     return result
-
-
-def validate(data: LearningData, t: TuplePattern) -> bool:
-    """True iff every row of the data belongs to the pattern's language."""
-    from .pattern_core import member
-
-    return all(member(row, t) for row in data.rows)

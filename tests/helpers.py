@@ -8,11 +8,17 @@ import random
 
 from stpchc.alphabet import char_to_letter
 from stpchc.chc_core import AtomTable, match_goal, match_term, plan_join
+from stpchc.data import LearningData
 from stpchc.pattern_core import (
     RuleSet,
     TuplePattern,
+    atom_index,
+    atom_is_const,
+    atom_is_reversed,
+    atom_letter,
     const_atom,
     is_solvable,
+    member,
     reverse_element,
     var_atom,
 )
@@ -111,7 +117,8 @@ def random_solvable(
                 ["prefix", "prefix", "eps"]
                 + (["const"] if rules.constants else [])
                 + (["postfix"] if rules.postfix else [])
-                + (["rprefix", "rpostfix"] if rules.reverse else [])
+                + (["rprefix"] if rules.reverse else [])
+                + (["rpostfix"] if rules.reverse and rules.postfix else [])
             )
             n = len(elements)
             if kind == "eps":
@@ -148,6 +155,51 @@ def random_solvable(
 
 def measure_of(elements) -> int:
     return sum(len(el) for el in elements) + len(elements)
+
+
+def brute_force_member(values, t: TuplePattern, max_len: int) -> bool:
+    """Search for a witness substitution binding each variable to a string of
+    length <= max_len.  Backtracking match, left to right."""
+    if len(values) != t.arity:
+        return False
+    elements = t.elements
+    binding: dict[int, tuple[int, ...]] = {}
+
+    def match_atoms(k: int, ai: int, pos: int) -> bool:
+        target = values[k]
+        if ai == len(elements[k]):
+            if pos != len(target):
+                return False
+            return k + 1 == len(elements) or match_atoms(k + 1, 0, 0)
+        a = elements[k][ai]
+        if atom_is_const(a):
+            if pos < len(target) and target[pos] == atom_letter(a):
+                return match_atoms(k, ai + 1, pos + 1)
+            return False
+        v = atom_index(a)
+        rev = atom_is_reversed(a)
+        if v in binding:
+            val = binding[v][::-1] if rev else binding[v]
+            if target[pos : pos + len(val)] == val:
+                return match_atoms(k, ai + 1, pos + len(val))
+            return False
+        limit = min(max_len, len(target) - pos)
+        for ln in range(limit + 1):
+            piece = target[pos : pos + ln]
+            binding[v] = piece[::-1] if rev else piece
+            if match_atoms(k, ai + 1, pos + ln):
+                return True
+            del binding[v]
+        return False
+
+    if not elements:
+        return len(values) == 0
+    return match_atoms(0, 0, 0)
+
+
+def validate(data: LearningData, t: TuplePattern) -> bool:
+    """True iff every row of the data belongs to the pattern's language."""
+    return all(member(row, t) for row in data.rows)
 
 
 def random_tuple(rng: random.Random, arity, letters=(A, B), max_len=4):

@@ -20,7 +20,6 @@ from stpchc.pattern_core import (
     Mode,
     RuleSet,
     TuplePattern,
-    brute_force_member,
     canonical_data,
     const_atom,
     equivalent,
@@ -47,7 +46,16 @@ from stpchc.solver import (
 )
 from stpchc.stp_inference import InferConfig, infer, infer_all
 
-from helpers import A, B, bounded_language, random_solvable, random_tuple, rows, s
+from helpers import (
+    A,
+    B,
+    bounded_language,
+    brute_force_member,
+    random_solvable,
+    random_tuple,
+    rows,
+    s,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 

@@ -1,8 +1,13 @@
+import itertools
+import pickle
 import random
 
 import pytest
 
+from stpchc import pattern_core
 from stpchc.pattern_core import (
+    BAGS,
+    STRINGS,
     Mode,
     NotSolvableError,
     PatternSyntaxError,
@@ -10,7 +15,6 @@ from stpchc.pattern_core import (
     RuleSet,
     TuplePattern,
     apply_substitution,
-    brute_force_member,
     const_atom,
     equivalent,
     includes,
@@ -20,6 +24,7 @@ from stpchc.pattern_core import (
     parse_pattern,
     pred_steps,
     render_pattern,
+    replays,
     residual,
     solving_path,
     var_atom,
@@ -29,6 +34,7 @@ from helpers import (
     A,
     B,
     bounded_language,
+    brute_force_member,
     exhaustive_solvable,
     random_solvable,
     random_tuple,
@@ -242,6 +248,14 @@ class TestInclusion:
         with pytest.raises(NotSolvableError):
             includes(P("(x)"), P("(xx)"))
 
+    def test_rejects_collection_patterns(self):
+        seq = P("(x, x y)")
+        for mode in (Mode.SET, Mode.MULTISET):
+            bag = P("(x, x y)", mode=mode)
+            for t1, t2 in ((bag, bag), (seq, bag), (bag, seq)):
+                with pytest.raises(ValueError, match="inclusion is defined for sequence patterns"):
+                    includes(t1, t2)
+
     def test_bounded_agreement(self):
         rng = random.Random(11)
         pats = [random_solvable(rng, max_arity=2, max_measure=8) for _ in range(40)]
@@ -298,3 +312,154 @@ class TestEquivalent:
         assert equivalent(P("(x, xy)"), P("(u, uv)"))
         assert equivalent(P("(x, y)"), P("(y, x)"))
         assert not equivalent(P("(x, xy)"), P("(x, yx)"))
+
+    def test_rejects_collection_patterns(self):
+        for mode in (Mode.SET, Mode.MULTISET):
+            with pytest.raises(ValueError, match="inclusion is defined for sequence patterns"):
+                equivalent(P("(x, y)", mode=mode), P("(y, x)", mode=mode))
+            with pytest.raises(ValueError, match="inclusion is defined for sequence patterns"):
+                equivalent(P("(x, y)"), P("(y, x)", mode=mode))
+
+
+ALL_RULES = [RuleSet(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+
+def collection_language(t: TuplePattern, max_len: int) -> set:
+    """Oracle for set and multiset membership: the tuples of `t` with every
+    variable bound to a multiset of at most max_len letters a and b, each
+    cell as `member` sees it (a frozenset or a sorted tuple)."""
+    bags = [bag for k in range(max_len + 1) for bag in itertools.combinations_with_replacement((A, B), k)]
+    variables = t.variables()
+    out = set()
+    for values in itertools.product(bags, repeat=len(variables)):
+        try:
+            out.add(apply_substitution(dict(zip(variables, values)), t))
+        except ValueError:  # overlapping set-mode parts
+            pass
+    return out
+
+
+def collection_member(values, language: set, mode: Mode) -> bool:
+    if mode is Mode.SET:
+        if any(len(set(cell)) != len(cell) for cell in values):
+            return False
+        return tuple(frozenset(cell) for cell in values) in language
+    return tuple(tuple(sorted(cell)) for cell in values) in language
+
+
+class TestSolvedOnce:
+    """Each pattern is solved once per rule set; later queries replay the
+    steps kept on it."""
+
+    def queries(self, rng, t):
+        """Random tuples and random members of `t`'s sequence reading."""
+        out = [random_tuple(rng, t.arity, max_len=3) for _ in range(4)]
+        for _ in range(4):
+            theta = {v: random_tuple(rng, 1, max_len=2)[0] for v in t.variables()}
+            out.append(apply_substitution(theta, TuplePattern(t.elements)))
+        return out
+
+    def test_member_agrees_with_oracles_under_every_rule_set(self):
+        rng = random.Random(24)
+        generated = [
+            random_solvable(rng, max_arity=3, max_measure=8, rules=rules)
+            for rules in ALL_RULES
+            for _ in range(6)
+        ]
+        for seq in generated:
+            for mode in Mode:
+                t = TuplePattern(seq.elements, mode)
+                alg = STRINGS if mode is Mode.SEQUENCE else BAGS
+                values = self.queries(rng, t)
+                language = None if mode is Mode.SEQUENCE else collection_language(t, 3)
+                for rules in ALL_RULES:
+                    path = solving_path(t, rules)
+                    for _repeat in range(3):
+                        for v in values:
+                            if path is None:
+                                with pytest.raises(NotSolvableError):
+                                    member(v, t, rules)
+                                continue
+                            got = member(v, t, rules)
+                            if mode is Mode.SEQUENCE:
+                                assert got == brute_force_member(v, t, 4), (v, t, rules)
+                                consts = tuple(tuple(const_atom(x) for x in cell) for cell in v)
+                                assert got == replays(consts, [st for st, _ in path], alg)
+                            else:
+                                assert got == collection_member(v, language, mode), (v, t, rules)
+                        assert is_solvable(t, rules) == (path is not None)
+
+    def test_rule_sets_get_their_own_answers(self):
+        t = P("(x, x^R)")
+        row = (s("ab"), s("ba"))
+        without, with_ = RuleSet(reverse=False), RuleSet(reverse=True)
+        for _ in range(2):
+            with pytest.raises(NotSolvableError):
+                member(row, t, without)
+            assert member(row, t, with_)
+            assert not member((s("ab"), s("ab")), t, with_)
+            assert not is_solvable(t, without)
+            assert is_solvable(t, with_)
+            with pytest.raises(NotSolvableError):
+                includes(t, t, without)
+            assert includes(t, t, with_)
+
+    def test_unsolvable_raises_on_every_call(self):
+        t = P("(xx)")
+        for _ in range(3):
+            with pytest.raises(NotSolvableError):
+                member((s("aa"),), t)
+            with pytest.raises(NotSolvableError):
+                includes(t, P("(x)"))
+            with pytest.raises(NotSolvableError):
+                includes(P("(x)"), t)
+            assert not is_solvable(t)
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The cells of every solving-path search made."""
+        found = []
+        find_path = pattern_core.find_path
+
+        def counting(cells, *args, **kwargs):
+            found.append(cells)
+            return find_path(cells, *args, **kwargs)
+
+        monkeypatch.setattr(pattern_core, "find_path", counting)
+        return found
+
+    def test_one_search_per_pattern_and_rule_set(self, searches):
+        t, u = P("(l1l2, l2l3, l1l2l3)"), P("(x, y, x y z)")
+        for _ in range(5):
+            member((s("ab"), s("bc"), s("abbc")), t)
+            member((s("ab"), s("bc"), s("abbc")), t, RuleSet(reverse=False))
+            equivalent(t, u)
+        assert len(searches) == 3  # t under both rule sets, u once
+
+    def test_is_solvable_reads_kept_steps_but_keeps_none(self, searches):
+        t = P("(x, x^R)")
+        assert is_solvable(t) and is_solvable(t)
+        assert len(searches) == 2
+        member((s("ab"), s("ba")), t)
+        assert is_solvable(t) and not is_solvable(t, RuleSet(reverse=False))
+        assert not is_solvable(t, RuleSet(reverse=False))
+        assert len(searches) == 5  # two, member's one, two under reverse=False
+
+    def test_kept_steps_are_invisible(self):
+        texts = ["(l1l2, l2l3, l1l2l3)", "(x, x^R y)", "(a x, eps, x b)", "(xx)"]
+        for text in texts:
+            for mode in Mode:
+                queried, fresh = P(text, mode=mode), P(text, mode=mode)
+                try:
+                    member(tuple(s("ab") for _ in range(queried.arity)), queried)
+                except NotSolvableError:
+                    pass
+                if mode is Mode.SEQUENCE and is_solvable(queried):
+                    assert includes(queried, queried)
+                assert queried == fresh and fresh == queried
+                assert hash(queried) == hash(fresh)
+                assert str(queried) == str(fresh) and repr(queried) == repr(fresh)
+                assert pickle.dumps(queried) == pickle.dumps(fresh)
+                clone = pickle.loads(pickle.dumps(queried))
+                assert clone == queried and hash(clone) == hash(queried)
+                assert is_solvable(clone) == is_solvable(fresh)

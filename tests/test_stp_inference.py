@@ -13,10 +13,9 @@ from stpchc.stp_inference import (
     infer,
     infer_all,
     rewrite_step,
-    validate,
 )
 
-from helpers import random_solvable, rows, s
+from helpers import random_solvable, rows, s, validate
 
 CONSTS = InferConfig(constants=True)
 FULL = InferConfig(constants=True, postfix=True, reverse=True)
