@@ -31,13 +31,20 @@ def char_to_letter(ch: str) -> int:
 
 
 def parse_cell(text: str) -> tuple[int, ...]:
-    """One CSV cell. Dotted cells ("1.2.0") are integer tokens, anything else
-    is one letter per character; the empty cell is the empty sequence."""
+    """One CSV cell. Dotted cells ("1.2.0") are non-negative integer tokens
+    (ValueError naming the cell otherwise), anything else is one letter per
+    character; the empty cell is the empty sequence."""
     text = text.strip()
     if not text:
         return ()
     if "." in text:
-        return tuple(int(tok) for tok in text.split("."))
+        try:
+            cell = tuple(int(tok) for tok in text.split("."))
+        except ValueError:
+            cell = None
+        if cell is None or min(cell) < 0:
+            raise ValueError(f"cell {text!r}: dotted tokens are non-negative integers")
+        return cell
     return tuple(char_to_letter(c) for c in text)
 
 

@@ -1,12 +1,10 @@
-"""Learning data: the m-by-n matrix of positive samples, and witness
-substitutions (named columns assigning one sequence per row to each
-variable)."""
+"""Learning data: the m-by-n matrix of positive samples, one sequence per
+cell, read from and written to CSV."""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .alphabet import parse_cell, render_cell
@@ -71,26 +69,3 @@ class LearningData:
             writer.writerow([render_cell(cell) for cell in row])
         return out.getvalue()
 
-
-@dataclass(frozen=True)
-class Substitution:
-    """Per-row assignment of sequences to variables: one column per variable
-    in `header`, rows aligned with the learning data it witnesses."""
-
-    header: tuple[int, ...]
-    data: LearningData
-
-    def __post_init__(self):
-        if len(set(self.header)) != len(self.header):
-            raise ValueError("substitution header variables must be distinct")
-        if self.data.m and len(self.header) != self.data.n:
-            raise ValueError("substitution header/column count mismatch")
-
-    def row(self, i: int) -> dict[int, Cell]:
-        return {v: self.data.rows[i][j] for j, v in enumerate(self.header)}
-
-    def is_strict(self) -> bool:
-        """No variable is mapped to the empty sequence in every row."""
-        return all(
-            any(cell for cell in self.data.column(j)) for j in range(len(self.header))
-        )

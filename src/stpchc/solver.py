@@ -297,7 +297,7 @@ def _formal(i: int) -> TVar:
 class PredicateModel:
     name: str
     signature: tuple[Sort, ...]
-    patterns: tuple[TuplePattern, ...] = ()
+    pattern: Optional[TuplePattern] = None
     mode: Mode = Mode.SEQUENCE
     length_formula: Optional[Formula] = None  # over $arg0..$argN formals
     count_model: bool = False
@@ -314,7 +314,7 @@ class PredicateModel:
         over = args
         if self.mode is Mode.SEQUENCE:
             over = [args[i] for i in self.list_positions()]
-        parts = [pattern_to_formula(t, over) for t in self.patterns]
+        parts = [] if self.pattern is None else [pattern_to_formula(self.pattern, over)]
         if self.count_model:
             parts.append(FEq(args[2], TCount(args[0], args[1])))
         if self.length_formula is not None:
@@ -494,7 +494,7 @@ def build_model(
         models[pred] = PredicateModel(
             pred,
             sig,
-            patterns=(infer(data, INFER),),
+            pattern=infer(data, INFER),
             mode=mode,
             count_model=mode is not Mode.SEQUENCE and _count_semantics(sig, rows),
         )

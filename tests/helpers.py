@@ -1,27 +1,40 @@
 """Shared test utilities: string shorthands, random solvable-pattern
-generation by inverse reduction, and small brute-force oracles."""
+generation by inverse reduction, small brute-force oracles, and the
+reference implementation of the paper's inference states."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from stpchc.alphabet import char_to_letter
 from stpchc.chc_core import AtomTable, match_goal, match_term, plan_join
-from stpchc.data import LearningData
+from stpchc.data import Cell, LearningData
 from stpchc.pattern_core import (
+    ELEMENT,
+    REVERSED,
+    RULE_TABLE,
+    STRINGS,
+    Cells,
+    PredStep,
+    Rule,
     RuleSet,
     TuplePattern,
     atom_index,
     atom_is_const,
     atom_is_reversed,
     atom_letter,
+    compose,
     const_atom,
+    data_steps,
     is_solvable,
     member,
     reverse_element,
+    strip,
     var_atom,
 )
+from stpchc.stp_inference import COLUMNS, InferConfig
 
 A = char_to_letter("a")
 B = char_to_letter("b")
@@ -290,3 +303,194 @@ def goal_hit(samples, system):
             matched, binding = found
             return gi, tuple(sample.values for sample in matched), binding
     return None
+
+
+# ---------------------------------------------------------------------------
+# inference states: the reference implementation of the paper's rewriting
+# relation, where a state pairs the working pattern with a witness
+# substitution that maps it back onto the input rows.  `stp_inference.infer`
+# keeps only the steps and composes them at the end; these states check
+# what it does not keep.
+
+Columns = tuple[tuple[Cell, ...], ...]
+
+
+@dataclass(frozen=True)
+class Substitution:
+    """Per-row assignment of sequences to variables: one column per variable
+    in `header`, rows aligned with the learning data it witnesses."""
+
+    header: tuple[int, ...]
+    data: LearningData
+
+    def __post_init__(self):
+        if len(set(self.header)) != len(self.header):
+            raise ValueError("substitution header variables must be distinct")
+        if self.data.m and len(self.header) != self.data.n:
+            raise ValueError("substitution header/column count mismatch")
+
+    def is_strict(self) -> bool:
+        """No variable is mapped to the empty sequence in every row."""
+        return all(
+            any(cell for cell in self.data.column(j)) for j in range(len(self.header))
+        )
+
+
+@dataclass(frozen=True)
+class RewriteState:
+    """Working pattern (elements over variable ids), one variable id per
+    data column, and the column contents.  `rows` is the sample count, kept
+    explicitly because the last column removal would otherwise lose it.
+    `cells` is the algebra of the columns."""
+
+    elements: tuple
+    var_ids: tuple[int, ...]
+    columns: Columns
+    next_id: int
+    rows: int
+    cells: Cells = COLUMNS
+
+    @classmethod
+    def initial(cls, data) -> "RewriteState":
+        """The start state on `data`: learning data, or collection data."""
+        if data.m == 0 or data.n == 0:
+            raise ValueError("learning data must have at least one row and column")
+        n = data.n
+        return cls(
+            elements=tuple((var_atom(j),) for j in range(n)),
+            var_ids=tuple(range(n)),
+            columns=data.columns(),
+            next_id=n,
+            rows=data.m,
+            # collection data names the algebra of its columns
+            cells=getattr(data, "cells", COLUMNS),
+        )
+
+    @property
+    def pattern(self) -> TuplePattern:
+        return TuplePattern(self.elements, self.cells.mode)
+
+    @property
+    def substitution(self) -> Substitution:
+        rows = [
+            tuple(col[r] for col in self.columns) for r in range(self.rows)
+        ]
+        return Substitution(self.var_ids, LearningData(rows))
+
+    def data_size(self) -> int:
+        return sum(1 + len(cell) for col in self.columns for cell in col)
+
+    def reconstructed_rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """Apply the witness substitution to the working pattern row by row;
+        this always reproduces the original input matrix."""
+        m = self.rows
+        out = []
+        for r in range(m):
+            env = {v: self.columns[k][r] for k, v in enumerate(self.var_ids)}
+            row = []
+            for el in self.elements:
+                acc: list[int] = []
+                for a in el:
+                    if a < 0:
+                        acc.append(-a - 1)
+                    else:
+                        acc.extend(env[a >> 1][::-1] if a & 1 else env[a >> 1])
+                row.append(tuple(acc))
+            out.append(tuple(row))
+        return tuple(out)
+
+
+def _subst_var(elements, target: int, repl: tuple, alg: Cells):
+    """Replace variable `target` by the atom string `repl` (reversed
+    occurrences get the reversed string)."""
+    rev = alg.reverse(repl)
+    new_elements = []
+    for el in elements:
+        acc = []
+        for a in el:
+            if a >= 0 and a >> 1 == target:
+                acc.extend(rev if a & 1 else repl)
+            else:
+                acc.append(a)
+        new_elements.append(alg.rebuild(acc))
+    return tuple(new_elements)
+
+
+def _advance(state: RewriteState, step: PredStep, columns: Columns) -> RewriteState:
+    """The state after `step`, whose columns are `columns`: the principal's
+    variable is replaced by what the step stripped plus a fresh variable
+    for the rest (nothing, for epsilon)."""
+    j = step.j
+    if step.rule is Rule.EPSILON:
+        var_ids = state.var_ids[:j] + state.var_ids[j + 1 :]
+        next_id = state.next_id
+    else:
+        var_ids = state.var_ids[:j] + (state.next_id,) + state.var_ids[j + 1 :]
+        next_id = state.next_id + 1
+    alg = state.cells.patterns
+    repl = compose(step, tuple((var_atom(v),) for v in var_ids), alg)[j]
+    return RewriteState(
+        _subst_var(state.elements, state.var_ids[j], repl, alg),
+        var_ids,
+        columns,
+        next_id,
+        state.rows,
+        state.cells,
+    )
+
+
+def applicable_rewrites(state: RewriteState, cfg: InferConfig) -> list[PredStep]:
+    """Every applicable step, in the order inference takes them."""
+    return [step for step, _ in data_steps(state.columns, state.cells, cfg)]
+
+
+def rewrite_step(state: RewriteState, step: PredStep) -> RewriteState:
+    """Apply `step`; ValueError unless it applies to the state's columns
+    under some rule set (an auxiliary column must differ from the principal
+    and not be all empty)."""
+    columns = state.columns
+    n = len(columns)
+    i = step.i
+    _front, source = RULE_TABLE.get(step.rule, (None, None))
+    applies = 0 <= step.j < n and (
+        source not in (ELEMENT, REVERSED)
+        or i is not None and 0 <= i < n and i != step.j and not state.cells.is_empty(columns[i])
+    )
+    new = strip(columns, step, state.cells) if applies else None
+    if new is None:
+        raise ValueError(f"step {step} is not applicable")
+    return _advance(state, step, new)
+
+
+def final_state(data, cfg: InferConfig = InferConfig()) -> RewriteState:
+    """Deterministic inference: repeatedly apply the first applicable rewrite
+    until none applies; returns the normal-form state (pattern plus witness
+    substitution)."""
+    state = RewriteState.initial(data)
+    while True:
+        first = next(data_steps(state.columns, state.cells, cfg), None)
+        if first is None:
+            return state
+        state = _advance(state, *first)
+
+
+def reachable_patterns(
+    data: LearningData, cfg: InferConfig = InferConfig()
+) -> frozenset[TuplePattern]:
+    """Every pattern of every reachable rewriting state, normal form or not
+    (completeness promises reachability, not normality)."""
+    return frozenset(TuplePattern(els) for els in _reach(data.columns(), cfg, {}))
+
+
+def _reach(columns: Columns, cfg: InferConfig, memo: dict) -> frozenset:
+    if columns in memo:
+        return memo[columns]
+    memo[columns] = frozenset()
+    trivial = tuple((var_atom(k),) for k in range(len(columns)))
+    out = {trivial}
+    for step, succ in data_steps(columns, COLUMNS, cfg):
+        for t in _reach(succ, cfg, memo):
+            out.add(compose(step, t, STRINGS))
+    result = frozenset(out)
+    memo[columns] = result
+    return result

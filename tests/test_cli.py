@@ -448,6 +448,21 @@ class TestInferErrors:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("cell", ["1.-2", "a.b", "1..2"])
+    @pytest.mark.parametrize("options", [[], ["--constants"], ["--set"], ["--multiset"]])
+    def test_bad_dotted_cell_reported(self, capsys, tmp_path, cell, options):
+        # a dotted cell holds non-negative integer tokens, in every mode
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{cell},3\n")
+        code, out, err = run(capsys, "infer", str(p), *options)
+        assert code == 2 and out == ""
+        assert err == f"error: cell {cell!r}: dotted tokens are non-negative integers\n"
+
+    def test_bad_dotted_cell_in_member_row(self, capsys):
+        code, out, err = run(capsys, "decide", "member", "1.-2,3", "(x, y)")
+        assert code == 64 and out == ""
+        assert "cell '1.-2'" in err
+
 
 class TestSetModeSmoke:
     def test_set_mode_runs(self, capsys):

@@ -14,13 +14,14 @@ from stpchc.pattern_core import (
     Mode,
     TuplePattern,
     const_atom,
+    data_steps,
     parse_pattern,
     pattern_steps,
     pred_steps,
     render_pattern,
     var_atom,
 )
-from stpchc.stp_inference import InferConfig, RewriteState, applicable_rewrites
+from stpchc.stp_inference import COLUMNS, InferConfig
 
 from helpers import A, B, rows
 
@@ -39,8 +40,7 @@ def collection_pattern_steps(t):
 
 
 def collection_data_steps(data, cfg):
-    state = RewriteState.initial(data)
-    return [fields(step) for step in applicable_rewrites(state, cfg)]
+    return [fields(step) for step, _ in data_steps(data.columns(), data.cells, cfg)]
 
 
 def test_pattern_steps_principal_major():
@@ -72,8 +72,7 @@ def test_pattern_steps_principal_major():
 def test_data_steps_rule_major():
     # two members of the pattern above: y = bc, x = d and y = b, x = eps
     data = LearningData(rows(["a", "abca", "acbadacba", ""], ["a", "aba", "abaaba", ""]))
-    state = RewriteState.initial(data)
-    assert [fields(d) for d in applicable_rewrites(state, FULL)] == [
+    assert [fields(d) for d, _ in data_steps(data.columns(), COLUMNS, FULL)] == [
         ("epsilon", 3, None, None),
         ("prefix", 1, 0, None),
         ("prefix", 2, 0, None),

@@ -75,7 +75,7 @@ class TestBoundedChecker:
         reva = parse_smtlib((BENCH / "reva.smt2").read_text())
         sig = reva.predicates["reva"]
         model = CandidateModel(
-            {"reva": PredicateModel("reva", sig, patterns=(parse_pattern("(x, y, x^R y)"),))}
+            {"reva": PredicateModel("reva", sig, pattern=parse_pattern("(x, y, x^R y)"))}
         )
         checker = BoundedChecker(Bounds(max_list_len=2, max_elem=1))
         outcome = check_definite(model, reva, checker)

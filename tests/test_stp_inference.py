@@ -1,21 +1,31 @@
+import itertools
 import random
 
 import pytest
 
+from stpchc.collection_inference import CollectionData
 from stpchc.data import LearningData
-from stpchc.pattern_core import PredStep, Rule, is_solvable, parse_pattern
-from stpchc.stp_inference import (
-    InferConfig,
-    reachable_patterns,
+from stpchc.pattern_core import (
+    Mode,
+    PredStep,
+    Rule,
+    apply_substitution,
+    is_solvable,
+    parse_pattern,
+)
+from stpchc.stp_inference import InferConfig, infer, infer_all
+
+from helpers import (
     RewriteState,
     applicable_rewrites,
     final_state,
-    infer,
-    infer_all,
+    random_solvable,
+    reachable_patterns,
     rewrite_step,
+    rows,
+    s,
+    validate,
 )
-
-from helpers import random_solvable, rows, s, validate
 
 CONSTS = InferConfig(constants=True)
 FULL = InferConfig(constants=True, postfix=True, reverse=True)
@@ -179,6 +189,42 @@ class TestInfer:
             t = infer(data, FULL)
             assert is_solvable(t)
             assert validate(data, t)
+
+
+class TestInferMatchesOracle:
+    # `infer` keeps only the path of steps and composes it backwards; the
+    # oracle's states substitute forwards as they go.  Both must give the
+    # same normal-form pattern in every mode and under every rule set.
+
+    @staticmethod
+    def instances(seed, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            t = random_solvable(rng, max_arity=3, max_measure=10)
+            rows_ = []
+            for _r in range(rng.randint(1, 4)):
+                theta = {
+                    v: tuple(rng.choice((10, 11, 12)) for _ in range(rng.randint(0, 2)))
+                    for v in t.variables()
+                }
+                rows_.append(apply_substitution(theta, t))
+            yield rows_
+
+    @pytest.mark.parametrize(
+        "constants,postfix,reverse", list(itertools.product((False, True), repeat=3))
+    )
+    def test_every_mode_and_rule_set(self, constants, postfix, reverse):
+        cfg = InferConfig(constants=constants, postfix=postfix, reverse=reverse)
+        for rows_ in self.instances(seed=21):
+            for data in (
+                LearningData(rows_),
+                CollectionData([[set(cell) for cell in row] for row in rows_], Mode.SET),
+                CollectionData(rows_, Mode.MULTISET),
+            ):
+                got = infer(data, cfg)
+                want = final_state(data, cfg).pattern
+                assert got == want, (rows_, data)
+                assert str(got) == str(want), (rows_, data)
 
 
 class TestInferAll:

@@ -1,5 +1,6 @@
-"""Count the solving-path searches of perfbench's `infer` workload and time
-its passes, in process, for one or more versions of `stpchc`.
+"""Count the solving-path searches of perfbench's `infer` workload, digest
+the patterns it infers, and time its passes, in process, for one or more
+versions of `stpchc`.
 
     python tools/infer_paths.py NAME=SRC_DIR [NAME=SRC_DIR ...] [--rounds N] > BENCH_infer.json
 
@@ -15,9 +16,14 @@ path, counted by wrapping the module attribute `pattern_core.find_path`
 
 - `setup`: the searches made while the cases are built;
 - `passes`: the searches made in each of the three passes;
-- `failed`: the operations of the three passes that failed a check.
+- `failed`: the operations of the three passes that failed a check;
+- `patterns_sha256`: the SHA-256 of every pattern the three passes infer,
+  mode and rendering one per line in inference order, caught by wrapping
+  `stp_inference.infer` and `collection_inference.infer_collection` (the
+  names perfbench calls).
 
-Two runs give identical counts.
+Two runs give identical counts and digests, and two versions that infer the
+same patterns give the same digest.
 
 Time: each round runs, for every version, a fresh child process that builds
 the cases of `--seed` (default 0), makes `--passes` passes (default 2) and
@@ -30,6 +36,7 @@ and nothing in `src/` or `perfbench/` is changed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,6 +61,22 @@ def _import(src_dir: str):
     return pattern_core, run
 
 
+def _digest_inferred(digest) -> None:
+    """Feed every pattern inferred from now on to `digest`."""
+    from stpchc import collection_inference, stp_inference
+
+    def digesting(infer):
+        def wrapped(*args, **kwargs):
+            t = infer(*args, **kwargs)
+            digest.update(f"{t.mode.value} {t}\n".encode())
+            return t
+
+        return wrapped
+
+    stp_inference.infer = digesting(stp_inference.infer)
+    collection_inference.infer_collection = digesting(collection_inference.infer_collection)
+
+
 def _cases(seed: int):
     import patterns
 
@@ -61,7 +84,8 @@ def _cases(seed: int):
 
 
 def counts(src_dir: str, seed: int) -> dict:
-    """`find_path` calls while building the cases and in each pass."""
+    """`find_path` calls while building the cases and in each pass, and the
+    digest of the patterns the passes infer."""
     pattern_core, run = _import(src_dir)
     calls = [0]
     find_path = pattern_core.find_path
@@ -73,6 +97,8 @@ def counts(src_dir: str, seed: int) -> dict:
     pattern_core.find_path = counting_find_path
     cases = _cases(seed)
     out = {"setup": calls[0], "passes": []}
+    digest = hashlib.sha256()
+    _digest_inferred(digest)
     tally = run.Tally()
     for _ in range(COUNTED_PASSES):
         calls[0] = 0
@@ -80,6 +106,7 @@ def counts(src_dir: str, seed: int) -> dict:
             run.infer_op(case, tally)
         out["passes"].append(calls[0])
     out["failed"] = len(tally.failures)
+    out["patterns_sha256"] = digest.hexdigest()
     return out
 
 
@@ -144,7 +171,8 @@ def main(argv=None) -> int:
         report[name]["timed_failed"] = sum(row["failed"] for row in rows)
     print(json.dumps({
         "what": "find_path calls (solving-path searches) while perfbench's infer cases "
-                "are built and in each of three passes, seeds 0-2; in-process wall "
+                "are built and in each of three passes, and the SHA-256 of the patterns "
+                "those passes infer, seeds 0-2; in-process wall "
                 f"time of passes 1-{ns.passes} at seed {ns.seed} and max RSS, "
                 f"min and median of {ns.rounds} alternated rounds",
         "python": platform.python_version(),
