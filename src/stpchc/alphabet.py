@@ -31,20 +31,17 @@ def char_to_letter(ch: str) -> int:
 
 
 def parse_cell(text: str) -> tuple[int, ...]:
-    """One CSV cell. Dotted cells ("1.2.0") are non-negative integer tokens
+    """One CSV cell. Dotted cells ("1.2.0") are tokens of the digits 0-9
     (ValueError naming the cell otherwise), anything else is one letter per
     character; the empty cell is the empty sequence."""
     text = text.strip()
     if not text:
         return ()
     if "." in text:
-        try:
-            cell = tuple(int(tok) for tok in text.split("."))
-        except ValueError:
-            cell = None
-        if cell is None or min(cell) < 0:
+        tokens = text.split(".")
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise ValueError(f"cell {text!r}: dotted tokens are non-negative integers")
-        return cell
+        return tuple(int(tok) for tok in tokens)
     return tuple(char_to_letter(c) for c in text)
 
 

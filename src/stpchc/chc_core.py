@@ -867,7 +867,11 @@ def collect_samples(
     """Positive samples of every predicate, derived bottom-up: facts are
     instantiated with random values, then definite clauses are unit-propagated
     up to the depth budget, each over the first `combo_cap` products of its
-    body-atom pools.  Every returned sample is in the least model."""
+    body-atom pools.  Every returned sample is in the least model.
+
+    Tables grow only after a level's loop, so a rule whose head table is
+    full at the start of a level adds nothing at that level: its matches and
+    draws are still made, which keeps the `rng` stream, but not evaluated."""
     tables = {p: AtomTable() for p in system.predicates}
     facts = [plan_join(c) for c in system.definite if not c.body_atoms]
     rules = [plan_join(c) for c in system.definite if c.body_atoms]
@@ -876,9 +880,12 @@ def collect_samples(
         for plan in rules if depth else facts:
             clause = plan.clause
             cap = budget.combo_cap if depth else None  # only rules are capped
+            full = len(tables[clause.head.pred]) >= budget.per_pred_cap
             for _, binding in join(plan, tables, cap):
                 free = [n for n in plan.free if n not in binding]
                 for extra in _free_var_assignments(free, plan.sorts, budget, rng):
+                    if full:
+                        continue
                     env = {**binding, **extra}
                     try:
                         if not eval_formula(clause.constraint, env):

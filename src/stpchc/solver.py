@@ -19,19 +19,18 @@ bounded domain.  Auto mode reports `unsat` only for a derivation that
 `replay_derivation` confirms.
 
 The modes live in one registry (`mode_registry`), which `solve` dispatches
-through.  The modes run in forked worker processes, each the leader of its
-own process group, under one scheduler (`_schedule`).  Auto mode first runs
-a slice of the refutation search in the calling process (`REFUTE_SLICE`) and
-returns a refutation found there without forking; only when the slice is
-inconclusive does it fork the suspended search into a process of its own,
-which resumes it.  Then it forks one worker per usable CPU, at most one per
-mode; a single-mode solve forks one worker and no refutation.  Verdicts are
-accepted in registry order.  List-len mode is queued once list mode's
-verdict is in, and strengthens the checked model that verdict carries
-instead of running the loop again (`STARTS_AFTER`).  At the
-deadline, or once a verdict is decided, the scheduler kills every worker's
-process group, external solvers included, and reaps every worker.  That is
-the one way a solve stops, so nothing below the scheduler polls for it.
+through, and one function runs a solve (`_solve_in_order`).  Auto mode runs a
+slice of the refutation search in the calling process (`REFUTE_SLICE`) and
+returns a refutation found there.  Then it runs the modes in registry order,
+each only once every mode before it has returned `unknown`; list-len mode
+strengthens the checked model that list mode's verdict carries instead of
+running the loop again.  Only when every mode returns `unknown` does the
+suspended refutation search run to its end.  A single-mode solve runs its
+mode alone, with no refutation.  Without a deadline all of this runs in the
+calling process.  With one, the slice still runs there, and a forked worker
+that leads its own process group runs the rest; at the deadline the worker's
+process group is killed, external solvers included.  That is the one way a
+solve stops, so nothing below `_solve_in_order` polls for it.
 """
 
 from __future__ import annotations
@@ -554,9 +553,9 @@ def _solve_patterns(system: ChcSystem, cfg: SolverConfig, checker, mode: Mode) -
 
 
 # The mode runners.  Each is called as `runner(system, cfg, checker=...,
-# int_backend=...)` and ignores the backends it has no use for; `_worker`
-# names its verdict after its registry entry.  A mode of `STARTS_AFTER` also
-# takes `after=` when the mode it starts after is solved beside it.
+# int_backend=...)` and ignores the backends it has no use for; `_in_order`
+# names its verdict after its registry entry, and gives list-len mode list
+# mode's verdict as `after=` when list mode ran before it.
 
 def solve_list_mode(
     system: ChcSystem, cfg: SolverConfig = SolverConfig(), checker=None, int_backend=None
@@ -1074,211 +1073,153 @@ def replay_derivation(system: ChcSystem, witness: RefutationWitness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the mode registry and the scheduler
+# the mode registry and the solving sequence
 
 def mode_registry() -> dict[str, Callable[..., Verdict]]:
     """The modes by name, in the order auto mode tries them.  Built at each
     call, so that it holds the runners the module has at that time."""
     return {
         "list": solve_list_mode,
-        "set": partial(solve_collection_mode, mode=Mode.SET),
         "multiset": partial(solve_collection_mode, mode=Mode.MULTISET),
         "list-len": solve_list_len_mode,
+        "set": partial(solve_collection_mode, mode=Mode.SET),
     }
 
 
-# A mode that starts from the verdict of a mode before it in the registry:
-# when both are solved, it runs once that verdict is in, as `after`.
-STARTS_AFTER = {"list-len": "list"}
-
-
-# The units of refutation work (`_refuting`) that auto mode does in the
-# calling process before it forks anything: about the work that takes as long
-# as what a refutation found there saves, that is importing
-# `multiprocessing.connection` and forking the refuter and the mode workers
-# (about 25 ms on 2 CPUs, Python 3.11).  A unit takes 4-21 us on the bundled
-# systems and about 8 us on the median one, so the slice takes about 25 ms.
-# Every bundled unsat system (at most 2,379 units) and reva (461) finish
-# inside it; take_drop (5,919) and sort (18,027) go on in the refuter.
+# The units of refutation work (`_refuting`) that auto mode does before its
+# first mode: a unit takes 4-21 us on the bundled systems and about 8 us on
+# the median one, so the slice takes about 25 ms.  Every bundled unsat
+# system (at most 2,379 units) and reva (461) finish inside it; the rest of
+# take_drop's search (5,919 units) and sort's (18,027) runs only if every
+# mode returns UNKNOWN, so it does not delay their sat verdicts.
 REFUTE_SLICE = 3_000
 
 
 def _refutation(system: ChcSystem, witness: Optional[RefutationWitness]) -> Verdict:
     """A refutation's result as a verdict: UNSAT only for a witness that replays."""
     if witness is None:
-        return Verdict(VerdictKind.UNKNOWN)
+        return Verdict(VerdictKind.UNKNOWN, mode="refutation")
     if replay_derivation(system, witness):
-        return Verdict(VerdictKind.UNSAT, derivation=witness)
-    return Verdict(VerdictKind.UNKNOWN, reason="refutation witness does not replay")
+        return Verdict(VerdictKind.UNSAT, derivation=witness, mode="refutation")
+    return Verdict(VerdictKind.UNKNOWN, reason="refutation witness does not replay",
+                   mode="refutation")
 
 
-def _resumed(levels, system: ChcSystem, cfg: SolverConfig, checker=None,
-             int_backend=None) -> Verdict:
-    """The refuter's runner: the suspended search `levels`, run to its end."""
-    return _refutation(system, _finish(levels))
+def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
+              levels, refuted: Optional[Verdict], tell: Callable[[tuple], None]) -> Verdict:
+    """Run the `(name, runner)` entries one after another, each verdict named
+    after its entry; list-len mode gets list mode's verdict, when list mode
+    ran before it, as `after`.  The first verdict that is not UNKNOWN wins;
+    its `stats["attempts"]` lists `(mode, outcome, reason)` for the entries
+    before it, and `tell` gets each of those as it comes in.
+
+    When every entry returns UNKNOWN, the suspended refutation search
+    `levels`, if any, runs to its end, and its UNSAT wins.  Otherwise the
+    verdict is the last entry's if it has a reason, and else refutation's
+    (`refuted`, or the one the search just gave)."""
+    tried: list = []  # (mode, outcome, reason) per entry that returned UNKNOWN
+    verdicts: dict = {}  # by name, the verdict of each entry run so far
+    for name, runner in entries:
+        if name == "list-len" and "list" in verdicts:
+            runner = partial(runner, after=verdicts["list"])
+        got = replace(runner(system, cfg, checker=checker, int_backend=int_backend), mode=name)
+        verdict = replace(got, stats={**got.stats, "attempts": list(tried)})
+        if verdict.kind is not VerdictKind.UNKNOWN:
+            return verdict
+        verdicts[name] = got
+        tried.append((name, got.kind.value, got.reason))
+        tell(tried[-1])
+    if levels is not None:
+        refuted = _refutation(system, _finish(levels))
+    if refuted is not None:
+        refuted = replace(refuted, stats={**refuted.stats, "attempts": tried})
+        if refuted.kind is not VerdictKind.UNKNOWN:
+            return refuted
+    return verdict if verdict.reason is not None or refuted is None else refuted
 
 
-def _worker(entries, tasks, out, system: ChcSystem, cfg: SolverConfig, checker,
-            int_backend) -> None:
-    """The body of one worker process: run the entries whose `(index, after)`
-    tasks it takes from `tasks` until it is killed, passing `after` to the
-    runner unless it is None, and send `(index, verdict)`, the verdict named
-    after its entry, or `(index, exception)` for a runner that raised, on
-    `out`.  The worker leads its own process group, so that the parent's kill
-    also reaches the external solvers it starts."""
+def _worker(out, *args) -> None:
+    """The body of the forked worker: `_in_order(*args)`, sending each
+    attempt as `(False, attempt)` and then `(True, verdict)`, or `(True,
+    exception)` for a runner that raised, on `out`.  The worker leads its own
+    process group, so that the parent's kill also reaches the external
+    solvers it starts."""
     os.setpgrp()
-    while True:
-        i, after = tasks.get()
-        name, runner = entries[i]
-        if after is not None:
-            runner = partial(runner, after=after)
-        try:
-            got = replace(runner(system, cfg, checker=checker, int_backend=int_backend), mode=name)
-        except Exception as exc:  # raised by the parent, in registry order
-            got = exc
-        out.send((i, got))
+    try:
+        got = _in_order(*args, lambda attempt: out.send((False, attempt)))
+    except Exception as exc:  # raised by the parent
+        got = exc
+    out.send((True, got))
 
 
-def _schedule(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
-              refutation: bool) -> Verdict:
-    """Run the `(name, runner)` entries in forked worker processes, one per
-    usable CPU and at most one per entry, and with `refutation` the
-    refutation search beside them.  Workers take the entries first in, first
-    out: each entry at the start, except a mode of `STARTS_AFTER` whose first
-    mode is an entry too, which is queued once that mode's verdict is in,
-    with that verdict.
+def _solve_in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
+                    refutation: bool) -> Verdict:
+    """With `refutation`, run the first `REFUTE_SLICE` units of the
+    refutation search in this process; a witness found there is returned
+    when it replays, even past the deadline.  Then run the entries in order,
+    and the rest of the search only if they all return UNKNOWN
+    (`_in_order`).
 
-    Refutation runs its first `REFUTE_SLICE` units of work in this process,
-    before anything is forked.  A witness found there is returned when it
-    replays, even past the deadline; a search that ends there forks nothing
-    for refutation.  Otherwise the search, suspended, goes to a refuter
-    process of its own, forked before the workers, which resumes it.
-
-    Refutation's UNSAT wins at once.  An entry's verdict is accepted only once
-    every entry before it has returned UNKNOWN, so the result is that of
-    running the entries in order, whatever the number of CPUs; its
-    `stats["attempts"]` lists `(mode, outcome, reason)` for those entries.
-    When every runner returns UNKNOWN, the verdict is the last entry's if it
-    has a reason, and otherwise refutation's.  At `cfg.timeout` the verdict
-    is UNKNOWN with reason `timeout`, named after the first undecided entry.
-    Returns once every worker's process group is killed and every worker
-    reaped."""
+    Without `cfg.timeout` that runs in this process and starts none.  With
+    one, a forked worker that leads its own process group runs it, and at
+    the deadline the verdict is UNKNOWN with reason `timeout`, named after
+    the first undecided entry.  Returns once the worker's process group is
+    killed and the worker reaped."""
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-    decided: list = [None] * len(entries)  # per entry: its verdict or exception
-    accepted = 0  # entries 0..accepted-1 returned UNKNOWN
-    refuted = None  # refutation's UNKNOWN verdict, once it is in
     levels = None  # refutation's search, suspended after its slice
-
-    def attempts(k: int) -> list:
-        return [(v.mode, v.kind.value, v.reason) for v in decided[:k]]
-
-    def timed_out() -> Verdict:
-        first = entries[accepted][0] if accepted < len(entries) else "refutation"
-        return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
-                       stats={"attempts": attempts(accepted)})
-
-    def refutation_verdict(verdict: Verdict) -> Verdict:
-        return replace(verdict, mode="refutation", stats={**verdict.stats, "attempts": []})
-
+    refuted = None  # refutation's UNKNOWN verdict, when the search ended in the slice
     if refutation:
         levels = _refuting(system, RefuteBudget(), REFUTE_SLICE)
         try:
             next(levels)
         except StopIteration as stop:
             levels = None
-            got = refutation_verdict(_refutation(system, stop.value))
-            if got.kind is not VerdictKind.UNKNOWN:
-                return got
-            refuted = got
-    if deadline is not None and time.monotonic() >= deadline:
+            refuted = replace(_refutation(system, stop.value), stats={"attempts": []})
+            if refuted.kind is not VerdictKind.UNKNOWN:
+                return refuted
+    args = (entries, system, cfg, checker, int_backend, levels, refuted)
+    if deadline is None:
+        return _in_order(*args, lambda attempt: None)
+
+    tried: list = []  # the attempts the worker has sent
+
+    def timed_out() -> Verdict:
+        first = entries[len(tried)][0] if len(tried) < len(entries) else "refutation"
+        return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
+                       stats={"attempts": tried})
+
+    if time.monotonic() >= deadline:
         return timed_out()
 
-    import multiprocessing.connection  # here, not at the top: `import stpchc` alone does not pay it
+    import multiprocessing  # here, not at the top: a solve without a deadline does not pay it
 
-    names = [name for name, _ in entries]
-    starts_after = {
-        names.index(m): names.index(first)
-        for m, first in STARTS_AFTER.items() if m in names and first in names
-    }
     ctx = multiprocessing.get_context("fork")
-    queues: list = []  # every task queue
-    workers: dict = {}  # result connection -> worker process
-
-    def queue(*tasks):
-        q = ctx.SimpleQueue()
-        queues.append(q)
-        for task in tasks:
-            q.put(task)
-        return q
-
-    def start(entries, tasks):
-        """Fork a worker on `entries` that takes `tasks`; its result connection."""
-        receive, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker,
-            args=(entries, tasks, send, system, cfg, checker, int_backend),
-            daemon=True,
-        )
-        proc.start()
-        workers[receive] = proc
-        os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
-        send.close()
-        return receive
-
+    receive, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_worker, args=(send, *args), daemon=True)
+    proc.start()
+    os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
+    send.close()
+    del args, levels  # the worker resumes the search; this process drops it
     try:
-        refuter = None
-        if levels is not None:
-            refuter = start([("refutation", partial(_resumed, levels))], queue((0, None)))
-            levels = None  # the refuter resumes the search; this process drops it
-        tasks = queue(*((i, None) for i in range(len(entries)) if i not in starts_after))
-        for _ in range(min(len(entries), len(os.sched_getaffinity(0)))):
-            start(entries, tasks)
-        pending = list(workers)
-        while accepted < len(entries) or (refutation and refuted is None):
-            left = None if deadline is None else max(0.0, deadline - time.monotonic())
-            ready = multiprocessing.connection.wait(pending, left)
-            if not ready:
+        while True:
+            if not receive.poll(max(0.0, deadline - time.monotonic())):
                 return timed_out()
-            for conn in ready:
-                try:
-                    i, got = conn.recv()
-                except EOFError:  # the worker died
-                    proc = workers[conn]
-                    proc.join()
-                    raise RuntimeError(f"solver worker exited with code {proc.exitcode}")
-                if conn is refuter:
-                    pending.remove(conn)
-                    if isinstance(got, Exception):
-                        raise got
-                    got = refutation_verdict(got)
-                    if got.kind is not VerdictKind.UNKNOWN:
-                        return got
-                    refuted = got
-                    continue
-                decided[i] = got
-                for m, first in starts_after.items():
-                    if first == i and not isinstance(got, Exception):
-                        tasks.put((m, got))
-            while accepted < len(entries) and decided[accepted] is not None:
-                verdict = decided[accepted]
-                if isinstance(verdict, Exception):
-                    raise verdict
-                verdict = replace(verdict, stats={**verdict.stats, "attempts": attempts(accepted)})
-                if verdict.kind is not VerdictKind.UNKNOWN:
-                    return verdict
-                accepted += 1
-        # every runner returned UNKNOWN: `verdict` is the last entry's
-        return verdict if verdict.reason is not None or refuted is None else refuted
+            try:
+                done, got = receive.recv()
+            except EOFError:  # the worker died
+                proc.join()
+                raise RuntimeError(f"solver worker exited with code {proc.exitcode}")
+            if done:
+                break
+            tried.append(got)
+        if isinstance(got, Exception):
+            raise got
+        return got
     finally:
-        for proc in workers.values():
-            if proc.exitcode is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-        for proc in workers.values():
-            proc.join()
-        for conn in workers:
-            conn.close()
-        for q in queues:
-            q.close()
+        if proc.exitcode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.join()
+        receive.close()
 
 
 def solve_auto(
@@ -1287,19 +1228,20 @@ def solve_auto(
     checker=None,
     int_backend=None,
 ) -> Verdict:
-    """The registry's modes and the refutation search, under `_schedule`."""
-    return _schedule(list(mode_registry().items()), system, cfg, checker, int_backend,
-                     refutation=True)
+    """The refutation slice, the registry's modes in order, then the rest of
+    the refutation search (`_solve_in_order`)."""
+    return _solve_in_order(list(mode_registry().items()), system, cfg, checker, int_backend,
+                           refutation=True)
 
 
 def solve(system: ChcSystem, cfg: SolverConfig = SolverConfig(), mode: str = "auto",
           checker=None, int_backend=None) -> Verdict:
-    """Solve in `mode`: "auto" or a name of `mode_registry()`, the latter in
-    one worker under `_schedule`, with no refutation."""
+    """Solve in `mode`: "auto" or a name of `mode_registry()`, the latter
+    alone under `_solve_in_order`, with no refutation."""
     if mode == "auto":
         return solve_auto(system, cfg, checker, int_backend)
     registry = mode_registry()
     if mode not in registry:
         raise ValueError(f"unknown mode {mode!r}")
-    return _schedule([(mode, registry[mode])], system, cfg, checker, int_backend,
-                     refutation=False)
+    return _solve_in_order([(mode, registry[mode])], system, cfg, checker, int_backend,
+                           refutation=False)

@@ -9,8 +9,17 @@ import random
 from dataclasses import dataclass
 
 from stpchc.alphabet import char_to_letter
-from stpchc.chc_core import AtomTable, match_goal, match_term, plan_join
+from stpchc.chc_core import (
+    AtomTable,
+    Sample,
+    _free_var_assignments,
+    join,
+    match_goal,
+    match_term,
+    plan_join,
+)
 from stpchc.data import Cell, LearningData
+from stpchc.formulas import eval_formula, eval_term
 from stpchc.pattern_core import (
     ELEMENT,
     REVERSED,
@@ -288,6 +297,36 @@ def naive_join(atoms, pools, cap=None):
             for atom, pool, r in zip(atoms, pools, rows)
         ):
             yield rows, binding
+
+
+def evaluated_samples(system, budget, rng):
+    """Reference for `chc_core.collect_samples`: the same levels, matches
+    and draws, with every draw evaluated, also those of a rule whose head
+    table is already full."""
+    tables = {p: AtomTable() for p in system.predicates}
+    facts = [plan_join(c) for c in system.definite if not c.body_atoms]
+    rules = [plan_join(c) for c in system.definite if c.body_atoms]
+    for depth in range(budget.depth + 1):
+        new = []
+        for plan in rules if depth else facts:
+            clause = plan.clause
+            cap = budget.combo_cap if depth else None
+            for _, binding in join(plan, tables, cap):
+                free = [n for n in plan.free if n not in binding]
+                for extra in _free_var_assignments(free, plan.sorts, budget, rng):
+                    env = {**binding, **extra}
+                    try:
+                        if not eval_formula(clause.constraint, env):
+                            continue
+                        values = tuple(eval_term(a, env) for a in clause.head.args)
+                    except Exception:
+                        continue
+                    new.append((clause.head.pred, values))
+        for pred, values in new:
+            table = tables[pred]
+            if values not in table and len(table) < budget.per_pred_cap:
+                table.add(values, Sample(pred, values, ("derived", depth)))
+    return [sample for table in tables.values() for sample in table.items]
 
 
 def goal_hit(samples, system):

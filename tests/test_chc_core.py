@@ -15,9 +15,14 @@ from stpchc.chc_core import (
 )
 from stpchc.formulas import Sort
 
-from helpers import goal_hit
+from helpers import evaluated_samples, goal_hit
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+BUNDLED = [
+    *sorted(BENCH.glob("*.smt2")),
+    *sorted((BENCH / "unsat").glob("*.smt2")),
+    *sorted((BENCH.parent / "perfbench" / "systems").glob("*.smt2")),
+]
 
 
 def load(name: str) -> ChcSystem:
@@ -130,6 +135,30 @@ class TestCollectSamples:
         for s in samples:
             depth = s.provenance[1]
             assert derivable(system, s.predicate, s.values, depth), s
+
+
+    @pytest.mark.parametrize("cap", [32, 7])
+    def test_full_tables_skip_only_what_they_would_drop(self, cap):
+        # the same samples, in the same order, and the same draws as the
+        # sampler that evaluates every draw; 32 is the solver's cap, and at 7
+        # tables also start a level one row short of full
+        assert len(BUNDLED) == 11
+        filled = set()
+        for path in BUNDLED:
+            system = parse_smtlib(path.read_text())
+            for depth in range(3, 9):
+                budget = SampleBudget(depth=depth, count=10, per_pred_cap=cap)
+                for seed in range(3):
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    got = collect_samples(system, budget, rng)
+                    assert got == evaluated_samples(system, budget, oracle_rng), (
+                        path.name, depth, seed)
+                    assert rng.random() == oracle_rng.random(), (path.name, depth, seed)
+                    for pred in system.predicates:
+                        if sum(s.predicate == pred for s in got) == budget.per_pred_cap:
+                            filled.add(path.name)
+        # tables do fill, so draws are skipped
+        assert {"reva.smt2", "sort.smt2", "take_drop.smt2"} <= filled
 
 
 class TestDerivable:

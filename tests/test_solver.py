@@ -559,7 +559,7 @@ class TestSolveAuto:
         # every mode before the winner, in registry order
         assert verdict.stats["attempts"] == [
             (mode, "unknown", "patterns hold but do not imply the goals")
-            for mode in ("list", "set", "multiset")
+            for mode in ("list", "multiset")
         ]
 
     def test_sort(self, sort_system):
@@ -587,54 +587,74 @@ class TestSolveAuto:
             assert verdict.kind is VerdictKind.UNSAT, path.name
             assert starts == [], path.name
 
-    @pytest.mark.parametrize("name, refuter", [("reva.smt2", 0), ("sort.smt2", 1)])
-    def test_refuter_forked_only_past_the_slice(self, monkeypatch, starts, name, refuter):
-        # reva's search ends inside the slice, sort's does not
-        self.stub_modes(monkeypatch, lambda: Verdict(VerdictKind.SAT),
-                        lambda: Verdict(VerdictKind.SAT), 2)
-        verdict = solve_auto(load(name), SolverConfig(seed=0))
-        assert verdict.kind is VerdictKind.SAT
-        assert len(starts) == refuter + 2
-        assert multiprocessing.active_children() == []
+    def test_refutation_resumes_only_after_every_mode_is_unknown(self, monkeypatch, reva):
+        # the slice is inconclusive; the rest of the search logs when it runs
+        log = []
+        stub_refutation(monkeypatch, None, False, lambda: log.append("refutation"))
+
+        def logged(name, kind):
+            return lambda: log.append(name) or Verdict(kind, reason="stub")
+
+        self.stub_modes(monkeypatch, logged("list", VerdictKind.SAT),
+                        logged("multiset", VerdictKind.SAT))
+        assert solve_auto(reva, SolverConfig(seed=0)).mode == "list"
+        assert log == ["list"]
+        log.clear()
+        self.stub_modes(monkeypatch, logged("list", VerdictKind.UNKNOWN),
+                        logged("multiset", VerdictKind.UNKNOWN))
+        verdict = solve_auto(reva, SolverConfig(seed=0))
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert log == ["list", "multiset", "refutation"]
+
+    @pytest.mark.parametrize("timeout", [None, 30])
+    def test_solve_starts_a_process_only_for_a_deadline(self, starts, timeout):
+        paths = [
+            *sorted(BENCH.glob("*.smt2")),
+            *sorted((BENCH / "unsat").glob("*.smt2")),
+            *sorted(PERF_SYSTEMS.glob("*.smt2")),
+        ]
+        assert len(paths) == 11
+        for path in paths:
+            system = parse_smtlib(path.read_text())
+            starts.clear()
+            verdict = solve_auto(system, SolverConfig(seed=0, timeout=timeout))
+            assert verdict.kind is not VerdictKind.UNKNOWN, path.name
+            assert len(starts) <= (0 if timeout is None else 1), path.name
+            assert multiprocessing.active_children() == [], path.name
 
     def test_resumed_refuter_finds_the_same_witness(self, monkeypatch, starts):
         # with a slice of 7 units, take_drop_swapped's witness (2,239 units
-        # in) is found by the refuter, from the search this process began
+        # in) is found once every mode returned unknown, by the search this
+        # process began, resumed here or in the worker a deadline forks
         system = parse_smtlib((PERF_SYSTEMS / "take_drop_swapped.smt2").read_text())
         monkeypatch.setattr(solver, "REFUTE_SLICE", 7)
-        self.stub_modes(monkeypatch, lambda: time.sleep(30), lambda: time.sleep(30), 2)
-        verdict = solve_auto(system, SolverConfig(seed=0))
-        assert verdict.kind is VerdictKind.UNSAT
-        assert verdict.mode == "refutation"
-        assert verdict.stats == {"attempts": []}
-        assert verdict.derivation == refute(system)
-        assert len(starts) == 3
-        assert multiprocessing.active_children() == []
+        def unknown():
+            return Verdict(VerdictKind.UNKNOWN, reason="stub")
+
+        self.stub_modes(monkeypatch, unknown, unknown)
+        for timeout in (None, 30):
+            starts.clear()
+            verdict = solve_auto(system, SolverConfig(seed=0, timeout=timeout))
+            assert verdict.kind is VerdictKind.UNSAT
+            assert verdict.mode == "refutation"
+            assert verdict.stats == {
+                "attempts": [(mode, "unknown", "stub") for mode in mode_registry()]
+            }
+            assert verdict.derivation == refute(system)
+            assert len(starts) == (0 if timeout is None else 1)
+            assert multiprocessing.active_children() == []
 
     def test_unreplayable_witness_is_not_unsat(self, monkeypatch, starts):
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
         assert refute(system).atoms[0].values == ((1,),)
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
-        # found in the slice, and found by the refuter that resumes it
+        # found in the slice, and found by the search resumed after the modes
         for in_slice in (True, False):
             stub_refutation(monkeypatch, unreplayable_witness(system), in_slice)
             starts.clear()
             verdict = solve_auto(system, SolverConfig(seed=0, timeout=30))
             assert verdict.kind is not VerdictKind.UNSAT, in_slice
-            # the two mode workers, and a refuter only past the slice
-            assert len(starts) == (2 if in_slice else 3)
-
-    def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, starts, reva):
-        # the slice is inconclusive; the refuter that resumes it sleeps past the test
-        stub_refutation(monkeypatch, None, False, lambda: time.sleep(30))
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
-        started = time.monotonic()
-        verdict = solve_auto(reva, SolverConfig(seed=0))
-        assert time.monotonic() - started < 5
-        assert verdict.kind is VerdictKind.SAT
-        assert verdict.mode == "list"
-        assert len(starts) == 3
-        assert multiprocessing.active_children() == []
+            # the one worker that runs the modes
+            assert len(starts) == 1
 
     def test_timeout_gives_unknown(self, take_drop):
         started = time.monotonic()
@@ -660,7 +680,7 @@ class TestSolveAuto:
             assert multiprocessing.active_children() == [], path.name
 
     def test_list_len_reuses_list_mode_loop(self, monkeypatch, take_drop, tmp_path):
-        # the loops run in forked workers: each appends a line to the log
+        # each loop appends a line to the log
         log = tmp_path / "loops"
         loop = solver._solve_patterns
 
@@ -672,12 +692,14 @@ class TestSolveAuto:
         monkeypatch.setattr(solver, "_solve_patterns", counted)
         verdict = solve_auto(take_drop, SolverConfig(seed=0))
         assert verdict.mode == "list-len"
-        # list, set and multiset; list-len strengthens list's model
-        assert log.read_text().splitlines() == ["loop"] * 3
+        # list and multiset; list-len strengthens list's model and wins, so
+        # set mode, after it, never runs
+        assert log.read_text().splitlines() == ["loop"] * 2
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_list_len_queued_with_list_verdict(self, monkeypatch, reva, tmp_path, cpus):
-        # the runners run in forked workers: each start is a line of the log
+    @pytest.mark.parametrize("timeout", [None, 5])
+    def test_modes_run_in_order_list_len_after_list(self, monkeypatch, reva, tmp_path, timeout):
+        # with a deadline the runners run in a forked worker: each start is a
+        # line of the log
         log = tmp_path / "starts"
 
         def stub(name):
@@ -695,54 +717,48 @@ class TestSolveAuto:
         monkeypatch.setattr(solver, "solve_list_mode", stub("list"))
         monkeypatch.setattr(solver, "solve_collection_mode", collection)
         monkeypatch.setattr(solver, "solve_list_len_mode", stub("list-len"))
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        # a list-len task that is never queued would show as a timeout
-        verdict = solve_auto(reva, SolverConfig(seed=0, timeout=5))
+        verdict = solve_auto(reva, SolverConfig(seed=0, timeout=timeout))
         assert verdict.kind is VerdictKind.UNKNOWN
-        assert verdict.reason == "list-len stub"
-        starts = log.read_text().splitlines()
-        want = ["list None", "set None", "multiset None", "list-len ('list', 'list stub')"]
-        assert sorted(starts) == sorted(want)
-        if cpus == 1:
-            assert starts == want
+        assert (verdict.mode, verdict.reason) == ("set", "set stub")
+        assert log.read_text().splitlines() == [
+            "list None", "multiset None", "list-len ('list', 'list stub')", "set None",
+        ]
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def stub_modes(monkeypatch, list_mode, set_mode, cpus):
-        """Replace list and set mode by functions of no argument; multiset
-        and list-len give UNKNOWN at once.  Auto mode sees `cpus` CPUs."""
+    def stub_modes(monkeypatch, list_mode, multiset_mode):
+        """Replace list mode and multiset mode, the mode after it, by
+        functions of no argument; list-len and set mode give UNKNOWN at
+        once."""
 
         def unknown():
             return Verdict(VerdictKind.UNKNOWN, reason="stub")
 
         def collection(*args, mode, **kwargs):
-            return set_mode() if mode is Mode.SET else unknown()
+            return multiset_mode() if mode is Mode.MULTISET else unknown()
 
         monkeypatch.setattr(solver, "solve_list_mode", lambda *args, **kwargs: list_mode())
         monkeypatch.setattr(solver, "solve_collection_mode", collection)
         monkeypatch.setattr(solver, "solve_list_len_mode", lambda *args, **kwargs: unknown())
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva, cpus):
+    def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva):
         def slow_unknown():
             time.sleep(0.3)
             return Verdict(VerdictKind.UNKNOWN, reason="slow")
 
-        self.stub_modes(monkeypatch, slow_unknown, lambda: Verdict(VerdictKind.SAT), cpus)
+        self.stub_modes(monkeypatch, slow_unknown, lambda: Verdict(VerdictKind.SAT))
         verdict = solve_auto(reva, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.SAT
-        assert verdict.mode == "set"
+        assert verdict.mode == "multiset"
         assert verdict.stats["attempts"] == [("list", "unknown", "slow")]
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva, cpus):
+    def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva):
         def slow_sat():
             time.sleep(0.3)
             return Verdict(VerdictKind.SAT)
 
-        self.stub_modes(monkeypatch, slow_sat, lambda: Verdict(VerdictKind.SAT), cpus)
+        self.stub_modes(monkeypatch, slow_sat, lambda: Verdict(VerdictKind.SAT))
         verdict = solve_auto(reva, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.SAT
         assert verdict.mode == "list"
@@ -750,8 +766,8 @@ class TestSolveAuto:
         assert multiprocessing.active_children() == []
 
     def test_all_unknown_verdict_is_the_last_modes(self, monkeypatch, starts):
-        # refutation's verdict, which the resumed refuter sends last, does not
-        # replace the last mode's reason
+        # refutation's verdict, from the search resumed after the modes, does
+        # not replace the last mode's reason
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
         stub_refutation(monkeypatch, unreplayable_witness(system), False,
                         lambda: time.sleep(0.3))
@@ -759,21 +775,31 @@ class TestSolveAuto:
         def unknown():
             return Verdict(VerdictKind.UNKNOWN, reason="stub")
 
-        self.stub_modes(monkeypatch, unknown, unknown, 2)
+        self.stub_modes(monkeypatch, unknown, unknown)
         verdict = solve_auto(system, SolverConfig(seed=0))
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "stub"
-        assert verdict.mode == "list-len"
-        assert len(starts) == 3
+        assert verdict.mode == "set"
+        assert starts == []
         assert multiprocessing.active_children() == []
 
     def test_runner_exception_is_raised(self, monkeypatch, reva):
         def boom():
             raise RuntimeError("boom")
 
-        self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT), 2)
+        self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT))
         with pytest.raises(RuntimeError, match="^boom$"):
             solve_auto(reva, SolverConfig(seed=0))
+        assert multiprocessing.active_children() == []
+
+    def test_runner_exception_is_raised_from_the_worker(self, monkeypatch, reva, starts):
+        def boom():
+            raise RuntimeError("boom")
+
+        self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT))
+        with pytest.raises(RuntimeError, match="^boom$"):
+            solve_auto(reva, SolverConfig(seed=0, timeout=30))
+        assert len(starts) == 1
         assert multiprocessing.active_children() == []
 
 

@@ -14,21 +14,28 @@ import and the parse are not timed).  For each system and seed the versions
 alternate, `--runs` times (default 5), and the report keeps the min and the
 median.
 
-Counts, deterministic for a given number of usable CPUs: one child process
-per version runs every solve once and records
+Counts: one child process per version runs every solve once, in process,
+and records
 
 - `processes`: the processes the solve starts (calls of `Process.start` in
-  the solving process);
+  the solving process), without a deadline, as the CLI solves by default;
+- `processes_timeout`: the same for a solve with `timeout=30`;
 - `refute_units_caller`: the units of refutation work the solving process
-  does itself, a unit being one join match of a refutation rule or one
-  assignment of its free variables, counted by wrapping `solver.join` and
-  `itertools.product` as `solver` sees them;
-- `refute_units_refuter`: the units a forked refuter does to finish the
-  search, that is the units of a whole `refute(system)`, counted the same
-  way, less the caller's; a refuter killed when a mode wins does fewer.
+  does before its first mode starts, that is the slice; a unit is one join
+  match of a refutation rule or one assignment of its free variables,
+  counted by wrapping `solver.join` and `itertools.product` as `solver`
+  sees them;
+- `refute_units_after_modes`: the units done after that, in any process: the
+  search resumed once every mode returned `unknown`, or a refuter forked to
+  run beside the modes;
+- `sampler_candidates`: the draws `collect_samples` evaluates (calls of
+  `eval_formula` inside it), in any process.
 
-Two runs give identical counts.  Only the standard library is used, and
-nothing in `src/` is changed.
+The last three are counted on the solve without a deadline; a forked
+process adds to the shared counts too.  They are deterministic for a
+version that runs its modes in order to the end; for a version that kills a
+worker mid-run they count what the worker did before the kill.  Only the
+standard library is used, and nothing in `src/` is changed.
 """
 
 from __future__ import annotations
@@ -78,48 +85,92 @@ def time_once(src_dir: str, path: str, seed: int) -> dict:
 
 
 def counts(src_dir: str) -> dict:
-    """Processes started and refutation units per system and seed."""
+    """Processes started, refutation units and evaluated sampler draws per
+    system and seed."""
     import itertools
+    import multiprocessing
     import multiprocessing.process
 
     solver, parse_smtlib = _load(src_dir)
-    tally = {"processes": 0, "units": 0}
-    join, product, start = solver.join, itertools.product, multiprocessing.process.BaseProcess.start
+    from stpchc import chc_core
+
+    shared = {key: multiprocessing.Value("q") for key in ("units", "candidates")}
+    local = {"processes": 0, "caller": 0, "modes": False, "sampling": False}
+    solving = os.getpid()
+    join, product = solver.join, itertools.product
+    collect, evaluate = solver.collect_samples, chc_core.eval_formula
+    start = multiprocessing.process.BaseProcess.start
+
+    def bump(key):
+        with shared[key].get_lock():
+            shared[key].value += 1
+
+    def unit():
+        bump("units")
+        if os.getpid() == solving and not local["modes"]:
+            local["caller"] += 1
 
     def counting_join(*args, **kwargs):
         for match in join(*args, **kwargs):
-            tally["units"] += 1
+            unit()
             yield match
 
     def counting_product(*args, **kwargs):
         for assignment in product(*args, **kwargs):
-            tally["units"] += 1
+            unit()
             yield assignment
 
+    def sampling(*args, **kwargs):
+        local["sampling"] = True
+        try:
+            return collect(*args, **kwargs)
+        finally:
+            local["sampling"] = False
+
+    def counting_eval(*args, **kwargs):
+        if local["sampling"]:
+            bump("candidates")
+        return evaluate(*args, **kwargs)
+
+    def mode(runner):
+        def started(*args, **kwargs):
+            if os.getpid() == solving:
+                local["modes"] = True
+            return runner(*args, **kwargs)
+
+        return started
+
     def counting_start(self):
-        tally["processes"] += 1
+        local["processes"] += 1
         start(self)
 
     solver.join = counting_join
     solver.itertools = types.SimpleNamespace(**{**vars(itertools), "product": counting_product})
+    solver.collect_samples = sampling
+    chc_core.eval_formula = counting_eval
+    for name in ("solve_list_mode", "solve_collection_mode", "solve_list_len_mode"):
+        setattr(solver, name, mode(getattr(solver, name)))
     multiprocessing.process.BaseProcess.start = counting_start
 
     out: dict = {}
     for path in bundled_systems():
         system = parse_smtlib(path.read_text())
-        tally["units"] = 0
-        solver.refute(system)
-        whole = tally["units"]
         for seed in SEEDS:
-            tally.update(processes=0, units=0)
+            local["processes"] = 0
+            solver.solve(system, solver.SolverConfig(seed=seed, timeout=30), mode="auto")
+            with_timeout = local["processes"]
+            local.update(processes=0, caller=0, modes=False)
+            for value in shared.values():
+                value.value = 0
             verdict = solver.solve(system, solver.SolverConfig(seed=seed), mode="auto")
-            caller = tally["units"]
             out.setdefault(_label(path), {})[str(seed)] = {
                 "verdict": verdict.kind.value,
                 "winner": verdict.mode,
-                "processes": tally["processes"],
-                "refute_units_caller": caller,
-                "refute_units_refuter": whole - caller if tally["processes"] else 0,
+                "processes": local["processes"],
+                "processes_timeout": with_timeout,
+                "refute_units_caller": local["caller"],
+                "refute_units_after_modes": shared["units"].value - local["caller"],
+                "sampler_candidates": shared["candidates"].value,
             }
     return out
 
@@ -182,14 +233,15 @@ def main(argv=None) -> int:
             },
             **{
                 key: sum(c[key] for c, _ in rows)
-                for key in ("processes", "refute_units_caller", "refute_units_refuter")
+                for key in ("processes", "processes_timeout", "refute_units_caller",
+                            "refute_units_after_modes", "sampler_candidates")
             },
         }
     print(json.dumps({
         "what": "auto-mode seconds to verdict per bundled system and solver seed, "
                 f"min and median of {ns.runs} fresh processes per version, alternated; "
-                "processes started and refutation units in the solving process and "
-                "in the forked refuter, per solve",
+                "per solve, processes started without and with a timeout, refutation "
+                "units before the first mode and after it, and sampler draws evaluated",
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),
         "versions": report,
