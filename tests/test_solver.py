@@ -606,6 +606,33 @@ class TestSolveAuto:
         assert verdict.kind is VerdictKind.UNKNOWN
         assert log == ["list", "multiset", "refutation"]
 
+    @pytest.mark.parametrize("name, refuter", [("reva.smt2", 0), ("sort.smt2", 1)])
+    def test_refuter_forked_only_past_the_slice(self, monkeypatch, starts, tmp_path,
+                                                name, refuter):
+        # reva's search ends inside the slice, sort's does not; with a
+        # deadline, the forked worker resumes the rest after the modes only
+        # for a search that is still open.  Each resumption is a line of the log
+        log = tmp_path / "resumed"
+        finish = solver._finish
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write("resumed\n")
+            return finish(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_finish", logged)
+
+        def unknown():
+            return Verdict(VerdictKind.UNKNOWN, reason="stub")
+
+        self.stub_modes(monkeypatch, unknown, unknown)
+        verdict = solve_auto(load(name), SolverConfig(seed=0, timeout=30))
+        assert verdict.kind is VerdictKind.UNKNOWN
+        assert verdict.reason == "stub"
+        assert len(starts) == 1
+        assert (log.read_text().splitlines() if log.exists() else []) == ["resumed"] * refuter
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("timeout", [None, 30])
     def test_solve_starts_a_process_only_for_a_deadline(self, starts, timeout):
         paths = [
@@ -655,6 +682,21 @@ class TestSolveAuto:
             assert verdict.kind is not VerdictKind.UNSAT, in_slice
             # the one worker that runs the modes
             assert len(starts) == 1
+
+    def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, starts, reva):
+        # the slice is inconclusive; the rest of the search would sleep past
+        # the test.  It never runs once list mode wins, and with a deadline
+        # the worker's process group is killed once its verdict is in
+        stub_refutation(monkeypatch, None, False, lambda: time.sleep(30))
+        for timeout in (None, 30):
+            starts.clear()
+            started = time.monotonic()
+            verdict = solve_auto(reva, SolverConfig(seed=0, timeout=timeout))
+            assert time.monotonic() - started < 5
+            assert verdict.kind is VerdictKind.SAT
+            assert verdict.mode == "list"
+            assert len(starts) == (0 if timeout is None else 1)
+            assert multiprocessing.active_children() == []
 
     def test_timeout_gives_unknown(self, take_drop):
         started = time.monotonic()
@@ -741,7 +783,11 @@ class TestSolveAuto:
         monkeypatch.setattr(solver, "solve_collection_mode", collection)
         monkeypatch.setattr(solver, "solve_list_len_mode", lambda *args, **kwargs: unknown())
 
-    def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva):
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva, cpus):
+        # the modes run in order whatever the CPUs the process may use
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
         def slow_unknown():
             time.sleep(0.3)
             return Verdict(VerdictKind.UNKNOWN, reason="slow")
@@ -753,7 +799,11 @@ class TestSolveAuto:
         assert verdict.stats["attempts"] == [("list", "unknown", "slow")]
         assert multiprocessing.active_children() == []
 
-    def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva):
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva, cpus):
+        # the modes run in order whatever the CPUs the process may use
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
         def slow_sat():
             time.sleep(0.3)
             return Verdict(VerdictKind.SAT)
