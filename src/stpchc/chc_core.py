@@ -193,6 +193,13 @@ def symbol(node) -> Optional[str]:
     return node.text if isinstance(node, _Tok) else None
 
 
+def numeral(text: str) -> Optional[int]:
+    """The integer that `text` spells as `-?[0-9]+` in ASCII digits; None
+    for any other text."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 @dataclass
 class _AdtInfo:
     nil_name: str
@@ -289,8 +296,8 @@ class _Parser:
     def parse_term(self, node, scope: dict[str, Sort]) -> Term:
         if isinstance(node, _Tok):
             text = node.text
-            if text.lstrip("-").isdigit():
-                return TInt(int(text))
+            if (value := numeral(text)) is not None:
+                return TInt(value)
             if text in scope:
                 return TVar(text, scope[text])
             if text in self.ctor_to_adt and self.ctor_to_adt[text].nil_name == text:
@@ -606,10 +613,6 @@ class Sample:
     predicate: str
     values: tuple
     provenance: tuple  # ("derived", depth) or ("counterexample",)
-
-    @property
-    def derived(self) -> bool:
-        return self.provenance[0] == "derived"
 
 
 def _random_value(sort: Sort, budget: SampleBudget, rng: random.Random):

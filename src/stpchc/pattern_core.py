@@ -206,9 +206,7 @@ def measure(t: TuplePattern | Sequence[Element]) -> int:
 _CONST_SINGLES = set("abcdefgh")
 
 
-def parse_pattern(
-    text: str, mode: Mode = Mode.SEQUENCE, allow_reverse: bool = True
-) -> TuplePattern:
+def parse_pattern(text: str, mode: Mode = Mode.SEQUENCE) -> TuplePattern:
     """Parse "(p1, ..., pn)".  Tokens: digits / a..h / uppercase / quoted
     letters are constants, i..z with an optional digit suffix are variables,
     `ident^R` reverses, `eps` is the empty element."""
@@ -284,8 +282,6 @@ def parse_pattern(
             if text.startswith("^R", pos):
                 reverse = True
                 pos += 2
-                if not allow_reverse:
-                    fail("reversed variables are disabled")
             idx = var_ids.setdefault(name, len(var_ids))
             current.append(var_atom(idx, reverse))
             continue

@@ -57,7 +57,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .chc_core import match_term, read_sexps, symbol
+from .chc_core import match_term, numeral, read_sexps, symbol
 from .formulas import (
     _ATOMS,
     _TERM_CHILDREN,
@@ -807,12 +807,12 @@ def _parse_model(text: str, variables: dict) -> Optional[dict]:
 def _decode_value(node):
     text = symbol(node)
     if text is not None:
-        return int(text) if text.lstrip("-").isdigit() else None
+        return numeral(text)
     if not node:
         return None
     head = symbol(node[0])
-    if head == "-" and len(node) == 2 and (symbol(node[1]) or "").isdigit():
-        return -int(symbol(node[1]))
+    if head == "-" and len(node) == 2 and symbol(node[1]) is not None:
+        return numeral("-" + symbol(node[1]))
     if head == "as" and len(node) >= 2 and symbol(node[1]) == "seq.empty":
         return ()
     if head == "seq.unit":

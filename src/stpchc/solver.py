@@ -25,7 +25,7 @@ returns a refutation found there.  Then it runs the modes in registry order,
 each only once every mode before it has returned `unknown`; list-len mode
 strengthens the checked model that list mode's verdict carries instead of
 running the loop again.  Only when every mode returns `unknown` does the
-suspended refutation search run to its end.  A single-mode solve runs its
+refutation search run in full, from the start.  A single-mode solve runs its
 mode alone, with no refutation.  Without a deadline all of this runs in the
 calling process.  With one, the slice still runs there, and a forked worker
 that leads its own process group runs the rest; at the deadline the worker's
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chc_core import (
     AtomTable,
@@ -943,15 +943,21 @@ class RefutationWitness:
     depth: int
 
 
-def _refuting(
+def refute(
     system: ChcSystem,
     budget: RefuteBudget = RefuteBudget(),
-    slice_units: float = math.inf,
-) -> Generator[None, None, Optional[RefutationWitness]]:
-    """`refute`'s search as a generator: it yields after each `slice_units`
-    units of work, a unit being one join match or one assignment of a rule's
-    free variables, and returns the witness or None.  Resumed, it goes on
-    with the same search, in whatever process holds it."""
+    units: float = math.inf,
+) -> Optional[RefutationWitness]:
+    """Exhaustive bottom-up derivation over a small value domain, checking
+    the goal bodies after each level; a hit yields a replayable derivation
+    of false.  Level 0 applies the facts; a later level applies every rule
+    to the atoms derived so far (earlier clauses of the same level included)
+    and keeps the combinations that use an atom of the previous level.
+
+    Returns the witness, or None: when the search ends without one, or once
+    it has done `units` units of work, a unit being one join match or one
+    assignment of a rule's free variables.  The search is deterministic, so
+    a search cut at `units` that finds a witness finds the uncut one's."""
     tables = {p: AtomTable() for p in system.predicates}
     domains = {sort: _bounded_domain(sort, budget, set()) for sort in Sort}
     facts = [(i, plan_join(c)) for i, c in enumerate(system.definite) if not c.body_atoms]
@@ -959,7 +965,7 @@ def _refuting(
     goals = [plan_join(g) for g in system.goals]
     total = 0
     start = {p: 0 for p in tables}
-    left = slice_units  # units before the next yield
+    left = units  # units before the cut
 
     for depth in range(budget.depth + 1):
         previous, start = start, {p: len(t) for p, t in tables.items()}
@@ -968,8 +974,7 @@ def _refuting(
             for rows, binding in join(plan, tables):
                 left -= 1
                 if not left:
-                    yield
-                    left = slice_units
+                    return None
                 if depth and not any(
                     previous[a.pred] <= r < start[a.pred]
                     for a, r in zip(clause.body_atoms, rows)
@@ -979,8 +984,7 @@ def _refuting(
                 for extra in itertools.product(*(domains[plan.sorts[n]] for n in free)):
                     left -= 1
                     if not left:
-                        yield
-                        left = slice_units
+                        return None
                     env = {**binding, **dict(zip(free, extra))}
                     try:
                         if not eval_formula(clause.constraint, env):
@@ -1012,31 +1016,6 @@ def _refuting(
         if all(len(t) == start[p] for p, t in tables.items()):
             return None
     return None
-
-
-def _finish(
-    levels: Generator[None, None, Optional[RefutationWitness]],
-) -> Optional[RefutationWitness]:
-    """Run the suspended search `levels` to its end; its witness or None."""
-    try:
-        while True:
-            next(levels)
-    except StopIteration as stop:
-        return stop.value
-
-
-def refute(
-    system: ChcSystem,
-    budget: RefuteBudget = RefuteBudget(),
-) -> Optional[RefutationWitness]:
-    """Exhaustive bottom-up derivation over a small value domain, checking
-    the goal bodies after each level; a hit yields a replayable derivation
-    of false.  Level 0 applies the facts; a later level applies every rule
-    to the atoms derived so far (earlier clauses of the same level included)
-    and keeps the combinations that use an atom of the previous level.  The
-    search is `_refuting`'s, run in one go; auto mode runs its first
-    `REFUTE_SLICE` units in the calling process."""
-    return _finish(_refuting(system, budget))
 
 
 def _replays(system: ChcSystem, clause: Clause, env: tuple, values: Optional[tuple],
@@ -1086,12 +1065,13 @@ def mode_registry() -> dict[str, Callable[..., Verdict]]:
     }
 
 
-# The units of refutation work (`_refuting`) that auto mode does before its
+# The units of refutation work (`refute`) that auto mode does before its
 # first mode: a unit takes 4-21 us on the bundled systems and about 8 us on
 # the median one, so the slice takes about 25 ms.  Every bundled unsat
-# system (at most 2,379 units) and reva (461) finish inside it; the rest of
-# take_drop's search (5,919 units) and sort's (18,027) runs only if every
-# mode returns UNKNOWN, so it does not delay their sat verdicts.
+# system (at most 2,379 units) and reva (461) finish inside it; take_drop's
+# search (5,919 units) and sort's (18,027) are cut there, so they do not
+# delay their sat verdicts.  The full search runs from the start only if
+# every mode returns UNKNOWN, and then redoes at most these units.
 REFUTE_SLICE = 3_000
 
 
@@ -1106,17 +1086,17 @@ def _refutation(system: ChcSystem, witness: Optional[RefutationWitness]) -> Verd
 
 
 def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
-              levels, refuted: Optional[Verdict], tell: Callable[[tuple], None]) -> Verdict:
+              refutation: bool, tell: Callable[[tuple], None]) -> Verdict:
     """Run the `(name, runner)` entries one after another, each verdict named
     after its entry; list-len mode gets list mode's verdict, when list mode
     ran before it, as `after`.  The first verdict that is not UNKNOWN wins;
     its `stats["attempts"]` lists `(mode, outcome, reason)` for the entries
     before it, and `tell` gets each of those as it comes in.
 
-    When every entry returns UNKNOWN, the suspended refutation search
-    `levels`, if any, runs to its end, and its UNSAT wins.  Otherwise the
-    verdict is the last entry's if it has a reason, and else refutation's
-    (`refuted`, or the one the search just gave)."""
+    When every entry returns UNKNOWN and `refutation` is set, the full
+    refutation search runs, and its UNSAT wins.  Otherwise the verdict is
+    the last entry's if it has a reason or there was no search, and else
+    refutation's."""
     tried: list = []  # (mode, outcome, reason) per entry that returned UNKNOWN
     verdicts: dict = {}  # by name, the verdict of each entry run so far
     for name, runner in entries:
@@ -1129,13 +1109,12 @@ def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
         verdicts[name] = got
         tried.append((name, got.kind.value, got.reason))
         tell(tried[-1])
-    if levels is not None:
-        refuted = _refutation(system, _finish(levels))
-    if refuted is not None:
-        refuted = replace(refuted, stats={**refuted.stats, "attempts": tried})
-        if refuted.kind is not VerdictKind.UNKNOWN:
-            return refuted
-    return verdict if verdict.reason is not None or refuted is None else refuted
+    if not refutation:
+        return verdict
+    refuted = replace(_refutation(system, refute(system)), stats={"attempts": tried})
+    if refuted.kind is not VerdictKind.UNKNOWN or verdict.reason is None:
+        return refuted
+    return verdict
 
 
 def _worker(out, *args) -> None:
@@ -1157,8 +1136,7 @@ def _solve_in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_
     """With `refutation`, run the first `REFUTE_SLICE` units of the
     refutation search in this process; a witness found there is returned
     when it replays, even past the deadline.  Then run the entries in order,
-    and the rest of the search only if they all return UNKNOWN
-    (`_in_order`).
+    and the full search only if they all return UNKNOWN (`_in_order`).
 
     Without `cfg.timeout` that runs in this process and starts none.  With
     one, a forked worker that leads its own process group runs it, and at
@@ -1166,18 +1144,11 @@ def _solve_in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_
     the first undecided entry.  Returns once the worker's process group is
     killed and the worker reaped."""
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-    levels = None  # refutation's search, suspended after its slice
-    refuted = None  # refutation's UNKNOWN verdict, when the search ended in the slice
     if refutation:
-        levels = _refuting(system, RefuteBudget(), REFUTE_SLICE)
-        try:
-            next(levels)
-        except StopIteration as stop:
-            levels = None
-            refuted = replace(_refutation(system, stop.value), stats={"attempts": []})
-            if refuted.kind is not VerdictKind.UNKNOWN:
-                return refuted
-    args = (entries, system, cfg, checker, int_backend, levels, refuted)
+        refuted = _refutation(system, refute(system, units=REFUTE_SLICE))
+        if refuted.kind is not VerdictKind.UNKNOWN:
+            return replace(refuted, stats={"attempts": []})
+    args = (entries, system, cfg, checker, int_backend, refutation)
     if deadline is None:
         return _in_order(*args, lambda attempt: None)
 
@@ -1199,7 +1170,6 @@ def _solve_in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_
     proc.start()
     os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
     send.close()
-    del args, levels  # the worker resumes the search; this process drops it
     try:
         while True:
             if not receive.poll(max(0.0, deadline - time.monotonic())):
@@ -1228,8 +1198,8 @@ def solve_auto(
     checker=None,
     int_backend=None,
 ) -> Verdict:
-    """The refutation slice, the registry's modes in order, then the rest of
-    the refutation search (`_solve_in_order`)."""
+    """The refutation slice, the registry's modes in order, then the full
+    refutation search (`_solve_in_order`)."""
     return _solve_in_order(list(mode_registry().items()), system, cfg, checker, int_backend,
                            refutation=True)
 

@@ -227,6 +227,18 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", str(p))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("numeral", ["--5", "\u00b2"])
+    def test_malformed_numeral_rejected(self, capsys, tmp_path, numeral):
+        # a numeral is ASCII `-?[0-9]+`: anything else is a located parse
+        # error, not a traceback with the exit code of unsat
+        p = tmp_path / "numeral.smt2"
+        p.write_text(
+            "(set-logic HORN)\n(declare-fun p (Int) Bool)\n"
+            f"(assert (forall ((x Int)) (=> (= x {numeral}) (p x))))\n"
+        )
+        code, out, err = run(capsys, "solve", str(p))
+        assert (code, out, err) == (2, "", f"error: unknown symbol {numeral} (line 3, column 36)\n")
+
     @pytest.mark.parametrize("command", ["solve", "infer"])
     def test_non_utf8_input_rejected(self, capsys, tmp_path, command):
         p = tmp_path / "bytes.smt2"

@@ -84,10 +84,6 @@ class TestParseRender:
         assert t.elements[0] == ()
         assert t.elements[1][0] == const_atom(s("z")[0])
 
-    def test_reverse_disabled(self):
-        with pytest.raises(PatternSyntaxError):
-            P("(x^R)", allow_reverse=False)
-
     def test_round_trip(self):
         for text in ["(x, y, x^R y)", "(a x, y, a x y)", "(eps, x0)", "('z 1 B)"]:
             t = P(text)

@@ -143,6 +143,21 @@ class TestExternalChecker:
         with pytest.raises(Unknown, match="^counter-model not parseable$"):
             checker.counterexamples(FEq(L1, L2))
 
+    @pytest.mark.parametrize("value", ["--5", "\u00b2", "(- \u00b2)"])
+    def test_malformed_numeral_rejected(self, tmp_path, value):
+        # a numeral is ASCII `-?[0-9]+`
+        cmd = make_stub(
+            tmp_path,
+            f"""
+            sys.stdin.read()
+            print('sat')
+            print('((l1 (seq.unit {value})) (l2 (seq.unit 1)))')
+            """,
+        )
+        checker = ExternalSmtChecker(cmd.split())
+        with pytest.raises(Unknown, match="^counter-model not parseable$"):
+            checker.counterexamples(FEq(L1, L2))
+
     def test_process_failure_is_unknown(self):
         checker = ExternalSmtChecker(["/nonexistent/solver"])
         with pytest.raises(Unknown, match="No such file"):

@@ -87,17 +87,18 @@ def starts(monkeypatch):
 
 
 def stub_refutation(monkeypatch, witness, in_slice, then=lambda: None):
-    """Replace auto mode's refutation search by one that returns `witness`,
-    within the slice it runs in the calling process, or else in the refuter
-    that resumes it, after calling `then` there."""
+    """Replace auto mode's refutation search by one that returns `witness`:
+    from the slice it runs in the calling process (a call with `units`) only
+    when `in_slice`, and from the full search run after the modes, after
+    calling `then` there."""
 
-    def levels(*args, **kwargs):
-        if not in_slice:
-            yield
-            then()
+    def search(system, budget=RefuteBudget(), units=math.inf):
+        if units < math.inf:
+            return witness if in_slice else None
+        then()
         return witness
 
-    monkeypatch.setattr(solver, "_refuting", levels)
+    monkeypatch.setattr(solver, "refute", search)
 
 
 def unreplayable_witness(system):
@@ -432,6 +433,8 @@ class TestExternalIntBackend:
         "(ite (< a b) a)",    # a Bool ite without its else branch
         "(frobnicate a b)",   # an unknown operator
         "(not)",              # an operator without its argument
+        "(= a --1)",          # a numeral with two signs
+        "(= a \u00b2)",        # a digit that is not ASCII
     ])
     def test_unreadable_model_is_none(self, body):
         text = f"(define-fun p ((a Int) (b Int)) Bool {body})"
@@ -514,26 +517,26 @@ class TestRefute:
             for depth in (1, 3, 6):
                 assert refute(system, RefuteBudget(depth=depth)) is None
 
-    @pytest.mark.parametrize("slice_units", [1, 2, 7, 64, solver.REFUTE_SLICE, math.inf])
-    def test_resumed_search_finds_the_same_witness(self, slice_units):
-        # split the search after one slice and finish it: the same witness
-        # (the same derivation trees), or None for both
+    @pytest.mark.parametrize("units", [1, 2, 7, 64, solver.REFUTE_SLICE, math.inf])
+    def test_resumed_search_finds_the_same_witness(self, units):
+        # a search cut after `units` units finds nothing or the full
+        # search's witness (the same derivation trees); auto mode's slice
+        # finds one on exactly the unsat systems
         paths = [
             *sorted(BENCH.glob("*.smt2")),
             *sorted((BENCH / "unsat").glob("*.smt2")),
             *sorted(PERF_SYSTEMS.glob("*.smt2")),
         ]
         assert len(paths) == 11
+        found = set()
         for path in paths:
             system = parse_smtlib(path.read_text())
-            levels = solver._refuting(system, RefuteBudget(), slice_units)
-            try:
-                next(levels)
-            except StopIteration as stop:
-                got = stop.value
-            else:
-                got = solver._finish(levels)
-            assert got == refute(system), (path.name, slice_units)
+            got = refute(system, RefuteBudget(), units)
+            assert got is None or got == refute(system), (path.name, units)
+            if got is not None:
+                found.add(path)
+        if units == solver.REFUTE_SLICE:
+            assert found == {*(BENCH / "unsat").glob("*.smt2"), *PERF_SYSTEMS.glob("*.smt2")}
 
     def test_derivation_is_replayable_structure(self):
         system = parse_smtlib((BENCH / "unsat" / "plus_reach.smt2").read_text())
@@ -588,7 +591,7 @@ class TestSolveAuto:
             assert starts == [], path.name
 
     def test_refutation_resumes_only_after_every_mode_is_unknown(self, monkeypatch, reva):
-        # the slice is inconclusive; the rest of the search logs when it runs
+        # the slice is inconclusive; the full search logs when it runs
         log = []
         stub_refutation(monkeypatch, None, False, lambda: log.append("refutation"))
 
@@ -606,21 +609,22 @@ class TestSolveAuto:
         assert verdict.kind is VerdictKind.UNKNOWN
         assert log == ["list", "multiset", "refutation"]
 
-    @pytest.mark.parametrize("name, refuter", [("reva.smt2", 0), ("sort.smt2", 1)])
-    def test_refuter_forked_only_past_the_slice(self, monkeypatch, starts, tmp_path,
-                                                name, refuter):
+    @pytest.mark.parametrize("name", ["reva.smt2", "sort.smt2"])
+    def test_worker_runs_the_full_search_after_the_modes(self, monkeypatch, starts, tmp_path,
+                                                         name):
         # reva's search ends inside the slice, sort's does not; with a
-        # deadline, the forked worker resumes the rest after the modes only
-        # for a search that is still open.  Each resumption is a line of the log
-        log = tmp_path / "resumed"
-        finish = solver._finish
+        # deadline, the forked worker runs the full search once after the
+        # modes for both.  Each full search is a line of the log
+        log = tmp_path / "full"
+        search = solver.refute
 
-        def logged(*args, **kwargs):
-            with open(log, "a") as handle:
-                handle.write("resumed\n")
-            return finish(*args, **kwargs)
+        def logged(system, budget=RefuteBudget(), units=math.inf):
+            if units == math.inf:
+                with open(log, "a") as handle:
+                    handle.write("full\n")
+            return search(system, budget, units)
 
-        monkeypatch.setattr(solver, "_finish", logged)
+        monkeypatch.setattr(solver, "refute", logged)
 
         def unknown():
             return Verdict(VerdictKind.UNKNOWN, reason="stub")
@@ -630,7 +634,7 @@ class TestSolveAuto:
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "stub"
         assert len(starts) == 1
-        assert (log.read_text().splitlines() if log.exists() else []) == ["resumed"] * refuter
+        assert log.read_text().splitlines() == ["full"]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("timeout", [None, 30])
@@ -651,8 +655,8 @@ class TestSolveAuto:
 
     def test_resumed_refuter_finds_the_same_witness(self, monkeypatch, starts):
         # with a slice of 7 units, take_drop_swapped's witness (2,239 units
-        # in) is found once every mode returned unknown, by the search this
-        # process began, resumed here or in the worker a deadline forks
+        # in) is found once every mode returned unknown, by the full search
+        # run here or in the worker a deadline forks
         system = parse_smtlib((PERF_SYSTEMS / "take_drop_swapped.smt2").read_text())
         monkeypatch.setattr(solver, "REFUTE_SLICE", 7)
         def unknown():
@@ -674,7 +678,7 @@ class TestSolveAuto:
     def test_unreplayable_witness_is_not_unsat(self, monkeypatch, starts):
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
         assert refute(system).atoms[0].values == ((1,),)
-        # found in the slice, and found by the search resumed after the modes
+        # found in the slice, and found by the full search after the modes
         for in_slice in (True, False):
             stub_refutation(monkeypatch, unreplayable_witness(system), in_slice)
             starts.clear()
@@ -684,7 +688,7 @@ class TestSolveAuto:
             assert len(starts) == 1
 
     def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, starts, reva):
-        # the slice is inconclusive; the rest of the search would sleep past
+        # the slice is inconclusive; the full search would sleep past
         # the test.  It never runs once list mode wins, and with a deadline
         # the worker's process group is killed once its verdict is in
         stub_refutation(monkeypatch, None, False, lambda: time.sleep(30))
@@ -816,7 +820,7 @@ class TestSolveAuto:
         assert multiprocessing.active_children() == []
 
     def test_all_unknown_verdict_is_the_last_modes(self, monkeypatch, starts):
-        # refutation's verdict, from the search resumed after the modes, does
+        # refutation's verdict, from the full search after the modes, does
         # not replace the last mode's reason
         system = parse_smtlib((BENCH / "unsat" / "direct_fact.smt2").read_text())
         stub_refutation(monkeypatch, unreplayable_witness(system), False,

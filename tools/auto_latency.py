@@ -26,8 +26,8 @@ and records
   counted by wrapping `solver.join` and `itertools.product` as `solver`
   sees them;
 - `refute_units_after_modes`: the units done after that, in any process: the
-  search resumed once every mode returned `unknown`, or a refuter forked to
-  run beside the modes;
+  full refutation search, run again from the start once every mode returned
+  `unknown`, or a refuter forked to run beside the modes;
 - `sampler_candidates`: the draws `collect_samples` evaluates (calls of
   `eval_formula` inside it), in any process.
 
