@@ -19,7 +19,6 @@ from typing import Optional
 
 from .alphabet import parse_cell
 from .chc_core import ParseError, parse_smtlib
-from .collection_inference import CollectionData
 from .data import LearningData
 from .pattern_core import (
     Mode,
@@ -161,12 +160,14 @@ def cmd_solve(ns) -> int:
         verdict_line = "sat (bounded)"
     # list mode's UNKNOWN verdict may carry the model that passed the definite clauses
     model = verdict.model if verdict.kind is VerdictKind.SAT else None
+    # collection modes check with the bounded evaluator even under --smt-cmd:
+    # only a sat without bounds was passed by the external prover
     report = {
         "verdict": verdict.kind.value,
         "bounded": verdict.bounded,
         "bounds": None if verdict.bounds is None else asdict(verdict.bounds),
         "mode": verdict.mode,
-        "provider": "external" if ns.smt_cmd else "bounded",
+        "provider": "external" if ns.smt_cmd and not verdict.bounded else "bounded",
     }
     if model is not None:
         report["model"] = model.render().splitlines()
@@ -216,15 +217,8 @@ def cmd_infer(ns) -> int:
 
 
 def _run_infer(ns, text: str, cfg: InferConfig) -> int:
-    if ns.set_mode or ns.multiset_mode:
-        mode = Mode.SET if ns.set_mode else Mode.MULTISET
-        rows = [
-            [parse_cell(cell) for cell in line]
-            for line in _csv_rows(text)
-        ]
-        data = CollectionData(rows, mode)
-    else:
-        data = LearningData.from_csv(text)
+    mode = Mode.SET if ns.set_mode else Mode.MULTISET if ns.multiset_mode else Mode.SEQUENCE
+    data = LearningData.from_csv(text, mode)
     if ns.all:
         result = infer_all(data, cfg)
         patterns = sorted(render_pattern(t) for t in result.patterns)
@@ -238,13 +232,6 @@ def _run_infer(ns, text: str, cfg: InferConfig) -> int:
         for p in patterns:
             print(p)
     return 0
-
-
-def _csv_rows(text: str):
-    import csv as _csv
-    import io as _io
-
-    return [row for row in _csv.reader(_io.StringIO(text)) if row]
 
 
 def cmd_decide(ns) -> int:

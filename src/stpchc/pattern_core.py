@@ -20,7 +20,7 @@ inclusion, replay those steps instead of searching for the path again.
 The rule table
 --------------
 `RULE_TABLE` is the one statement of the rules.  The same table drives
-inference on learning data (`stp_inference`, `collection_inference`), the
+inference on the learning data of every mode (`stp_inference`), the
 decision procedures on patterns (here) and the membership formulas of the
 solver.  It runs on any kind of cell that supplies the few operations of
 `Cells`; this module supplies the two pattern kinds, `STRINGS` (sequence
@@ -45,7 +45,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .alphabet import LETTER_A, LETTER_B, char_to_letter, letter_to_char
-from .data import LearningData
+from .data import LearningData, Mode
 
 Atom = int
 Element = tuple
@@ -107,12 +107,6 @@ def _atom_key(a: Atom):
 
 # ---------------------------------------------------------------------------
 # tuple patterns
-
-class Mode(Enum):
-    SEQUENCE = "sequence"
-    SET = "set"
-    MULTISET = "multiset"
-
 
 def _variables(elements) -> list[int]:
     seen: list[int] = []

@@ -795,7 +795,10 @@ def _parse_model(text: str, variables: dict) -> Optional[dict]:
         name = symbol(name_node)
         if name not in variables:
             continue
-        value = _decode_value(value_node)
+        try:
+            value = _decode_value(value_node)
+        except RecursionError:  # nested too deeply to read
+            return None
         if value is None:
             return None
         out[name] = value
@@ -816,8 +819,8 @@ def _decode_value(node):
     if head == "as" and len(node) >= 2 and symbol(node[1]) == "seq.empty":
         return ()
     if head == "seq.unit":
-        v = _decode_value(node[1])
-        return None if v is None else (v,)
+        v = _decode_value(node[1]) if len(node) == 2 else None
+        return (v,) if isinstance(v, int) else None
     if head == "seq.++":
         out = ()
         for part in node[1:]:

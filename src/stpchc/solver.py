@@ -68,7 +68,6 @@ from .chc_core import (
     symbol,
 )
 from .collection_inference import (
-    CollectionData,
     infer_collection,  # unused here; perfbench/tracing.py probes this name
 )
 from .data import LearningData
@@ -481,15 +480,11 @@ def build_model(
                 continue
             data = LearningData([[row[i] for i in list_pos] for row in capped])
         else:
-            cells = []
-            for row in capped:
-                cells.append(
-                    [
-                        (set(v) if mode is Mode.SET else v) if isinstance(v, tuple) else (v,)
-                        for v in row
-                    ]
-                )
-            data = CollectionData(cells, mode)
+            cells = [
+                [(set(v) if mode is Mode.SET else v) if isinstance(v, tuple) else (v,) for v in row]
+                for row in capped
+            ]
+            data = LearningData(cells, mode)
         models[pred] = PredicateModel(
             pred,
             sig,
@@ -866,11 +861,11 @@ def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]
         try:
             scope = {symbol(p[0]): reader.parse_sort(p[1]) for p in params}
             f = reader.parse_formula(body, scope)
-        except (ParseError, IndexError):
+            out[name] = subst_formula(
+                f, {symbol(p[0]): _formal(i) for i, p in enumerate(params)}
+            )
+        except (ParseError, IndexError, RecursionError):  # the last: nested too deeply
             return None
-        out[name] = subst_formula(
-            f, {symbol(p[0]): _formal(i) for i, p in enumerate(params)}
-        )
     if set(out) != set(predicates):
         return None
     return out

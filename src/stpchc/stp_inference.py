@@ -10,10 +10,12 @@ fixed rule order; `infer_all` explores every reduction order and returns the
 full set of normal forms.
 
 The rules are those of `pattern_core.RULE_TABLE`; this module supplies the
-cell algebra of sequence data columns (`COLUMNS`), and the rewrite loop and
+cell algebra of the data columns of each mode, and the rewrite loop and
 normal-form explorer of every mode: `infer` and `infer_all` take learning
-data or `collection_inference.CollectionData`, whose columns name their own
-algebra.
+data and run on the algebra of its mode.  In set and multiset mode,
+concatenation is read as disjoint union or multiset sum: only the front
+rules with element and letter auxiliaries apply (collections have no back
+side and no reversal), and they strip sub-collections instead of prefixes.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .data import Cell, LearningData
+from .data import Cell, LearningData, Mode
 from .pattern_core import (
+    BAGS,
     STRINGS,
     Cells,
     TuplePattern,
+    bag_minus,
     compose,
     data_steps,
     var_atom,
@@ -76,15 +80,51 @@ class _Columns(Cells):
         return ((letter,),) * len(like)
 
 
+class _CollectionColumns(_Columns):
+    """Set or multiset data columns: one sorted collection per sample row.
+    A rule applies when it applies in every row; the letter of the constant
+    rule is the smallest one every row holds."""
+
+    ordered = False
+    patterns = BAGS  # the algebra of the pattern elements inferred
+
+    def __init__(self, mode: Mode):
+        self.mode = mode
+
+    def strip(self, col, aux, front: bool):
+        out = []
+        for cj, ci in zip(col, aux):
+            rest = bag_minus(cj, ci)
+            if rest is None:
+                return None
+            out.append(rest)
+        return tuple(out)
+
+    reverse = Cells.reverse  # a collection is its own reverse
+
+    def end_letter(self, col, front: bool) -> Optional[int]:
+        if not all(col):
+            return None
+        shared = set(col[0])
+        for cell in col[1:]:
+            shared &= set(cell)
+        return min(shared) if shared else None
+
+
 COLUMNS = _Columns()
+_ALGEBRA = {
+    Mode.SEQUENCE: COLUMNS,
+    Mode.SET: _CollectionColumns(Mode.SET),
+    Mode.MULTISET: _CollectionColumns(Mode.MULTISET),
+}
 
 
-def _cells_of(data) -> Cells:
-    """The algebra of the data's columns; empty data is rejected."""
+def _cells_of(data: LearningData) -> Cells:
+    """The algebra of the data's columns, by its mode; empty data is
+    rejected."""
     if data.m == 0 or data.n == 0:
         raise ValueError("learning data must have at least one row and column")
-    # collection data names the algebra of its columns
-    return getattr(data, "cells", COLUMNS)
+    return _ALGEBRA[data.mode]
 
 
 def _trivial(n: int) -> tuple:
@@ -94,8 +134,8 @@ def _trivial(n: int) -> tuple:
 
 
 def infer(data: LearningData, cfg: InferConfig = InferConfig()) -> TuplePattern:
-    """The pattern of the deterministic normal form on learning data or
-    collection data, in the data's mode; it fits every row.  The first
+    """The pattern of the deterministic normal form on learning data, in
+    the data's mode; it fits every row.  The first
     applicable step is taken until none applies, and the path is composed
     backwards from the trivial tuple over the columns left."""
     cells = _cells_of(data)
@@ -127,7 +167,7 @@ def infer_all(
     was hit; the returned set is then a lower bound.
 
     A shared `memo` dict may be passed to amortize exploration across many
-    matrices; it must always be used with the same config and kind of data.
+    matrices; it must always be used with the same config and data mode.
     """
     explore = _Explore(_cells_of(data), cfg, {} if memo is None else memo)
     raw = _forms(explore, data.columns())

@@ -43,7 +43,7 @@ from stpchc.pattern_core import (
     strip,
     var_atom,
 )
-from stpchc.stp_inference import COLUMNS, InferConfig
+from stpchc.stp_inference import COLUMNS, InferConfig, _cells_of
 
 A = char_to_letter("a")
 B = char_to_letter("b")
@@ -391,7 +391,7 @@ class RewriteState:
 
     @classmethod
     def initial(cls, data) -> "RewriteState":
-        """The start state on `data`: learning data, or collection data."""
+        """The start state on `data`: learning data of any mode."""
         if data.m == 0 or data.n == 0:
             raise ValueError("learning data must have at least one row and column")
         n = data.n
@@ -401,8 +401,7 @@ class RewriteState:
             columns=data.columns(),
             next_id=n,
             rows=data.m,
-            # collection data names the algebra of its columns
-            cells=getattr(data, "cells", COLUMNS),
+            cells=_cells_of(data),
         )
 
     @property

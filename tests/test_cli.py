@@ -321,6 +321,22 @@ class TestExternalSmtWiring:
         # plain validity from the external prover: no bounded qualifier
         assert out.splitlines()[0] == "sat"
 
+    def test_json_provider_of_a_bounded_sat(self, capsys, tmp_path):
+        # the external prover answers nothing, so list mode gives up and
+        # multiset mode, which checks with the bounded evaluator, wins
+        import sys as _sys
+
+        stub = tmp_path / "always_unknown.py"
+        stub.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
+        code, out, _ = run(
+            capsys, "solve", str(BENCH / "sort.smt2"), "--json",
+            "--smt-cmd", f"{_sys.executable} {stub}",
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert (report["mode"], report["bounded"], report["provider"]) == (
+            "multiset", True, "bounded")
+
     def test_output_that_is_not_text_is_unknown(self, capsys, tmp_path):
         import sys as _sys
 

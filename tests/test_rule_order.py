@@ -21,7 +21,7 @@ from stpchc.pattern_core import (
     render_pattern,
     var_atom,
 )
-from stpchc.stp_inference import COLUMNS, InferConfig
+from stpchc.stp_inference import COLUMNS, InferConfig, _cells_of
 
 from helpers import A, B, rows
 
@@ -40,7 +40,7 @@ def collection_pattern_steps(t):
 
 
 def collection_data_steps(data, cfg):
-    return [fields(step) for step, _ in data_steps(data.columns(), data.cells, cfg)]
+    return [fields(step) for step, _ in data_steps(data.columns(), _cells_of(data), cfg)]
 
 
 def test_pattern_steps_principal_major():

@@ -158,6 +158,26 @@ class TestExternalChecker:
         with pytest.raises(Unknown, match="^counter-model not parseable$"):
             checker.counterexamples(FEq(L1, L2))
 
+    @pytest.mark.parametrize("value", [
+        "(seq.unit)",                 # seq.unit takes one argument
+        "(seq.unit 1 2)",
+        "(seq.unit (seq.unit 1))",    # of an integer
+        pytest.param("(seq.++ " * 3000 + "(seq.unit 1)" + ")" * 3000, id="deep"),
+    ])
+    def test_malformed_value_rejected(self, tmp_path, value):
+        # an unreadable model is Unknown, never a traceback
+        cmd = make_stub(
+            tmp_path,
+            f"""
+            sys.stdin.read()
+            print('sat')
+            print('((l1 {value}) (l2 (seq.unit 1)))')
+            """,
+        )
+        checker = ExternalSmtChecker(cmd.split())
+        with pytest.raises(Unknown, match="^counter-model not parseable$"):
+            checker.counterexamples(FEq(L1, L2))
+
     def test_process_failure_is_unknown(self):
         checker = ExternalSmtChecker(["/nonexistent/solver"])
         with pytest.raises(Unknown, match="No such file"):

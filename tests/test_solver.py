@@ -435,6 +435,7 @@ class TestExternalIntBackend:
         "(not)",              # an operator without its argument
         "(= a --1)",          # a numeral with two signs
         "(= a \u00b2)",        # a digit that is not ASCII
+        pytest.param("(and " * 5000 + "(= a b)" + ")" * 5000, id="deep"),
     ])
     def test_unreadable_model_is_none(self, body):
         text = f"(define-fun p ((a Int) (b Int)) Bool {body})"

@@ -360,6 +360,22 @@ class TestCsvRoundTrip:
         assert again == data
 
 
+class TestLearningDataModes:
+    def test_mode_is_part_of_equality(self):
+        cells = [[(1, 2), (2,)], [(3,), ()]]
+        assert LearningData(cells) != LearningData(cells, Mode.MULTISET)
+        assert LearningData(cells, Mode.SET) == LearningData(cells, Mode.SET)
+
+    def test_collection_cells_sorted(self):
+        data = LearningData.from_csv("2.1.2,3\n", Mode.MULTISET)
+        assert data.rows == (((1, 2, 2), (3,)),)
+        assert LearningData.from_csv(data.to_csv(), Mode.MULTISET) == data
+
+    def test_set_csv_rejects_duplicate_element(self):
+        with pytest.raises(ValueError, match="duplicate elements"):
+            LearningData.from_csv("1.1,2\n", Mode.SET)
+
+
 class TestDegenerateMatrices:
     def test_fully_erased_state_keeps_row_count(self):
         data = M([""], [""])
