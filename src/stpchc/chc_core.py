@@ -615,13 +615,35 @@ class Sample:
     provenance: tuple  # ("derived", depth) or ("counterexample",)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), made by the loop CPython's
+    `rng.randint(lo, lo + n - 1)` runs, so it leaves `rng` where randint
+    would."""
+    if n < 1:
+        raise ValueError("empty range")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_value(sort: Sort, budget: SampleBudget, rng: random.Random):
+    width = budget.value_hi - budget.value_lo + 1
     if sort is Sort.INT:
-        return rng.randint(budget.value_lo, budget.value_hi)
-    length = rng.randint(0, budget.max_list_len)
-    return tuple(
-        rng.randint(budget.value_lo, budget.value_hi) for _ in range(length)
-    )
+        return budget.value_lo + _below(rng, width)
+    length = _below(rng, budget.max_list_len + 1)
+    return tuple(budget.value_lo + _below(rng, width) for _ in range(length))
+
+
+def _skip_draws(sorts: Sequence[Sort], budget: SampleBudget, rng: random.Random) -> None:
+    """Advance `rng` past `budget.count` rounds of `_random_value` draws for
+    `sorts`, building no value."""
+    width = budget.value_hi - budget.value_lo + 1
+    for _ in range(budget.count):
+        for sort in sorts:
+            for _ in range(1 if sort is Sort.INT else _below(rng, budget.max_list_len + 1)):
+                _below(rng, width)
 
 
 _UNKNOWN = object()
@@ -851,19 +873,6 @@ def match_goal(plan: JoinPlan, tables: dict[str, AtomTable]) -> Optional[tuple[t
 # ---------------------------------------------------------------------------
 # sampling the least model
 
-def _free_var_assignments(
-    names: Sequence[str],
-    sorts: dict[str, Sort],
-    budget: SampleBudget,
-    rng: random.Random,
-):
-    if not names:
-        yield {}
-        return
-    for _ in range(budget.count):
-        yield {n: _random_value(sorts[n], budget, rng) for n in names}
-
-
 def collect_samples(
     system: ChcSystem, budget: SampleBudget, rng: random.Random
 ) -> list[Sample]:
@@ -873,8 +882,9 @@ def collect_samples(
     body-atom pools.  Every returned sample is in the least model.
 
     Tables grow only after a level's loop, so a rule whose head table is
-    full at the start of a level adds nothing at that level: its matches and
-    draws are still made, which keeps the `rng` stream, but not evaluated."""
+    full at the start of a level adds nothing at that level: its matches are
+    still made, and `rng` is advanced past the draws of their free variables,
+    which keeps the stream, but no value is built or evaluated."""
     tables = {p: AtomTable() for p in system.predicates}
     facts = [plan_join(c) for c in system.definite if not c.body_atoms]
     rules = [plan_join(c) for c in system.definite if c.body_atoms]
@@ -886,10 +896,12 @@ def collect_samples(
             full = len(tables[clause.head.pred]) >= budget.per_pred_cap
             for _, binding in join(plan, tables, cap):
                 free = [n for n in plan.free if n not in binding]
-                for extra in _free_var_assignments(free, plan.sorts, budget, rng):
-                    if full:
-                        continue
-                    env = {**binding, **extra}
+                if full:
+                    _skip_draws([plan.sorts[n] for n in free], budget, rng)
+                    continue
+                for _ in range(budget.count if free else 1):
+                    drawn = {n: _random_value(plan.sorts[n], budget, rng) for n in free}
+                    env = {**binding, **drawn}
                     try:
                         if not eval_formula(clause.constraint, env):
                             continue
@@ -933,16 +945,21 @@ def derivable(
     values: tuple,
     depth: int,
     budget: SampleBudget = SampleBudget(),
+    memo: Optional[dict] = None,
 ) -> bool:
     """Sound bounded check that the ground atom is in the least model,
-    within `depth` clause applications."""
+    within `depth` clause applications.  The integers of `values` and
+    `value_lo..value_hi` fix the values it tries; `memo` maps each such set
+    to a `_derive` table, shared by calls on one system and budget."""
     seen_ints: set[int] = set()
     for v in values:
         if isinstance(v, int):
             seen_ints.add(v)
         else:
             seen_ints.update(v)
-    return _derive(system, budget, seen_ints, {}, pred, values, depth)
+    domain = frozenset(seen_ints.union(range(budget.value_lo, budget.value_hi + 1)))
+    table = {} if memo is None else memo.setdefault(domain, {})
+    return _derive(system, budget, seen_ints, table, pred, values, depth)
 
 
 def _derive(system: ChcSystem, budget: SampleBudget, seen_ints: set, memo: dict,

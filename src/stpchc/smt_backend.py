@@ -19,6 +19,18 @@ the same matcher the ground joins use; and otherwise enumerates the next
 variable, one buried inside a term before the bare side of an equation.
 Variables only the consequent mentions are swept at the leaves.
 
+A branch skips the values under which a top-level antecedent atom is sure
+to be False (forward checking: Haralick & Elliott, AI 1980).  An atom over
+an undefined side is False, and `ldiff(p, w)` in a side, outside any `ite`,
+is defined only where `p` is a prefix of `w`, `rdiff(w, s)` only where `s`
+is a suffix; a `p` or `s` that is a `cons` chain bounds its tail too.  Once
+the other variables of such a condition are assigned, a branch on a bare
+part tries only the prefixes (suffixes) of the whole's value, a branch on a
+bare whole only the lists of the domain that start (end) with the part's,
+from an index the checker builds once, and any other branch checks each
+value.  No counterexample lies below a skipped value, so the results and
+their order stay the same.
+
 The search walks no term tree.  Each query compiles its conjuncts and its
 consequent once, to closures over the environment (Feeley & Lapalme, "Using
 closures for code generation", 1987).  Every atom side with a variable below
@@ -514,6 +526,91 @@ def _plan_conjunct(c: Formula, side: Callable) -> _Conjunct:
     return _Conjunct(names, holds)
 
 
+# ---------------------------------------------------------------------------
+# definedness: the branch values under which an antecedent atom is False
+
+@dataclass(frozen=True)
+class _Defined:
+    """A top-level antecedent atom over `ldiff(part, whole)` or
+    `rdiff(whole, part)` is False unless the value of `part` lies in that of
+    `whole` after its first `skip` elements (`prefix`), or at its end with
+    at least `skip` elements before it.  A `part` of `skip` `cons` heads
+    over a tail puts this condition on the tail too."""
+
+    prefix: bool
+    skip: int
+    names: frozenset  # the variables of part and whole
+    part: Callable  # compiled atom sides: a value or `_UNDEF`
+    whole: Callable
+    bare_part: Optional[str]  # part's name, when a variable whole lacks
+    bare_whole: Optional[str]  # whole's, when a variable part lacks (not for
+    # a prefix with skip > 0, which `BoundedChecker._ends` does not index)
+
+
+def _definedness(conjuncts: list[Formula], side: Callable) -> dict[str, list[_Defined]]:
+    """Per variable, the `_Defined` conditions on it of the conjuncts that
+    are atoms, those it is bare in first.  Under `not`, `or` and `=>` an
+    undefined side need not make the antecedent False, and an `ite`
+    evaluates one branch only, so neither is looked into."""
+    found: dict = {}
+    stack = [s for c in conjuncts if type(c) in _ATOMS for s in (c.a, c.b)]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is TLdiff or tt is TRdiff:
+            part, skip = (t.prefix if tt is TLdiff else t.suffix), 0
+            found[tt is TLdiff, skip, part, t.t] = None
+            while type(part) is TCons:
+                part, skip = part.tail, skip + 1
+                found[tt is TLdiff, skip, part, t.t] = None
+        stack.extend(getattr(t, name) for name in _TERM_CHILDREN.get(tt, ()))  # not TIte
+    out: dict = {}
+    for prefix, skip, part, whole in found:
+        pv, wv = _vars(part), _vars(whole)
+        c = _Defined(
+            prefix, skip, frozenset(pv).union(wv), side(part), side(whole),
+            part.name if type(part) is TVar and part.name not in wv else None,
+            whole.name if type(whole) is TVar and whole.name not in pv
+            and not (prefix and skip) else None,
+        )
+        for name in c.names:
+            out.setdefault(name, []).append(c)
+    for name, conditions in out.items():
+        conditions.sort(key=lambda c: name not in (c.bare_part, c.bare_whole))
+    return out
+
+
+def _prune(q: "_Query", v: str, env: dict, values) -> tuple:
+    """The values of `values`, in order, that meet each `_Defined` condition
+    on `v` whose other variables `env` assigns."""
+    for c in q.defined.get(v, ()):
+        if any(u != v and u not in env for u in c.names):
+            continue
+        if c.bare_part == v:  # the parts the value of whole has room for
+            w = c.whole(env)
+            allowed = set() if w is _UNDEF else {
+                w[c.skip:c.skip + i] if c.prefix else w[len(w) - i:]
+                for i in range(len(w) - c.skip + 1)
+            }
+        elif c.bare_whole == v:  # the lists with room for the value of part
+            p = c.part(env)
+            allowed = q.checker._ends.get((c.prefix, p), ())  # `_UNDEF` is no key
+            if c.skip:
+                allowed = {w for w in allowed if len(w) >= c.skip + len(p)}
+        else:
+            allowed = set()
+            for x in values:
+                env[v] = x
+                p, w = c.part(env), c.whole(env)
+                if p is not _UNDEF and w is not _UNDEF and len(w) >= c.skip + len(p):
+                    start = c.skip if c.prefix else len(w) - len(p)
+                    if w[start:start + len(p)] == p:
+                        allowed.add(x)
+            env.pop(v, None)
+        values = tuple(x for x in values if x in allowed)
+    return values
+
+
 @dataclass
 class _Query:
     """One `counterexamples` call: what every search node reads, and the
@@ -525,6 +622,8 @@ class _Query:
     domains: dict[str, tuple]
     limit: int
     symmetry: Optional[_Symmetry]  # None: every branch tries its whole domain
+    defined: dict  # variable -> its `_Defined` conditions
+    checker: "BoundedChecker"
     results: list = field(default_factory=list)
 
 
@@ -652,7 +751,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
                 _sweep(q, env, cons_only)
                 return
             v = enumerable[0]
-            for val in _values(q, v, env):
+            for val in _prune(q, v, env, _values(q, v, env)):
                 env[v] = val
                 if all(c.holds(env) for c in live) and _sweep(
                     q, env, cons_only
@@ -661,7 +760,7 @@ def _search(q: _Query, env: dict, pending: list) -> None:
             env.pop(v, None)
             return
         v = _pick(live[0], env)
-        for val in _values(q, v, env):
+        for val in _prune(q, v, env, _values(q, v, env)):
             env[v] = val
             _search(q, env, live)
             del env[v]
@@ -682,6 +781,18 @@ class BoundedChecker:
         self._lists = _all_lists(bounds.max_list_len, bounds.max_elem)
         self._ints = tuple(range(bounds.int_lo, bounds.int_hi + 1))
 
+    @functools.cached_property
+    def _ends(self) -> dict:
+        """For each `(True, p)` the lists of the domain that start with `p`,
+        for each `(False, s)` those that end with `s`; built once a query
+        asks."""
+        out: dict = {}
+        for w in self._lists:
+            for i in range(len(w) + 1):
+                out.setdefault((True, w[:i]), set()).add(w)
+                out.setdefault((False, w[i:]), set()).add(w)
+        return out
+
     def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:
         variables = formula_vars(f)
         conjuncts = _flatten_and(f.a) if isinstance(f, FImp) else []
@@ -695,6 +806,8 @@ class BoundedChecker:
                      for n, s in variables.items()},
             limit=limit if symmetry is None else 1,
             symmetry=symmetry,
+            defined=_definedness(conjuncts, side),
+            checker=self,
         )
         plan = [_plan_conjunct(c, side) for c in conjuncts]
         _search(q, {}, plan)

@@ -3,7 +3,8 @@
 The core loop (`_solve_patterns`): sample the least model, infer one pattern
 per predicate, check the definite clauses, and feed revalidated
 counterexamples back as new samples, until the definite clauses pass, then
-check the goals; within one loop, `derivable` is asked about each atom once.
+check the goals; within one loop, `derivable` is asked about each atom once,
+through one memo.
 List, set and multiset mode are this one loop, the pattern mode picking the
 algebra of inference (`build_model`) and of the membership formulas
 (`pattern_to_formula`).  List-len mode instead strengthens list mode's
@@ -405,12 +406,15 @@ def admit_counterexamples(
     cfg: SolverConfig,
     known: set,
     refused: Optional[set] = None,
+    derived: Optional[dict] = None,
 ) -> tuple[list[Sample], int]:
     """Head instances of clause counterexamples, gated by the bounded
     derivability check: spurious instances never reach the learning data.
     `refused` holds the `(pred, values)` atoms the check has rejected under
     `cfg`: they are rejected again without asking it, and the atoms it
-    rejects now are added.  Without it, a fresh set is used."""
+    rejects now are added.  Without it, a fresh set is used.  `derived` is
+    `derivable`'s memo for `system` under `cfg`, or None for a fresh one
+    per call."""
     refused = set() if refused is None else refused
     rejected = 0
     for env in assignments:
@@ -421,20 +425,20 @@ def admit_counterexamples(
             continue
         if (clause.head.pred, values) in known:
             continue
-        if _derivable(system, clause.head.pred, values, cfg, refused):
+        if _derivable(system, clause.head.pred, values, cfg, refused, derived):
             return [Sample(clause.head.pred, values, ("counterexample",))], rejected
         rejected += 1
     return [], rejected
 
 
 def _derivable(system: ChcSystem, pred: str, values: tuple, cfg: SolverConfig,
-               refused: set) -> bool:
-    """`derivable` at `cfg`'s depth and budget, remembering its rejections
-    in `refused`.  Its answer depends on these arguments alone, so a
-    remembered rejection stands."""
+               refused: set, derived: Optional[dict]) -> bool:
+    """`derivable` at `cfg`'s depth and budget, with memo `derived`,
+    remembering its rejections in `refused`.  Its answer depends on these
+    arguments alone, so a remembered rejection stands."""
     if (pred, values) in refused:
         return False
-    if derivable(system, pred, values, REVALIDATE_DEPTH, cfg.sampling):
+    if derivable(system, pred, values, REVALIDATE_DEPTH, cfg.sampling, derived):
         return True
     refused.add((pred, values))
     return False
@@ -509,6 +513,7 @@ def _solve_patterns(system: ChcSystem, cfg: SolverConfig, checker, mode: Mode) -
 
     rng = random.Random(cfg.seed)
     refused: set = set()  # atoms `derivable` rejected, asked once per loop
+    derived: dict = {}  # `derivable`'s memo, shared by the loop's calls
     samples = collect_samples(system, cfg.sampling, rng)
     depth_bump = 0
     for _ in range(MAX_ITERATIONS):
@@ -530,7 +535,7 @@ def _solve_patterns(system: ChcSystem, cfg: SolverConfig, checker, mode: Mode) -
             return unknown(reason, model if mode is Mode.SEQUENCE else None)
         known = {(s.predicate, s.values) for s in samples}
         new, rejected = admit_counterexamples(
-            system, dres.clause, dres.assignments, cfg, known, refused
+            system, dres.clause, dres.assignments, cfg, known, refused, derived
         )
         stats["rejected_cex"] += rejected
         if new:

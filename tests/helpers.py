@@ -12,14 +12,13 @@ from stpchc.alphabet import char_to_letter
 from stpchc.chc_core import (
     AtomTable,
     Sample,
-    _free_var_assignments,
     join,
     match_goal,
     match_term,
     plan_join,
 )
 from stpchc.data import Cell, LearningData
-from stpchc.formulas import eval_formula, eval_term
+from stpchc.formulas import Sort, eval_formula, eval_term
 from stpchc.pattern_core import (
     ELEMENT,
     REVERSED,
@@ -299,10 +298,26 @@ def naive_join(atoms, pools, cap=None):
             yield rows, binding
 
 
+def drawn_value(sort, budget, rng):
+    """A random value of `sort`, drawn with `rng.randint`."""
+    if sort is Sort.INT:
+        return rng.randint(budget.value_lo, budget.value_hi)
+    length = rng.randint(0, budget.max_list_len)
+    return tuple(rng.randint(budget.value_lo, budget.value_hi) for _ in range(length))
+
+
+def _free_var_assignments(names, sorts, budget, rng):
+    if not names:
+        yield {}
+        return
+    for _ in range(budget.count):
+        yield {n: drawn_value(sorts[n], budget, rng) for n in names}
+
+
 def evaluated_samples(system, budget, rng):
     """Reference for `chc_core.collect_samples`: the same levels, matches
     and draws, with every draw evaluated, also those of a rule whose head
-    table is already full."""
+    table is already full, and every draw made by `rng.randint`."""
     tables = {p: AtomTable() for p in system.predicates}
     facts = [plan_join(c) for c in system.definite if not c.body_atoms]
     rules = [plan_join(c) for c in system.definite if c.body_atoms]

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from stpchc.data import LearningData
-from stpchc.collection_inference import CollectionData
 from stpchc.chc_core import SampleBudget, parse_smtlib
 from stpchc.formulas import FImp, Sort, TConcat, TRev, TVar, FEq
 from stpchc.pattern_core import (
@@ -103,7 +102,7 @@ def test_worked_example_inference():
 
         started = time.monotonic()
         got = infer(
-            CollectionData(
+            LearningData(
                 [
                     [s("a"), s("b"), s("ab")],
                     [s("b"), s("bc"), s("bc")],

@@ -19,7 +19,9 @@ from stpchc.formulas import (
     TCons,
     TConcat,
     TInt,
+    TIte,
     TLdiff,
+    TLen,
     TRdiff,
     TRev,
     TSeq,
@@ -214,6 +216,66 @@ def test_symmetry_reduction_agrees(bounds, pruned_floor):
     # not vacuous: most formulas are reduced, and some searches get shorter
     assert reduced >= 200
     assert pruned >= pruned_floor
+
+
+def diff_term(rng, head):
+    """An `ldiff` or `rdiff` of list terms, its part sometimes a `cons`."""
+    part, whole = random_seq_term(rng, 1, head), random_seq_term(rng, 1, head)
+    if rng.random() < 0.4:
+        part = TCons(head(rng, 2), part)
+    return TLdiff(part, whole) if rng.random() < 0.5 else TRdiff(whole, part)
+
+
+def diff_atom(rng, head):
+    """An atom with an `ldiff` or `rdiff` in a side, most often the solved
+    form `w = p ++ ldiff(p, w)` or `w = rdiff(w, s) ++ s`."""
+    d = diff_term(rng, head)
+    roll = rng.random()
+    if roll < 0.5:
+        return FEq(d.t, TConcat(d.prefix, d) if type(d) is TLdiff else TConcat(d, d.suffix))
+    if roll < 0.8:
+        return FEq(random_seq_term(rng, 1, head), d)
+    return FLe(TLen(d), head(rng, 2))
+
+
+def diff_conjunct(rng, head):
+    """An antecedent conjunct with an `ldiff` or `rdiff`: an atom, or an
+    atom under `not`, `or` or `=>`, or an atom with one inside an `ite`."""
+    kind = rng.choice(["atom", "atom", "not", "or", "imp", "ite"])
+    if kind == "atom":
+        return diff_atom(rng, head)
+    if kind == "not":
+        return FNot(diff_atom(rng, head))
+    if kind == "or":
+        return FOr((diff_atom(rng, head), random_atom(rng, head)))
+    if kind == "imp":
+        return FImp(diff_atom(rng, head), random_atom(rng, head))
+    cond = FEq(head(rng, 2), head(rng, 2))
+    branch = TIte(cond, diff_term(rng, head), random_seq_term(rng, 1, head))
+    return FEq(random_seq_term(rng, 1, head), branch)
+
+
+@pytest.mark.parametrize("limit", [1, 16])
+def test_definedness_pruning_keeps_every_answer(limit, monkeypatch):
+    # the same counterexamples, in the same order, with and without the
+    # branches skipped where an `ldiff` or `rdiff` is undefined
+    rng = random.Random(13)
+    checker = BoundedChecker(Bounds(max_list_len=3, max_elem=1, int_lo=0, int_hi=2))
+    nodes = full_nodes = found = 0
+    for trial in range(150):
+        head = rng.choice([random_int_term, element_term])
+        ante = FAnd(tuple(diff_conjunct(rng, head) for _ in range(rng.randint(1, 3))))
+        f = FImp(ante, random_atom(rng, head))
+        got, n = answer(checker, f, limit)
+        with monkeypatch.context() as unpruned:
+            unpruned.setattr(smt_backend, "_prune", lambda q, v, env, values: values)
+            want, full_n = answer(checker, f, limit)
+        assert got == want, (trial, f)
+        nodes, full_nodes, found = nodes + n, full_nodes + full_n, found + bool(got)
+    # not vacuous: counterexamples are found, and pruning cuts the search
+    # (to 51% of the nodes at both limits)
+    assert found >= 80
+    assert nodes < 0.6 * full_nodes
 
 
 U, V = TVar("u", Sort.LIST), TVar("v", Sort.LIST)

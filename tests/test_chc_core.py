@@ -8,6 +8,8 @@ from stpchc.chc_core import (
     ParseError,
     Sample,
     SampleBudget,
+    _random_value,
+    _skip_draws,
     collect_samples,
     derivable,
     parse_smtlib,
@@ -15,7 +17,7 @@ from stpchc.chc_core import (
 )
 from stpchc.formulas import Sort
 
-from helpers import evaluated_samples, goal_hit
+from helpers import drawn_value, evaluated_samples, goal_hit
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 BUNDLED = [
@@ -160,6 +162,23 @@ class TestCollectSamples:
         # tables do fill, so draws are skipped
         assert {"reva.smt2", "sort.smt2", "take_drop.smt2"} <= filled
 
+    @pytest.mark.parametrize("lo, width", [(-1, 1), (2, 4), (-3, 5)])
+    def test_skipped_draws_leave_the_stream_where_draws_would(self, lo, width):
+        # a round draws an Int and two lists; each value is the one
+        # `rng.randint` draws, and skipping the rounds leaves `rng` where
+        # drawing them does
+        sorts = (Sort.INT, Sort.LIST, Sort.LIST)
+        for count in (1, 3):
+            budget = SampleBudget(count=count, value_lo=lo, value_hi=lo + width - 1)
+            for seed in range(4):
+                drawn, reference, skipped = (random.Random(seed) for _ in range(3))
+                for _ in range(count):
+                    for sort in sorts:
+                        value = _random_value(sort, budget, drawn)
+                        assert value == drawn_value(sort, budget, reference)
+                _skip_draws(sorts, budget, skipped)
+                assert skipped.getstate() == drawn.getstate() == reference.getstate()
+
 
 class TestDerivable:
     def test_fact_instance(self):
@@ -174,6 +193,45 @@ class TestDerivable:
     def test_not_in_least_model(self):
         system = load("reva.smt2")
         assert not derivable(system, "reva", ((0, 1, 2), (), (1, 2, 0)), 8)
+
+    # `p(x)` needs `q(x, 7)`, so it is derivable only where 7 may be tried:
+    # in a call on an atom that holds 7, like `r(0, 7)`
+    NEEDS_SEVEN = """
+    (set-logic HORN)
+    (declare-fun q (Int Int) Bool)
+    (declare-fun p (Int) Bool)
+    (declare-fun r (Int Int) Bool)
+    (assert (forall ((x Int)) (q x 7)))
+    (assert (forall ((x Int) (y Int)) (=> (q x y) (p x))))
+    (assert (forall ((x Int) (y Int)) (=> (and (p x) (q y y)) (r x y))))
+    (check-sat)
+    """
+
+    def test_shared_memo_gives_the_fresh_answers(self):
+        # atoms of the bundled sat systems' samples, the same atoms with
+        # every integer moved above value_hi, and NEEDS_SEVEN's atoms: asked
+        # in turn through one memo per system, each answer is that of a
+        # call with a fresh memo
+        shift = lambda v: v + 5 if isinstance(v, int) else tuple(x + 5 for x in v)
+        cases = []
+        for path in sorted(BENCH.glob("*.smt2")):
+            system = parse_smtlib(path.read_text())
+            samples = collect_samples(system, SampleBudget(depth=2, count=3), random.Random(0))
+            atoms = [(s.predicate, s.values) for s in samples[::3]]
+            cases.append((system, atoms + [(p, tuple(map(shift, vs))) for p, vs in atoms]))
+        cases.append((parse_smtlib(self.NEEDS_SEVEN), [("r", (0, 7)), ("p", (0,))]))
+        answers = []
+        for system, atoms in cases:
+            memo: dict = {}
+            for pred, values in atoms:
+                for depth in (1, 2, 3):
+                    got = derivable(system, pred, values, depth, SampleBudget(), memo)
+                    assert got == derivable(system, pred, values, depth), (pred, values, depth)
+                    answers.append(got)
+        # not vacuous: both answers occur; r(0, 7) holds from depth 2 on,
+        # and p(0) at no depth, though r(0, 7) derives it at depth 1
+        assert True in answers[:-6] and False in answers[:-6]
+        assert answers[-6:] == [False, True, True, False, False, False]
 
 
 class TestBoundedGoalCheck:

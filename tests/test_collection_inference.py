@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stpchc.collection_inference import CollectionData
+from stpchc.data import LearningData
 from stpchc.pattern_core import Mode, TuplePattern, is_solvable, member, var_atom
 from stpchc.stp_inference import InferConfig, infer
 
@@ -11,11 +11,11 @@ from helpers import s
 
 
 def setdata(*rows):
-    return CollectionData(rows, Mode.SET)
+    return LearningData(rows, Mode.SET)
 
 
 def msdata(*rows):
-    return CollectionData(rows, Mode.MULTISET)
+    return LearningData(rows, Mode.MULTISET)
 
 
 def cpat(elements, mode):
@@ -44,11 +44,11 @@ class TestInferCollection:
 
     def test_duplicate_in_set_cell_rejected(self):
         with pytest.raises(ValueError):
-            CollectionData([[(1, 1)]], Mode.SET)
+            LearningData([[(1, 1)]], Mode.SET)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            infer(CollectionData([], Mode.SET))
+            infer(LearningData([], Mode.SET))
 
     def test_union_invariant_along_rewriting(self):
         # soundness: every input row is a member of the result
@@ -64,7 +64,7 @@ class TestInferCollection:
                         vals = [rng.randint(0, 4) for _ in range(size)]
                         row.append(set(vals) if mode is Mode.SET else vals)
                     rows.append(row)
-                data = CollectionData(rows, mode)
+                data = LearningData(rows, mode)
                 t = infer(data, InferConfig(constants=True))
                 assert is_solvable(t)
                 for row in data.rows:
@@ -78,8 +78,8 @@ class TestInferCollection:
             for _r in range(rng.randint(1, 3)):
                 letters = rng.sample(range(10), ncols)
                 rows.append([{v} for v in letters])
-            t_set = infer(CollectionData(rows, Mode.SET))
-            t_ms = infer(CollectionData(rows, Mode.MULTISET))
+            t_set = infer(LearningData(rows, Mode.SET))
+            t_ms = infer(LearningData(rows, Mode.MULTISET))
             assert t_set.elements == t_ms.elements
 
 
@@ -118,7 +118,7 @@ class TestCollectionMember:
                         vals = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
                         row.append(set(vals) if mode is Mode.SET else vals)
                     rows.append(row)
-                t = infer(CollectionData(rows, mode))
+                t = infer(LearningData(rows, mode))
                 for _trial in range(10):
                     v = [
                         [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]

@@ -6,7 +6,6 @@ which printed model comes out.  Data-side steps are rule-major (every
 principal for one rule, then the next rule); pattern-side steps are
 principal-major."""
 
-from stpchc.collection_inference import CollectionData
 from stpchc.data import LearningData
 from stpchc.pattern_core import (
     BAGS,
@@ -122,7 +121,7 @@ def test_multiset_pattern_steps():
 
 def test_collection_data_steps_rule_major():
     # the smallest shared letter is the one constant step per column
-    data = CollectionData(
+    data = LearningData(
         [[(), (1, 2), (1, 2, 3), (2, 3)], [(), (1, 2, 4), (1, 2, 3, 4), (2, 3)]],
         Mode.MULTISET,
     )

@@ -970,9 +970,10 @@ class TestRefuteExamples:
 class TestTimeout:
     TIMEOUT = 0.1
     # at the default bounds some modes finish inside the deadline (reva's list
-    # mode in about 50 ms); with lists up to length 6 every mode that reaches
-    # the checker takes seconds
-    BOUNDS = Bounds(max_list_len=6)
+    # mode in about 10 ms), and at length 6 reva's list mode takes about
+    # 0.1 s; with lists up to length 8 every mode that reaches the checker
+    # takes seconds on reva, and sort's list mode gives up in about 20 ms
+    BOUNDS = Bounds(max_list_len=8)
 
     @pytest.mark.parametrize("mode", ["auto", *mode_registry()])
     def test_every_mode_honours_timeout(self, mode, sort_system, reva):

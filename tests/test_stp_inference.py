@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from stpchc.collection_inference import CollectionData
 from stpchc.data import LearningData
 from stpchc.pattern_core import (
     Mode,
@@ -218,8 +217,8 @@ class TestInferMatchesOracle:
         for rows_ in self.instances(seed=21):
             for data in (
                 LearningData(rows_),
-                CollectionData([[set(cell) for cell in row] for row in rows_], Mode.SET),
-                CollectionData(rows_, Mode.MULTISET),
+                LearningData([[set(cell) for cell in row] for row in rows_], Mode.SET),
+                LearningData(rows_, Mode.MULTISET),
             ):
                 got = infer(data, cfg)
                 want = final_state(data, cfg).pattern

@@ -29,9 +29,16 @@ and records
   full refutation search, run again from the start once every mode returned
   `unknown`, or a refuter forked to run beside the modes;
 - `sampler_candidates`: the draws `collect_samples` evaluates (calls of
-  `eval_formula` inside it), in any process.
+  `eval_formula` inside it), in any process;
+- `values_built`: the random values the sampler builds (calls of
+  `chc_core._random_value`), in any process;
+- `derive_expanded`: the atoms `derivable` works out rather than finds in
+  its memo (calls of `chc_core._derive` whose key is not in the memo they
+  are given), in any process;
+- `search_nodes`: the bounded checker's search nodes (calls of
+  `smt_backend._search`), in any process.
 
-The last three are counted on the solve without a deadline; a forked
+The last six are counted on the solve without a deadline; a forked
 process adds to the shared counts too.  They are deterministic for a
 version that runs its modes in order to the end; for a version that kills a
 worker mid-run they count what the worker did before the kill.  Only the
@@ -92,13 +99,15 @@ def counts(src_dir: str) -> dict:
     import multiprocessing.process
 
     solver, parse_smtlib = _load(src_dir)
-    from stpchc import chc_core
+    from stpchc import chc_core, smt_backend
 
-    shared = {key: multiprocessing.Value("q") for key in ("units", "candidates")}
+    shared = {key: multiprocessing.Value("q")
+              for key in ("units", "candidates", "values", "expanded", "nodes")}
     local = {"processes": 0, "caller": 0, "modes": False, "sampling": False}
     solving = os.getpid()
     join, product = solver.join, itertools.product
     collect, evaluate = solver.collect_samples, chc_core.eval_formula
+    random_value, derive, search = chc_core._random_value, chc_core._derive, smt_backend._search
     start = multiprocessing.process.BaseProcess.start
 
     def bump(key):
@@ -132,6 +141,19 @@ def counts(src_dir: str) -> dict:
             bump("candidates")
         return evaluate(*args, **kwargs)
 
+    def counting_value(*args):
+        bump("values")
+        return random_value(*args)
+
+    def counting_derive(system, budget, seen_ints, memo, pred, values, depth):
+        if (pred, values, depth) not in memo:
+            bump("expanded")
+        return derive(system, budget, seen_ints, memo, pred, values, depth)
+
+    def counting_search(*args):
+        bump("nodes")
+        return search(*args)
+
     def mode(runner):
         def started(*args, **kwargs):
             if os.getpid() == solving:
@@ -148,6 +170,8 @@ def counts(src_dir: str) -> dict:
     solver.itertools = types.SimpleNamespace(**{**vars(itertools), "product": counting_product})
     solver.collect_samples = sampling
     chc_core.eval_formula = counting_eval
+    chc_core._random_value, chc_core._derive = counting_value, counting_derive
+    smt_backend._search = counting_search
     for name in ("solve_list_mode", "solve_collection_mode", "solve_list_len_mode"):
         setattr(solver, name, mode(getattr(solver, name)))
     multiprocessing.process.BaseProcess.start = counting_start
@@ -171,6 +195,9 @@ def counts(src_dir: str) -> dict:
                 "refute_units_caller": local["caller"],
                 "refute_units_after_modes": shared["units"].value - local["caller"],
                 "sampler_candidates": shared["candidates"].value,
+                "values_built": shared["values"].value,
+                "derive_expanded": shared["expanded"].value,
+                "search_nodes": shared["nodes"].value,
             }
     return out
 
@@ -234,14 +261,16 @@ def main(argv=None) -> int:
             **{
                 key: sum(c[key] for c, _ in rows)
                 for key in ("processes", "processes_timeout", "refute_units_caller",
-                            "refute_units_after_modes", "sampler_candidates")
+                            "refute_units_after_modes", "sampler_candidates",
+                            "values_built", "derive_expanded", "search_nodes")
             },
         }
     print(json.dumps({
         "what": "auto-mode seconds to verdict per bundled system and solver seed, "
                 f"min and median of {ns.runs} fresh processes per version, alternated; "
                 "per solve, processes started without and with a timeout, refutation "
-                "units before the first mode and after it, and sampler draws evaluated",
+                "units before the first mode and after it, sampler draws evaluated, "
+                "values built, atoms derivable expanded and checker search nodes",
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),
         "versions": report,
