@@ -47,6 +47,15 @@ class UsageError(Exception):
     pass
 
 
+# the arguments each `decide` question takes
+DECIDE_FORMS = {
+    "solvable": ("PATTERN",),
+    "member": ("ROW", "PATTERN"),
+    "includes": ("PATTERN", "PATTERN"),
+    "equiv": ("PATTERN", "PATTERN"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -88,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--json", action="store_true")
 
     p_decide = sub.add_parser("decide", help="pattern decision procedures")
-    p_decide.add_argument(
-        "question", choices=["solvable", "member", "includes", "equiv"]
-    )
+    p_decide.add_argument("question", choices=list(DECIDE_FORMS))
     p_decide.add_argument("args", nargs="+")
     p_decide.add_argument("--json", action="store_true")
 
@@ -236,6 +243,8 @@ def _run_infer(ns, text: str, cfg: InferConfig) -> int:
 
 def cmd_decide(ns) -> int:
     q = ns.question
+    if len(ns.args) != len(DECIDE_FORMS[q]):
+        raise UsageError(f"decide {q} takes {' '.join(DECIDE_FORMS[q])}")
     try:
         if q == "solvable":
             (pat_text,) = ns.args

@@ -14,8 +14,11 @@ patterns.
 
 A pattern is solved once per rule set.  A solvable pattern's solving path
 depends on the pattern alone, so the decision procedures keep its steps on
-the `TuplePattern` (see `solving_steps`): membership of a tuple, and
-inclusion, replay those steps instead of searching for the path again.
+the `TuplePattern`, compiled (see `solving_steps`): each is a `Move` that
+names the principal, the auxiliary element or letter, the side and whether
+the auxiliary is reversed.  Membership of a tuple, and inclusion, replay
+those moves in one loop (`_replay`) instead of searching for the path
+again; membership replays them on the tuple's own values.
 
 The rule table
 --------------
@@ -42,7 +45,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .alphabet import LETTER_A, LETTER_B, char_to_letter, letter_to_char
 from .data import LearningData, Mode
@@ -127,29 +130,17 @@ def _canonical_collection(elements):
     # Elements are atom multisets; variable numbering is whatever renaming
     # makes the sorted form lexicographically least.  Falls back to
     # first-occurrence order beyond 7 variables.  Reversal means nothing on
-    # a bag, so reversed variables become plain ones.
-    elements = tuple(tuple(a if a < 0 else a & ~1 for a in el) for el in elements)
+    # a bag, so reversed variables become plain ones.  Constants sort before
+    # variables and no renaming moves them, so the least form is the one
+    # whose variable parts, element by element, are least.
     vars_ = _variables(elements)
+    slot = {v: i for i, v in enumerate(vars_)}
+    consts = [tuple(sorted((a for a in el if a < 0), key=_atom_key)) for el in elements]
+    slots = [[slot[a >> 1] for a in el if a >= 0] for el in elements]
     k = len(vars_)
-
-    def form(ren):
-        return tuple(
-            tuple(sorted((_rename_atom(a, ren) for a in el), key=_atom_key))
-            for el in elements
-        )
-
-    base = form({v: i for i, v in enumerate(vars_)})
-    if k <= 1:
-        return base
-    if k > 7:
-        return base
-    best = None
-    for perm in itertools.permutations(range(k)):
-        cand = form({v: perm[i] for i, v in enumerate(vars_)})
-        key = tuple(tuple(_atom_key(a) for a in el) for el in cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    perms = itertools.permutations(range(k)) if 1 < k <= 7 else (range(k),)
+    best = min(tuple(tuple(sorted(perm[i] for i in s)) for s in slots) for perm in perms)
+    return tuple(c + tuple(i << 1 for i in b) for c, b in zip(consts, best))
 
 
 @dataclass(frozen=True)
@@ -607,12 +598,83 @@ def compose(step: PredStep, rest: tuple, alg: Cells) -> tuple:
     return _replace(rest, j, alg.join(_aux(rest, step, source, alg), rest[j], front))
 
 
-def replays(cells: tuple, steps: Iterable[PredStep], alg: Cells) -> bool:
-    """Whether every one of `steps` strips in turn from `cells`."""
-    for step in steps:
-        cells = strip(cells, step, alg)
-        if cells is None:
-            return False
+# ---------------------------------------------------------------------------
+# compiled solving steps
+
+_RULE_OF = {entry: rule for rule, entry in RULE_TABLE.items()}
+
+
+class Move(NamedTuple):
+    """A solving step compiled for `_replay`: principal `j`, the auxiliary's
+    `source` (ELEMENT, REVERSED or LETTER; None for epsilon), `arg` (the
+    auxiliary element's index, or the letter) and its side."""
+
+    j: int
+    source: Optional[str]
+    arg: Optional[int]
+    front: bool
+
+    @classmethod
+    def of(cls, step: PredStep) -> "Move":
+        if step.rule is Rule.EPSILON:
+            return cls(step.j, None, None, FRONT)
+        front, source = RULE_TABLE[step.rule]
+        return cls(step.j, source, step.letter if source is LETTER else step.i, front)
+
+    @property
+    def step(self) -> PredStep:
+        if self.source is None:
+            return PredStep(Rule.EPSILON, self.j)
+        rule = _RULE_OF[self.front, self.source]
+        if self.source is LETTER:
+            return PredStep(rule, self.j, letter=self.arg)
+        return PredStep(rule, self.j, self.arg)
+
+
+def _replay(cells: list, moves: tuple, bags: bool, atoms: bool) -> bool:
+    """Whether every one of `moves` strips in turn from `cells`, a list the
+    replay consumes.  Cells are sequences of letters, or with `atoms`
+    sequence pattern elements; with `bags` they are sorted tuples, which
+    only front moves without reversal strip."""
+    for j, source, arg, front in moves:
+        cell = cells[j]
+        if source is None:  # epsilon
+            if cell:
+                return False
+            del cells[j]
+            continue
+        if source is LETTER:
+            if atoms:
+                arg = -arg - 1
+            if bags:
+                if arg not in cell:
+                    return False
+                k = cell.index(arg)
+                cells[j] = cell[:k] + cell[k + 1 :]
+            elif not cell or cell[0 if front else -1] != arg:
+                return False
+            else:
+                cells[j] = cell[1:] if front else cell[:-1]
+            continue
+        aux = cells[arg]
+        if bags:
+            cell = bag_minus(cell, aux)
+            if cell is None:
+                return False
+            cells[j] = cell
+            continue
+        if source is REVERSED:
+            aux = reverse_element(aux) if atoms else aux[::-1]
+        n = len(aux)
+        if front:
+            if cell[:n] != aux:
+                return False
+            cells[j] = cell[n:]
+        else:
+            k = len(cell) - n
+            if k < 0 or cell[k:] != aux:
+                return False
+            cells[j] = cell[:k]
     return True
 
 
@@ -686,15 +748,15 @@ def solving_path(
 
 
 def solving_steps(t: TuplePattern, rules: RuleSet = DEFAULT_RULES) -> Optional[tuple]:
-    """The steps of `solving_path(t, rules)`, or None if `t` is not solvable
-    under `rules`.  The path is searched once per pattern and rule set: the
-    steps are kept on `t`, which equality, hashing, rendering and pickling
-    do not see."""
+    """The steps of `solving_path(t, rules)` as `Move`s, or None if `t` is
+    not solvable under `rules`.  The path is searched once per pattern and
+    rule set: the moves are kept on `t`, which equality, hashing, rendering
+    and pickling do not see."""
     for kept, steps in t._steps:
-        if kept == rules:
+        if kept is rules or kept == rules:
             return steps
     path = solving_path(t, rules)
-    steps = None if path is None else tuple(step for step, _ in path)
+    steps = None if path is None else tuple(Move.of(step) for step, _ in path)
     object.__setattr__(t, "_steps", t._steps + ((rules, steps),))
     return steps
 
@@ -729,8 +791,9 @@ def residual(
 def includes(
     t1: TuplePattern, t2: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Language inclusion of solvable sequence patterns: the solving steps
-    of `t2` replay on `t1`.  Each pattern is solved once per rule set."""
+    """Language inclusion of solvable sequence patterns: the compiled
+    solving steps of `t2` replay on `t1`.  Each pattern is solved once per
+    rule set."""
     if t1.mode is not Mode.SEQUENCE or t2.mode is not Mode.SEQUENCE:
         raise ValueError("inclusion is defined for sequence patterns")
     if solving_steps(t1, rules) is None:
@@ -740,27 +803,29 @@ def includes(
     steps = solving_steps(t2, rules)
     if steps is None:
         raise NotSolvableError("inclusion requires a solvable right-hand pattern")
-    return replays(t1.elements, steps, STRINGS)
+    return _replay(list(t1.elements), steps, bags=False, atoms=True)
 
 
 def member(
     values: Sequence[Iterable[int]], t: TuplePattern, rules: RuleSet = DEFAULT_RULES
 ) -> bool:
-    """Tuple membership in a pattern of any mode: the solving steps of `t`
-    replay on the constant pattern of `values`.  `t` is solved once per rule
-    set, so each further tuple costs one replay.  Set and multiset cells may
-    come in any order; a set-mode cell with a repeated element is in no set
-    pattern's language."""
-    if len(values) != t.arity:
+    """Tuple membership in a pattern of any mode: the compiled solving steps
+    of `t` replay on the values themselves, a letter step comparing letters.
+    `t` is solved once per rule set, so each further tuple costs one replay.
+    Set and multiset cells may come in any order and are replayed sorted,
+    the order `_atom_key` gives constants; a set-mode cell with a repeated
+    element is in no set pattern's language."""
+    if len(values) != len(t.elements):
         raise ValueError("arity mismatch")
     steps = solving_steps(t, rules)
     if steps is None:
         raise NotSolvableError("membership requires a solvable pattern")
-    alg = STRINGS if t.mode is Mode.SEQUENCE else BAGS
-    consts = tuple(alg.rebuild([const_atom(v) for v in cell]) for cell in values)
-    if t.mode is Mode.SET and any(len(set(el)) != len(el) for el in consts):
+    if t.mode is Mode.SEQUENCE:
+        return _replay([tuple(cell) for cell in values], steps, bags=False, atoms=False)
+    cells = [tuple(sorted(cell)) for cell in values]
+    if t.mode is Mode.SET and any(len(set(cell)) != len(cell) for cell in cells):
         return False
-    return replays(consts, steps, alg)
+    return _replay(cells, steps, bags=True, atoms=False)
 
 
 def equivalent(

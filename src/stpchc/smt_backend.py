@@ -580,34 +580,40 @@ def _definedness(conjuncts: list[Formula], side: Callable) -> dict[str, list[_De
     return out
 
 
-def _prune(q: "_Query", v: str, env: dict, values) -> tuple:
+def _prune(q: "_Query", v: str, env: dict, values: dict) -> dict:
     """The values of `values`, in order, that meet each `_Defined` condition
-    on `v` whose other variables `env` assigns."""
+    on `v` whose other variables `env` assigns.  Values are dict keys in
+    domain order (by length, then lexicographically), and so are the values
+    a bare part or whole allows, so the smaller side is walked: such a
+    condition costs O(|allowed|), not O(domain)."""
     for c in q.defined.get(v, ()):
         if any(u != v and u not in env for u in c.names):
             continue
         if c.bare_part == v:  # the parts the value of whole has room for
             w = c.whole(env)
-            allowed = set() if w is _UNDEF else {
+            allowed = {} if w is _UNDEF else dict.fromkeys(
                 w[c.skip:c.skip + i] if c.prefix else w[len(w) - i:]
                 for i in range(len(w) - c.skip + 1)
-            }
+            )
         elif c.bare_whole == v:  # the lists with room for the value of part
             p = c.part(env)
-            allowed = q.checker._ends.get((c.prefix, p), ())  # `_UNDEF` is no key
+            allowed = q.checker._ends.get((c.prefix, p), {})  # `_UNDEF` is no key
             if c.skip:
-                allowed = {w for w in allowed if len(w) >= c.skip + len(p)}
+                allowed = {w: None for w in allowed if len(w) >= c.skip + len(p)}
         else:
-            allowed = set()
+            allowed = {}
             for x in values:
                 env[v] = x
                 p, w = c.part(env), c.whole(env)
                 if p is not _UNDEF and w is not _UNDEF and len(w) >= c.skip + len(p):
                     start = c.skip if c.prefix else len(w) - len(p)
                     if w[start:start + len(p)] == p:
-                        allowed.add(x)
+                        allowed[x] = None
             env.pop(v, None)
-        values = tuple(x for x in values if x in allowed)
+            values = allowed
+            continue
+        small, large = (allowed, values) if len(allowed) < len(values) else (values, allowed)
+        values = {x: None for x in small if x in large}
     return values
 
 
@@ -619,7 +625,7 @@ class _Query:
     formula: Formula
     target: Callable  # the compiled consequent of an implication, else formula
     names: list[str]  # every variable, in order of first occurrence
-    domains: dict[str, tuple]
+    domains: dict[str, dict]  # each variable's values, as keys in order
     limit: int
     symmetry: Optional[_Symmetry]  # None: every branch tries its whole domain
     defined: dict  # variable -> its `_Defined` conditions
@@ -627,11 +633,11 @@ class _Query:
     results: list = field(default_factory=list)
 
 
-def _values(q: _Query, v: str, env: dict) -> tuple:
-    """The values a branch on `v` tries under `env`: its domain, or where the
-    query is symmetric and `v` holds element values, the values of its
-    domain that are canonical for the element values `env` uses, in domain
-    order."""
+def _values(q: _Query, v: str, env: dict) -> dict:
+    """The values a branch on `v` tries under `env`, as dict keys: its
+    domain, or where the query is symmetric and `v` holds element values,
+    the values of its domain that are canonical for the element values `env`
+    uses, in domain order."""
     sym = q.symmetry
     domain = q.domains[v]
     if sym is None or (v not in sym.lists and v not in sym.ints):
@@ -645,7 +651,7 @@ def _values(q: _Query, v: str, env: dict) -> tuple:
     key = (v in sym.lists, frozenset(used))
     values = sym.table.get(key)
     if values is None:
-        values = tuple(x for x in domain if _is_canonical(x, key[1], sym.block_of))
+        values = {x: None for x in domain if _is_canonical(x, key[1], sym.block_of)}
         sym.table[key] = values
     return values
 
@@ -778,19 +784,20 @@ class BoundedChecker:
 
     def __init__(self, bounds: Bounds = Bounds()):
         self.bounds = bounds
-        self._lists = _all_lists(bounds.max_list_len, bounds.max_elem)
-        self._ints = tuple(range(bounds.int_lo, bounds.int_hi + 1))
+        # the domains, as dict keys in order
+        self._lists = dict.fromkeys(_all_lists(bounds.max_list_len, bounds.max_elem))
+        self._ints = dict.fromkeys(range(bounds.int_lo, bounds.int_hi + 1))
 
     @functools.cached_property
     def _ends(self) -> dict:
         """For each `(True, p)` the lists of the domain that start with `p`,
-        for each `(False, s)` those that end with `s`; built once a query
-        asks."""
+        for each `(False, s)` those that end with `s`, as dict keys in domain
+        order; built once a query asks."""
         out: dict = {}
         for w in self._lists:
             for i in range(len(w) + 1):
-                out.setdefault((True, w[:i]), set()).add(w)
-                out.setdefault((False, w[i:]), set()).add(w)
+                out.setdefault((True, w[:i]), {})[w] = None
+                out.setdefault((False, w[i:]), {})[w] = None
         return out
 
     def counterexamples(self, f: Formula, limit: int = 1) -> list[dict]:

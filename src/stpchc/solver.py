@@ -113,6 +113,7 @@ from .formulas import (
 )
 from .pattern_core import (
     Cells,
+    STRINGS,
     Mode,
     NotSolvableError,
     TuplePattern,
@@ -120,7 +121,7 @@ from .pattern_core import (
     atom_is_const,
     atom_is_reversed,
     atom_letter,
-    solving_path,
+    solving_steps,
     strip,
 )
 from .smt_backend import Bounds, BoundedChecker, Unknown, ask
@@ -245,19 +246,20 @@ def pattern_to_formula(t: TuplePattern, args: Sequence[Term]) -> Formula:
     reduction's difference terms."""
     if len(args) != t.arity:
         raise ValueError("arity mismatch")
-    path = solving_path(t)
-    if path is None:
+    moves = solving_steps(t)
+    if moves is None:
         raise NotSolvableError("only solvable patterns translate to formulas")
+    steps = [move.step for move in moves]
     if t.mode is not Mode.SEQUENCE:
         cells = _CollectionTerms(t.mode.value)
         terms = tuple(TCollOf(a, cells.style) for a in args)
-        for step, _succ in path:
+        for step in steps:
             terms = strip(terms, step, cells)
         return fand(cells.conditions)
-    terms = tuple(args)
-    for step, _succ in path:
+    terms, final = tuple(args), t.elements
+    for step in steps:
         terms = strip(terms, step, _TERMS)
-    final = path[-1][1] if path else t.elements
+        final = strip(final, step, STRINGS)
     solution = {atom_index(el[0]): term for el, term in zip(final, terms)}
 
     def element_term(el) -> Term:

@@ -1,6 +1,7 @@
 """Shared test utilities: string shorthands, random solvable-pattern
-generation by inverse reduction, small brute-force oracles, and the
-reference implementation of the paper's inference states."""
+generation by inverse reduction, small brute-force oracles, the per-step
+replay of solving paths, and the reference implementation of the paper's
+inference states."""
 
 from __future__ import annotations
 
@@ -20,11 +21,14 @@ from stpchc.chc_core import (
 from stpchc.data import Cell, LearningData
 from stpchc.formulas import Sort, eval_formula, eval_term
 from stpchc.pattern_core import (
+    BAGS,
     ELEMENT,
     REVERSED,
     RULE_TABLE,
     STRINGS,
     Cells,
+    Mode,
+    NotSolvableError,
     PredStep,
     Rule,
     RuleSet,
@@ -39,6 +43,7 @@ from stpchc.pattern_core import (
     is_solvable,
     member,
     reverse_element,
+    solving_path,
     strip,
     var_atom,
 )
@@ -221,6 +226,46 @@ def brute_force_member(values, t: TuplePattern, max_len: int) -> bool:
 def validate(data: LearningData, t: TuplePattern) -> bool:
     """True iff every row of the data belongs to the pattern's language."""
     return all(member(row, t) for row in data.rows)
+
+
+def replays(cells: tuple, steps, alg: Cells) -> bool:
+    """Whether every one of `steps` (`PredStep`s) strips in turn from
+    `cells`, one generic `strip` per step."""
+    for step in steps:
+        cells = strip(cells, step, alg)
+        if cells is None:
+            return False
+    return True
+
+
+def replay_member(values, t: TuplePattern, rules: RuleSet) -> bool:
+    """Oracle for `member`: a fresh solving path of `t`, replayed step by
+    step on the constant pattern of `values`."""
+    if len(values) != t.arity:
+        raise ValueError("arity mismatch")
+    path = solving_path(t, rules)
+    if path is None:
+        raise NotSolvableError("membership requires a solvable pattern")
+    alg = STRINGS if t.mode is Mode.SEQUENCE else BAGS
+    consts = tuple(alg.rebuild([const_atom(v) for v in cell]) for cell in values)
+    if t.mode is Mode.SET and any(len(set(el)) != len(el) for el in consts):
+        return False
+    return replays(consts, [step for step, _ in path], alg)
+
+
+def replay_includes(t1: TuplePattern, t2: TuplePattern, rules: RuleSet) -> bool:
+    """Oracle for `includes`: a fresh solving path of `t2`, replayed step by
+    step on `t1`."""
+    if t1.mode is not Mode.SEQUENCE or t2.mode is not Mode.SEQUENCE:
+        raise ValueError("inclusion is defined for sequence patterns")
+    if solving_path(t1, rules) is None:
+        raise NotSolvableError("inclusion requires solvable patterns")
+    if t1.arity != t2.arity:
+        return False
+    path = solving_path(t2, rules)
+    if path is None:
+        raise NotSolvableError("inclusion requires a solvable right-hand pattern")
+    return replays(t1.elements, [step for step, _ in path], STRINGS)
 
 
 def random_tuple(rng: random.Random, arity, letters=(A, B), max_len=4):

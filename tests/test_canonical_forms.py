@@ -1,6 +1,7 @@
 """Identification up to renaming (and element-internal permutation in the
 collection modes) must be insensitive to how the input names its variables."""
 
+import itertools
 import random
 
 from stpchc.pattern_core import Mode, TuplePattern, const_atom, var_atom
@@ -69,3 +70,38 @@ def test_collection_patterns_identified_up_to_renaming_and_permutation():
                 rng.shuffle(atoms)
                 renamed.append(tuple(atoms))
             assert TuplePattern(tuple(renamed), mode) == t, (t.elements, renamed)
+
+
+def least_collection_form(elements):
+    """Oracle: of every renaming of the variables to 0..k-1, with reversal
+    dropped and each element sorted constants first (by letter), then
+    variables, the form whose atoms read least."""
+
+    def key(a):
+        return (0, -a - 1) if a < 0 else (1, a)
+
+    variables = list(dict.fromkeys(a >> 1 for el in elements for a in el if a >= 0))
+    forms = []
+    for perm in itertools.permutations(range(len(variables))):
+        ren = dict(zip(variables, perm))
+        forms.append(tuple(
+            tuple(sorted((a if a < 0 else ren[a >> 1] << 1 for a in el), key=key))
+            for el in elements
+        ))
+    return min(forms, key=lambda form: tuple(tuple(map(key, el)) for el in form))
+
+
+def test_collection_form_is_the_least_over_all_renamings():
+    rng = random.Random(7)
+    for mode in (Mode.SET, Mode.MULTISET):
+        for _ in range(300):
+            nvars = rng.randint(0, 5)
+            elements = tuple(
+                tuple(
+                    const_atom(rng.randint(0, 2)) if nvars == 0 or rng.random() < 0.3
+                    else var_atom(rng.randrange(nvars), reverse=rng.random() < 0.2)
+                    for _ in range(rng.randint(0, 4))
+                )
+                for _ in range(rng.randint(1, 4))
+            )
+            assert TuplePattern(elements, mode).elements == least_collection_form(elements), elements

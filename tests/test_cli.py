@@ -75,6 +75,18 @@ class TestDecideCommand:
         assert out.strip() == "yes"
 
 
+    @pytest.mark.parametrize("question, form, args", [
+        ("solvable", "PATTERN", ["(x)", "(y)"]),
+        ("member", "ROW PATTERN", ["a", "(x0)", "extra"]),
+        ("includes", "PATTERN PATTERN", ["(x)"]),
+        ("equiv", "PATTERN PATTERN", ["(x)", "(y)", "(z)"]),
+    ])
+    def test_wrong_argument_count_names_the_form(self, capsys, question, form, args):
+        code, out, err = run(capsys, "decide", question, *args)
+        assert code == 64 and out == ""
+        assert err == f"usage error: decide {question} takes {form}\n"
+
+
 class TestGenDataCommand:
     def test_worked_matrix(self, capsys):
         code, out, _ = run(capsys, "gen-data", "(a x1 x2, x3 b x2, x1 x2 x3)")

@@ -24,7 +24,6 @@ from stpchc.pattern_core import (
     parse_pattern,
     pred_steps,
     render_pattern,
-    replays,
     residual,
     solving_path,
     var_atom,
@@ -38,6 +37,7 @@ from helpers import (
     exhaustive_solvable,
     random_solvable,
     random_tuple,
+    replays,
     s,
 )
 

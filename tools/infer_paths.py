@@ -16,14 +16,19 @@ path, counted by wrapping the module attribute `pattern_core.find_path`
 
 - `setup`: the searches made while the cases are built;
 - `passes`: the searches made in each of the three passes;
+- `calls`: the function calls of the third pass, Python and built-in,
+  as cProfile counts them (the sum of its `ncalls`): the pass's work in a
+  unit that does not depend on the machine or its load;
 - `failed`: the operations of the three passes that failed a check;
 - `patterns_sha256`: the SHA-256 of every pattern the three passes infer,
   mode and rendering one per line in inference order, caught by wrapping
   `stp_inference.infer` and `collection_inference.infer_collection` (the
   names perfbench calls).
 
-Two runs give identical counts and digests, and two versions that infer the
-same patterns give the same digest.
+Two runs give identical `find_path` counts and digests, and two versions
+that infer the same patterns give the same digest.  `calls` is not exact
+across runs: at seed 0 two runs of one version read 10,716,191 and
+10,754,510 (0.4% apart), seeds 1 and 2 repeated exactly.
 
 Time: each round runs, for every version, a fresh child process that builds
 the cases of `--seed` (default 0), makes `--passes` passes (default 2) and
@@ -36,10 +41,12 @@ and nothing in `src/` or `perfbench/` is changed.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
 import json
 import os
 import platform
+import pstats
 import resource
 import statistics
 import subprocess
@@ -84,8 +91,9 @@ def _cases(seed: int):
 
 
 def counts(src_dir: str, seed: int) -> dict:
-    """`find_path` calls while building the cases and in each pass, and the
-    digest of the patterns the passes infer."""
+    """`find_path` calls while building the cases and in each pass, the
+    function calls of the last pass, and the digest of the patterns the
+    passes infer."""
     pattern_core, run = _import(src_dir)
     calls = [0]
     find_path = pattern_core.find_path
@@ -100,11 +108,16 @@ def counts(src_dir: str, seed: int) -> dict:
     digest = hashlib.sha256()
     _digest_inferred(digest)
     tally = run.Tally()
-    for _ in range(COUNTED_PASSES):
+    profiler = cProfile.Profile()
+    for k in range(COUNTED_PASSES):
         calls[0] = 0
+        if k == COUNTED_PASSES - 1:
+            profiler.enable()
         for case in cases:
             run.infer_op(case, tally)
+        profiler.disable()
         out["passes"].append(calls[0])
+    out["calls"] = pstats.Stats(profiler).total_calls
     out["failed"] = len(tally.failures)
     out["patterns_sha256"] = digest.hexdigest()
     return out
@@ -171,7 +184,8 @@ def main(argv=None) -> int:
         report[name]["timed_failed"] = sum(row["failed"] for row in rows)
     print(json.dumps({
         "what": "find_path calls (solving-path searches) while perfbench's infer cases "
-                "are built and in each of three passes, and the SHA-256 of the patterns "
+                "are built and in each of three passes, the function calls (cProfile "
+                "ncalls) of the third pass, and the SHA-256 of the patterns "
                 "those passes infer, seeds 0-2; in-process wall "
                 f"time of passes 1-{ns.passes} at seed {ns.seed} and max RSS, "
                 f"min and median of {ns.rounds} alternated rounds",
