@@ -65,6 +65,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -834,14 +836,24 @@ class BoundedChecker:
 def ask(cmd: list[str], script: str, timeout: float) -> tuple[str, str]:
     """Run `cmd` on `script`: the first line of its output, stripped, and the
     lines after it.  Any failure of the call raises `Unknown`: a command that
-    cannot run, a timeout, output that is not text, or no output."""
+    cannot run, a timeout, output that is not text, or no output.  The
+    command leads its own process group, which is killed however the call
+    ends, so no process it started outlives the call."""
     try:
-        proc = subprocess.run(
-            cmd, input=script, capture_output=True, text=True, timeout=timeout
-        )
+        with subprocess.Popen(
+            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                out, _ = proc.communicate(script, timeout=timeout)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:  # the group is empty
+                    pass
     except (OSError, subprocess.SubprocessError, UnicodeDecodeError) as exc:
         raise Unknown(str(exc)) from None
-    lines = proc.stdout.strip().splitlines()
+    lines = out.strip().splitlines()
     if not lines:
         raise Unknown("no solver output")
     return lines[0].strip(), "\n".join(lines[1:])

@@ -27,20 +27,23 @@ each only once every mode before it has returned `unknown`; list-len mode
 strengthens the checked model that list mode's verdict carries instead of
 running the loop again.  Only when every mode returns `unknown` does the
 refutation search run in full, from the start.  A single-mode solve runs its
-mode alone, with no refutation.  Without a deadline all of this runs in the
-calling process.  With one, the slice still runs there, and a forked worker
-that leads its own process group runs the rest; at the deadline the worker's
-process group is killed, external solvers included.  That is the one way a
-solve stops, so nothing below `_solve_in_order` polls for it.
+mode alone, with no refutation.  All of this runs in the calling process
+and thread.  A deadline (`SolverConfig.timeout`) is one `SIGALRM` timer,
+armed after the slice, whose handler raises an exception that no `except
+Exception` stops; so a timed solve runs only in the main thread, and the
+caller's `SIGALRM` handler is restored after it.  An external backend
+process dies with the `ask` call that started it, its process group
+included, however that call ends.  The timer is the one way a solve stops,
+so nothing below `_solve_in_order` polls for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -817,8 +820,8 @@ class BuiltinIntChc:
 class ExternalIntChc:
     """Child process consuming a HORN problem over integers and producing a
     model as define-fun forms.  A call ends when the process does, after
-    `TIMEOUT` seconds, or when the solve's deadline kills its worker's
-    process group, this process included."""
+    `TIMEOUT` seconds, or at the solve's deadline; `ask` then kills the
+    process with its process group."""
 
     TIMEOUT = 30.0  # seconds per call
 
@@ -1088,18 +1091,17 @@ def _refutation(system: ChcSystem, witness: Optional[RefutationWitness]) -> Verd
 
 
 def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
-              refutation: bool, tell: Callable[[tuple], None]) -> Verdict:
+              refutation: bool, tried: list) -> Verdict:
     """Run the `(name, runner)` entries one after another, each verdict named
     after its entry; list-len mode gets list mode's verdict, when list mode
     ran before it, as `after`.  The first verdict that is not UNKNOWN wins;
     its `stats["attempts"]` lists `(mode, outcome, reason)` for the entries
-    before it, and `tell` gets each of those as it comes in.
+    before it, each appended to `tried` as it comes in.
 
     When every entry returns UNKNOWN and `refutation` is set, the full
     refutation search runs, and its UNSAT wins.  Otherwise the verdict is
     the last entry's if it has a reason or there was no search, and else
     refutation's."""
-    tried: list = []  # (mode, outcome, reason) per entry that returned UNKNOWN
     verdicts: dict = {}  # by name, the verdict of each entry run so far
     for name, runner in entries:
         if name == "list-len" and "list" in verdicts:
@@ -1110,7 +1112,6 @@ def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
             return verdict
         verdicts[name] = got
         tried.append((name, got.kind.value, got.reason))
-        tell(tried[-1])
     if not refutation:
         return verdict
     refuted = replace(_refutation(system, refute(system)), stats={"attempts": tried})
@@ -1119,79 +1120,56 @@ def _in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backen
     return verdict
 
 
-def _worker(out, *args) -> None:
-    """The body of the forked worker: `_in_order(*args)`, sending each
-    attempt as `(False, attempt)` and then `(True, verdict)`, or `(True,
-    exception)` for a runner that raised, on `out`.  The worker leads its own
-    process group, so that the parent's kill also reaches the external
-    solvers it starts."""
-    os.setpgrp()
-    try:
-        got = _in_order(*args, lambda attempt: out.send((False, attempt)))
-    except Exception as exc:  # raised by the parent
-        got = exc
-    out.send((True, got))
+class _Deadline(BaseException):
+    """Raised by a timed solve's SIGALRM handler.  Not an `Exception`, so
+    that no `except Exception` between the handler and `_solve_in_order`
+    stops it."""
+
+
+def _expire(signum, frame) -> None:
+    raise _Deadline
 
 
 def _solve_in_order(entries, system: ChcSystem, cfg: SolverConfig, checker, int_backend,
                     refutation: bool) -> Verdict:
     """With `refutation`, run the first `REFUTE_SLICE` units of the
-    refutation search in this process; a witness found there is returned
-    when it replays, even past the deadline.  Then run the entries in order,
-    and the full search only if they all return UNKNOWN (`_in_order`).
+    refutation search; a witness found there is returned when it replays,
+    even past the deadline.  Then run the entries in order, and the full
+    search only if they all return UNKNOWN (`_in_order`).
 
-    Without `cfg.timeout` that runs in this process and starts none.  With
-    one, a forked worker that leads its own process group runs it, and at
-    the deadline the verdict is UNKNOWN with reason `timeout`, named after
-    the first undecided entry.  Returns once the worker's process group is
-    killed and the worker reaped."""
+    With `cfg.timeout`, a one-shot `ITIMER_REAL` timer, armed after the
+    slice, raises `_Deadline` at the deadline; the verdict is then UNKNOWN
+    with reason `timeout`, named after the entry that was running.  The
+    timer needs the main thread, so a timed solve anywhere else raises
+    ValueError before any work.  The caller's SIGALRM handler is restored
+    and the timer disarmed however the solve ends."""
+    if cfg.timeout is not None and threading.current_thread() is not threading.main_thread():
+        raise ValueError("a solve with a timeout must run in the main thread, "
+                         "where its SIGALRM timer can be handled")
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     if refutation:
         refuted = _refutation(system, refute(system, units=REFUTE_SLICE))
         if refuted.kind is not VerdictKind.UNKNOWN:
             return replace(refuted, stats={"attempts": []})
     args = (entries, system, cfg, checker, int_backend, refutation)
+    tried: list = []  # (mode, outcome, reason) per entry that returned UNKNOWN
     if deadline is None:
-        return _in_order(*args, lambda attempt: None)
-
-    tried: list = []  # the attempts the worker has sent
-
-    def timed_out() -> Verdict:
-        first = entries[len(tried)][0] if len(tried) < len(entries) else "refutation"
-        return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first,
-                       stats={"attempts": tried})
-
-    if time.monotonic() >= deadline:
-        return timed_out()
-
-    import multiprocessing  # here, not at the top: a solve without a deadline does not pay it
-
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_worker, args=(send, *args), daemon=True)
-    proc.start()
-    os.setpgid(proc.pid, proc.pid)  # as the worker does, so the group exists now
-    send.close()
-    try:
-        while True:
-            if not receive.poll(max(0.0, deadline - time.monotonic())):
-                return timed_out()
+        return _in_order(*args, tried)
+    left = deadline - time.monotonic()
+    if left > 0:
+        previous = signal.signal(signal.SIGALRM, _expire)
+        try:
             try:
-                done, got = receive.recv()
-            except EOFError:  # the worker died
-                proc.join()
-                raise RuntimeError(f"solver worker exited with code {proc.exitcode}")
-            if done:
-                break
-            tried.append(got)
-        if isinstance(got, Exception):
-            raise got
-        return got
-    finally:
-        if proc.exitcode is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.join()
-        receive.close()
+                signal.setitimer(signal.ITIMER_REAL, left)
+                return _in_order(*args, tried)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)  # a deadline raised here is caught below
+        except _Deadline:
+            pass
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+    first = entries[len(tried)][0] if len(tried) < len(entries) else "refutation"
+    return Verdict(VerdictKind.UNKNOWN, reason="timeout", mode=first, stats={"attempts": tried})
 
 
 def solve_auto(

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from stpchc.alphabet import char_to_letter
 from stpchc.chc_core import (
@@ -51,6 +53,22 @@ from stpchc.stp_inference import COLUMNS, InferConfig, _cells_of
 
 A = char_to_letter("a")
 B = char_to_letter("b")
+
+
+def assert_stopped(pids, wait: float = 1.0) -> None:
+    """Each process in `pids` is gone, or a zombie not yet reaped, within
+    `wait` seconds, as `/proc` shows it."""
+    deadline = time.monotonic() + wait
+    for pid in pids:
+        while True:
+            try:
+                status = Path(f"/proc/{pid}/status").read_text()
+            except FileNotFoundError:
+                break
+            if "\nState:\tZ" in status:
+                break
+            assert time.monotonic() < deadline, f"solver {pid} still running"
+            time.sleep(0.02)
 
 
 def s(text: str) -> tuple[int, ...]:

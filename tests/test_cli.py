@@ -5,6 +5,8 @@ import pytest
 
 from stpchc.cli import main
 
+from helpers import assert_stopped
+
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -399,18 +401,8 @@ class TestExternalSmtWiring:
         assert multiprocessing.active_children() == []
         stubs = pids.read_text().split()
         assert stubs
-        # killed with its worker's process group: gone, or a zombie not yet reaped
-        deadline = time.monotonic() + 1.0
-        for pid in stubs:
-            while True:
-                try:
-                    status = Path(f"/proc/{pid}/status").read_text()
-                except FileNotFoundError:
-                    break
-                if "\nState:\tZ" in status:
-                    break
-                assert time.monotonic() < deadline, f"solver {pid} still running"
-                time.sleep(0.02)
+        # killed with its process group by `ask`: gone, or a zombie not yet reaped
+        assert_stopped(stubs)
 
     @pytest.mark.parametrize("system, options", [
         ("reva.smt2", ["--mode", "list", "--smt-cmd"]),
@@ -436,18 +428,8 @@ class TestExternalSmtWiring:
         assert multiprocessing.active_children() == []
         stubs = pids.read_text().split()
         assert stubs
-        # killed with its worker's process group: gone, or a zombie not yet reaped
-        deadline = time.monotonic() + 1.0
-        for pid in stubs:
-            while True:
-                try:
-                    status = Path(f"/proc/{pid}/status").read_text()
-                except FileNotFoundError:
-                    break
-                if "\nState:\tZ" in status:
-                    break
-                assert time.monotonic() < deadline, f"solver {pid} still running"
-                time.sleep(0.02)
+        # killed with its process group by `ask`: gone, or a zombie not yet reaped
+        assert_stopped(stubs)
 
 
 class TestByteDeterminism:

@@ -26,8 +26,11 @@ from stpchc.smt_backend import (
     Bounds,
     ExternalSmtChecker,
     Unknown,
+    ask,
 )
 from stpchc.solver import CandidateModel, PredicateModel, check_definite
+
+from helpers import assert_stopped
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -193,6 +196,28 @@ class TestExternalChecker:
         checker = ExternalSmtChecker(cmd.split())
         with pytest.raises(Unknown, match="'utf-8' codec can't decode byte 0xff"):
             checker.counterexamples(FEq(L1, L2))
+
+    def test_timeout_kills_the_command_group(self, tmp_path):
+        # the shell waits on a sleep it started; `ask` gives up at its own
+        # timeout, and the sleep goes with the shell
+        pids = tmp_path / "pids"
+        started = time.monotonic()
+        with pytest.raises(Unknown, match="timed out after 0.2 seconds"):
+            ask(["sh", "-c", f"sleep 30 & echo $! > {pids}; wait; echo sat"], "", 0.2)
+        assert time.monotonic() - started < 0.2 + 0.7
+        stubs = pids.read_text().split()
+        assert stubs
+        assert_stopped(stubs)
+
+    def test_answer_kills_the_command_group(self, tmp_path):
+        # the shell answers and exits, leaving a sleep in the background
+        # that holds none of its pipes
+        pids = tmp_path / "pids"
+        script = f"sleep 30 >/dev/null 2>&1 & echo $! > {pids}; echo sat"
+        assert ask(["sh", "-c", script], "", 5) == ("sat", "")
+        stubs = pids.read_text().split()
+        assert stubs
+        assert_stopped(stubs)
 
     def test_script_declares_and_negates(self, tmp_path):
         checker = ExternalSmtChecker(["true"])

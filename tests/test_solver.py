@@ -1,7 +1,10 @@
 import gc
 import math
 import multiprocessing
+import os
 import random
+import signal
+import subprocess
 import sys
 import textwrap
 import threading
@@ -74,15 +77,29 @@ def sort_system():
 
 @pytest.fixture
 def starts(monkeypatch):
-    """The processes this process starts: one name per `Process.start` call."""
+    """The processes this process starts, one entry per start: the name of a
+    `multiprocessing` process, "fork" per `os.fork` call, or a `subprocess`
+    command."""
     started = []
     start = multiprocessing.process.BaseProcess.start
+    fork = os.fork
+    execute = subprocess.Popen._execute_child
 
     def counted(self):
         started.append(self.name)
         start(self)
 
+    def forked():
+        started.append("fork")
+        return fork()
+
+    def executed(self, args, *rest):
+        started.append(args)
+        return execute(self, args, *rest)
+
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(subprocess.Popen, "_execute_child", executed)
     return started
 
 
@@ -611,11 +628,11 @@ class TestSolveAuto:
         assert log == ["list", "multiset", "refutation"]
 
     @pytest.mark.parametrize("name", ["reva.smt2", "sort.smt2"])
-    def test_worker_runs_the_full_search_after_the_modes(self, monkeypatch, starts, tmp_path,
-                                                         name):
+    def test_timed_solve_runs_the_full_search_after_the_modes(self, monkeypatch, starts,
+                                                              tmp_path, name):
         # reva's search ends inside the slice, sort's does not; with a
-        # deadline, the forked worker runs the full search once after the
-        # modes for both.  Each full search is a line of the log
+        # deadline, the full search runs once after the modes for both, in
+        # this process.  Each full search is a line of the log
         log = tmp_path / "full"
         search = solver.refute
 
@@ -634,7 +651,7 @@ class TestSolveAuto:
         verdict = solve_auto(load(name), SolverConfig(seed=0, timeout=30))
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "stub"
-        assert len(starts) == 1
+        assert starts == []
         assert log.read_text().splitlines() == ["full"]
         assert multiprocessing.active_children() == []
 
@@ -651,13 +668,18 @@ class TestSolveAuto:
             starts.clear()
             verdict = solve_auto(system, SolverConfig(seed=0, timeout=timeout))
             assert verdict.kind is not VerdictKind.UNKNOWN, path.name
-            assert len(starts) <= (0 if timeout is None else 1), path.name
+            assert starts == [], path.name
             assert multiprocessing.active_children() == [], path.name
+            if timeout is not None:
+                # the deadline changes nothing a solve inside it returns
+                untimed = solve_auto(system, SolverConfig(seed=0))
+                assert (verdict.kind, verdict.mode, verdict.stats["attempts"]) == (
+                    untimed.kind, untimed.mode, untimed.stats["attempts"]), path.name
 
     def test_resumed_refuter_finds_the_same_witness(self, monkeypatch, starts):
         # with a slice of 7 units, take_drop_swapped's witness (2,239 units
-        # in) is found once every mode returned unknown, by the full search
-        # run here or in the worker a deadline forks
+        # in) is found once every mode returned unknown, by the full search,
+        # with a deadline or without
         system = parse_smtlib((PERF_SYSTEMS / "take_drop_swapped.smt2").read_text())
         monkeypatch.setattr(solver, "REFUTE_SLICE", 7)
         def unknown():
@@ -673,7 +695,7 @@ class TestSolveAuto:
                 "attempts": [(mode, "unknown", "stub") for mode in mode_registry()]
             }
             assert verdict.derivation == refute(system)
-            assert len(starts) == (0 if timeout is None else 1)
+            assert starts == []
             assert multiprocessing.active_children() == []
 
     def test_unreplayable_witness_is_not_unsat(self, monkeypatch, starts):
@@ -685,13 +707,12 @@ class TestSolveAuto:
             starts.clear()
             verdict = solve_auto(system, SolverConfig(seed=0, timeout=30))
             assert verdict.kind is not VerdictKind.UNSAT, in_slice
-            # the one worker that runs the modes
-            assert len(starts) == 1
+            assert starts == []
 
     def test_refutation_is_killed_once_a_mode_wins(self, monkeypatch, starts, reva):
         # the slice is inconclusive; the full search would sleep past
         # the test.  It never runs once list mode wins, and with a deadline
-        # the worker's process group is killed once its verdict is in
+        # the timer is disarmed once its verdict is in
         stub_refutation(monkeypatch, None, False, lambda: time.sleep(30))
         for timeout in (None, 30):
             starts.clear()
@@ -700,7 +721,7 @@ class TestSolveAuto:
             assert time.monotonic() - started < 5
             assert verdict.kind is VerdictKind.SAT
             assert verdict.mode == "list"
-            assert len(starts) == (0 if timeout is None else 1)
+            assert starts == []
             assert multiprocessing.active_children() == []
 
     def test_timeout_gives_unknown(self, take_drop):
@@ -745,8 +766,7 @@ class TestSolveAuto:
 
     @pytest.mark.parametrize("timeout", [None, 5])
     def test_modes_run_in_order_list_len_after_list(self, monkeypatch, reva, tmp_path, timeout):
-        # with a deadline the runners run in a forked worker: each start is a
-        # line of the log
+        # each start of a runner is a line of the log
         log = tmp_path / "starts"
 
         def stub(name):
@@ -791,7 +811,7 @@ class TestSolveAuto:
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_later_sat_waits_for_earlier_unknown(self, monkeypatch, reva, cpus):
         # the modes run in order whatever the CPUs the process may use
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
         def slow_unknown():
             time.sleep(0.3)
@@ -807,7 +827,7 @@ class TestSolveAuto:
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_earlier_sat_wins_over_faster_later_sat(self, monkeypatch, reva, cpus):
         # the modes run in order whatever the CPUs the process may use
-        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
         def slow_sat():
             time.sleep(0.3)
@@ -838,23 +858,15 @@ class TestSolveAuto:
         assert starts == []
         assert multiprocessing.active_children() == []
 
-    def test_runner_exception_is_raised(self, monkeypatch, reva):
+    @pytest.mark.parametrize("timeout", [None, 30])
+    def test_runner_exception_is_raised(self, monkeypatch, reva, starts, timeout):
         def boom():
             raise RuntimeError("boom")
 
         self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT))
         with pytest.raises(RuntimeError, match="^boom$"):
-            solve_auto(reva, SolverConfig(seed=0))
-        assert multiprocessing.active_children() == []
-
-    def test_runner_exception_is_raised_from_the_worker(self, monkeypatch, reva, starts):
-        def boom():
-            raise RuntimeError("boom")
-
-        self.stub_modes(monkeypatch, boom, lambda: Verdict(VerdictKind.SAT))
-        with pytest.raises(RuntimeError, match="^boom$"):
-            solve_auto(reva, SolverConfig(seed=0, timeout=30))
-        assert len(starts) == 1
+            solve_auto(reva, SolverConfig(seed=0, timeout=timeout))
+        assert starts == []
         assert multiprocessing.active_children() == []
 
 
@@ -991,6 +1003,81 @@ class TestTimeout:
         assert verdict.kind is VerdictKind.UNKNOWN
         assert verdict.reason == "timeout"
         assert verdict.mode in ("refutation", *mode_registry())
+
+    def test_deadline_is_not_swallowed(self, monkeypatch, reva):
+        # the sampler's first evaluated draw sleeps past the test, inside the
+        # `except Exception` that drops draws the constraint cannot evaluate
+        from stpchc import chc_core
+
+        evaluate, collect = chc_core.eval_formula, solver.collect_samples
+        sampling, slept = [], []
+
+        def sleepy(*args, **kwargs):
+            if sampling and not slept:
+                slept.append(True)
+                time.sleep(30)
+            return evaluate(*args, **kwargs)
+
+        def sampled(*args, **kwargs):
+            sampling.append(True)
+            try:
+                return collect(*args, **kwargs)
+            finally:
+                sampling.pop()
+
+        monkeypatch.setattr(chc_core, "eval_formula", sleepy)
+        monkeypatch.setattr(solver, "collect_samples", sampled)
+        started = time.monotonic()
+        verdict = solve(reva, SolverConfig(seed=0, timeout=0.2))
+        assert time.monotonic() - started < 0.2 + 0.7
+        assert slept
+        assert (verdict.kind, verdict.reason, verdict.mode) == (
+            VerdictKind.UNKNOWN, "timeout", "list")
+
+    def test_deadline_off_the_main_thread_is_refused(self, monkeypatch, reva):
+        searches, raised = [], []
+        monkeypatch.setattr(solver, "refute", lambda *args, **kwargs: searches.append(args))
+
+        def run():
+            try:
+                solve(reva, SolverConfig(seed=0, timeout=30))
+            except ValueError as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(raised) == 1 and "main thread" in raised[0]
+        assert searches == []
+
+    @pytest.mark.parametrize("ends", ["finished", "timed out"])
+    def test_callers_alarm_handler_is_restored(self, monkeypatch, reva, ends):
+        def callers(signum, frame):
+            raise AssertionError("the caller's handler ran")
+
+        handlers = []  # SIGALRM's handler while list mode runs
+
+        def list_mode(*args, **kwargs):
+            handlers.append(signal.getsignal(signal.SIGALRM))
+            if ends == "timed out":
+                time.sleep(30)
+            return Verdict(VerdictKind.SAT)
+
+        monkeypatch.setattr(solver, "solve_list_mode", list_mode)
+        previous = signal.signal(signal.SIGALRM, callers)
+        try:
+            verdict = solve(reva, SolverConfig(seed=0, timeout=0.2))
+            assert signal.getsignal(signal.SIGALRM) is callers
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert len(handlers) == 1 and handlers[0] is not callers
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        if ends == "finished":
+            assert (verdict.kind, verdict.mode) == (VerdictKind.SAT, "list")
+        else:
+            assert (verdict.kind, verdict.reason, verdict.mode) == (
+                VerdictKind.UNKNOWN, "timeout", "list")
 
 
 class TestNoReferenceCycles:

@@ -17,8 +17,10 @@ median.
 Counts: one child process per version runs every solve once, in process,
 and records
 
-- `processes`: the processes the solve starts (calls of `Process.start` in
-  the solving process), without a deadline, as the CLI solves by default;
+- `processes`: the processes the solving process starts (calls of
+  `os.fork` and of `_posixsubprocess.fork_exec`, which `subprocess` and
+  `multiprocessing` start processes with), without a deadline, as the CLI
+  solves by default;
 - `processes_timeout`: the same for a solve with `timeout=30`;
 - `refute_units_caller`: the units of refutation work the solving process
   does before its first mode starts, that is the slice; a unit is one join
@@ -94,9 +96,9 @@ def time_once(src_dir: str, path: str, seed: int) -> dict:
 def counts(src_dir: str) -> dict:
     """Processes started, refutation units and evaluated sampler draws per
     system and seed."""
+    import _posixsubprocess
     import itertools
     import multiprocessing
-    import multiprocessing.process
 
     solver, parse_smtlib = _load(src_dir)
     from stpchc import chc_core, smt_backend
@@ -108,7 +110,7 @@ def counts(src_dir: str) -> dict:
     join, product = solver.join, itertools.product
     collect, evaluate = solver.collect_samples, chc_core.eval_formula
     random_value, derive, search = chc_core._random_value, chc_core._derive, smt_backend._search
-    start = multiprocessing.process.BaseProcess.start
+    fork, fork_exec = os.fork, _posixsubprocess.fork_exec
 
     def bump(key):
         with shared[key].get_lock():
@@ -162,9 +164,13 @@ def counts(src_dir: str) -> dict:
 
         return started
 
-    def counting_start(self):
+    def counting_fork():
         local["processes"] += 1
-        start(self)
+        return fork()
+
+    def counting_fork_exec(*args):
+        local["processes"] += 1
+        return fork_exec(*args)
 
     solver.join = counting_join
     solver.itertools = types.SimpleNamespace(**{**vars(itertools), "product": counting_product})
@@ -174,7 +180,7 @@ def counts(src_dir: str) -> dict:
     smt_backend._search = counting_search
     for name in ("solve_list_mode", "solve_collection_mode", "solve_list_len_mode"):
         setattr(solver, name, mode(getattr(solver, name)))
-    multiprocessing.process.BaseProcess.start = counting_start
+    os.fork, _posixsubprocess.fork_exec = counting_fork, counting_fork_exec
 
     out: dict = {}
     for path in bundled_systems():
