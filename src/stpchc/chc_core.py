@@ -1,8 +1,9 @@
 """Constrained Horn clauses over integers and integer lists.
 
-Covers the SMT-LIB HORN subset (two-constructor list-like datatypes only),
-the ground-join engine, least-model sampling by unit propagation, and
-bounded derivability checking.
+Covers the one SMT-LIB reader: HORN files over `Int`, `(Seq Int)` and
+two-constructor list-like datatypes, with the terms of `formulas.SYNTAX`, and
+the values and `define-fun`s external solvers print; the ground-join engine,
+least-model sampling by unit propagation, and bounded derivability checking.
 
 The engine (`AtomTable`, `plan_join`, `join`, `match_goal`) is the one
 bottom-up join over ground atoms.  Two free-variable policies use it:
@@ -19,6 +20,7 @@ with it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -26,14 +28,12 @@ from typing import Iterator, Optional, Sequence
 
 from .formulas import (
     FALSE,
-    FEq,
     FImp,
-    FLe,
-    FLt,
     FNot,
     FTrue,
     Formula,
     NIL,
+    SYNTAX,
     Sort,
     TAdd,
     TConcat,
@@ -49,6 +49,7 @@ from .formulas import (
     TVar,
     Term,
     TRUE,
+    ViewSort,
     eval_formula,
     eval_term,
     fand,
@@ -56,6 +57,7 @@ from .formulas import (
     formula_vars,
     render_formula,
     render_term,
+    sort_of,
     term_vars,
 )
 
@@ -193,11 +195,8 @@ def symbol(node) -> Optional[str]:
     return node.text if isinstance(node, _Tok) else None
 
 
-def numeral(text: str) -> Optional[int]:
-    """The integer that `text` spells as `-?[0-9]+` in ASCII digits; None
-    for any other text."""
-    digits = text[1:] if text.startswith("-") else text
-    return int(text) if digits.isascii() and digits.isdigit() else None
+# each head of `SYNTAX`: the class (and a view's mode), argument and result sorts
+_BY_HEAD = {head: (key, *sorts) for key, (head, *sorts) in SYNTAX.items()}
 
 
 @dataclass
@@ -234,13 +233,7 @@ class _Parser:
             if node.text in self.adts:
                 return Sort.LIST
             raise self.fail(f"unsupported sort {node.text}", node)
-        if (
-            len(node) == 2
-            and isinstance(node[0], _Tok)
-            and node[0].text == "List"
-            and isinstance(node[1], _Tok)
-            and node[1].text == "Int"
-        ):
+        if len(node) == 2 and symbol(node[0]) in ("List", "Seq") and symbol(node[1]) == "Int":
             return Sort.LIST
         raise self.fail("unsupported sort", node)
 
@@ -288,7 +281,7 @@ class _Parser:
     def typed(self, node, scope: dict[str, Sort], sort: Sort) -> Term:
         """`node` parsed as a term of `sort`."""
         t = self.parse_term(node, scope)
-        got = _sort_of(t)
+        got = sort_of(t)
         if got is not sort:
             raise self.fail(f"ill-sorted term: expected {sort.value}, got {got.value}", node)
         return t
@@ -296,8 +289,9 @@ class _Parser:
     def parse_term(self, node, scope: dict[str, Sort]) -> Term:
         if isinstance(node, _Tok):
             text = node.text
-            if (value := numeral(text)) is not None:
-                return TInt(value)
+            digits = text[1:] if text.startswith("-") else text
+            if digits.isascii() and digits.isdigit():  # a numeral: -?[0-9]+ in ASCII
+                return TInt(int(text))
             if text in scope:
                 return TVar(text, scope[text])
             if text in self.ctor_to_adt and self.ctor_to_adt[text].nil_name == text:
@@ -315,30 +309,14 @@ class _Parser:
                 if len(args) != 1:
                     raise self.fail(f"{op} expects one argument", node)
                 return TCons(TInt(0), self.typed(args[0], scope, Sort.LIST))
-            if len(args) != 2:
-                raise self.fail(f"{op} expects two arguments", node)
             op = "cons"  # the datatype's own name for it
-        if op == "cons" and len(args) == 2:
-            return TCons(
-                self.typed(args[0], scope, Sort.INT), self.typed(args[1], scope, Sort.LIST)
+        if op == "-" and len(args) == 1:
+            t = self.typed(args[0], scope, Sort.INT)
+            return TInt(-t.value) if isinstance(t, TInt) else TSub(TInt(0), t)
+        if op in ("+", "-") and args:  # left-associative
+            return functools.reduce(
+                _BY_HEAD[op][0], [self.typed(a, scope, Sort.INT) for a in args]
             )
-        if op == "+":
-            terms = [self.typed(a, scope, Sort.INT) for a in args]
-            out = terms[0]
-            for t in terms[1:]:
-                out = TAdd(out, t)
-            return out
-        if op == "-":
-            if len(args) == 1:
-                t = self.typed(args[0], scope, Sort.INT)
-                if isinstance(t, TInt):
-                    return TInt(-t.value)
-                return TSub(TInt(0), t)
-            terms = [self.typed(a, scope, Sort.INT) for a in args]
-            out = terms[0]
-            for t in terms[1:]:
-                out = TSub(out, t)
-            return out
         if op == "*":
             if len(args) != 2:
                 raise self.fail("only binary * is supported", node)
@@ -356,9 +334,49 @@ class _Parser:
             return TIte(
                 self.parse_formula(args[0], scope),
                 then,
-                self.typed(args[2], scope, _sort_of(then)),
+                self.typed(args[2], scope, sort_of(then)),
             )
-        raise self.fail(f"unsupported term operator {op}", node)
+        if op == "as" and len(args) == 2 and symbol(args[0]) == "seq.empty":
+            if self.parse_sort(args[1]) is Sort.LIST:
+                return NIL
+        if op == "seq.unit":
+            if len(args) != 1:
+                raise self.fail("seq.unit expects 1 argument", node)
+            h = self.typed(args[0], scope, Sort.INT)
+            return TSeq((h.value,)) if type(h) is TInt else TCons(h, NIL)
+        if op == "seq.++" and len(args) > 1:
+            # right-nested, with (seq.++ (seq.unit h) t) as cons and the
+            # constant parts as one list constant, as `render_term` writes them
+            parts = [self.typed(a, scope, Sort.LIST) for a in args]
+            if all(type(p) is TSeq for p in parts):
+                return TSeq(sum((p.values for p in parts), ()))
+            out = parts[-1]
+            for a, p in zip(args[-2::-1], parts[-2::-1]):
+                if isinstance(a, list) and symbol(a[0]) == "seq.unit":
+                    out = TCons(p.head if type(p) is TCons else TInt(*p.values), out)
+                else:
+                    out = TConcat(p, out)
+            return out
+        if op not in _BY_HEAD or _BY_HEAD[op][2] is ViewSort.BOOL:
+            raise self.fail(f"unsupported term operator {op}", node)
+        return self.apply(op, node, args, scope)
+
+    def apply(self, head: str, node, args, scope):
+        """`(head args ...)` as the class that `SYNTAX` writes with `head`,
+        each argument of the sort the table gives it."""
+        key, sorts, _ = _BY_HEAD[head]
+        if len(args) != len(sorts):
+            raise self.fail(f"{symbol(node[0])} expects {len(sorts)} arguments", node)
+        terms, chosen = [], None
+        for arg, want in zip(args, sorts):
+            t = self.parse_term(arg, scope)
+            got = sort_of(t)
+            if isinstance(want, tuple):  # the first argument chooses the sort
+                want = chosen = chosen or (got if got in want else want[0])
+            if got is not want:
+                raise self.fail(f"ill-sorted term: expected {want.value}, got {got.value}", arg)
+            terms.append(t)
+        return key[0](*terms, key[1]) if isinstance(key, tuple) else key(*terms)
 
     # -- formulas ----------------------------------------------------------
     def is_atom(self, node) -> bool:
@@ -406,15 +424,12 @@ class _Parser:
             for a in reversed(args[:-1]):
                 out = FImp(self.parse_formula(a, scope), out)
             return out
-        if op in ("=", "distinct"):
-            a = self.parse_term(args[0], scope)
-            eq = FEq(a, self.typed(args[1], scope, _sort_of(a)))
-            return eq if op == "=" else FNot(eq)
-        if op in ("<=", "<", ">=", ">"):
-            a, b = self.typed(args[0], scope, Sort.INT), self.typed(args[1], scope, Sort.INT)
-            if op in (">=", ">"):
-                a, b = b, a
-            return FLe(a, b) if op in ("<=", ">=") else FLt(a, b)
+        if op == "distinct":
+            return FNot(self.apply("=", node, args, scope))
+        if op in (">=", ">"):
+            op, args = op.replace(">", "<"), args[::-1]
+        if op in _BY_HEAD and _BY_HEAD[op][2] is ViewSort.BOOL:
+            return self.apply(op, node, args, scope)
         raise self.fail(f"unsupported formula operator {op}", node)
 
     # -- clauses -----------------------------------------------------------
@@ -525,16 +540,6 @@ class _Parser:
         raise self.fail(f"unsupported command {cmd}", node)
 
 
-def _sort_of(t: Term) -> Sort:
-    """The sort of a parsed term: the parser checked that an `ite`'s two
-    branches agree."""
-    if type(t) is TVar:
-        return t.sort
-    if type(t) is TIte:
-        return _sort_of(t.then)
-    return Sort.LIST if type(t) in (TSeq, TCons) else Sort.INT
-
-
 def parse_smtlib(text: str, nat_as_list: bool = False) -> ChcSystem:
     try:
         return _Parser(nat_as_list=nat_as_list).run(text)
@@ -543,7 +548,8 @@ def parse_smtlib(text: str, nat_as_list: bool = False) -> ChcSystem:
 
 
 def render_smtlib(system: ChcSystem) -> str:
-    """The supported subset back out as SMT-LIB; parse . render is identity."""
+    """The supported subset back out as SMT-LIB in the datatype style; parse .
+    render is identity on a system read from that style."""
     lines = ["(set-logic HORN)"]
     if any(Sort.LIST in sig for sig in system.predicates.values()):
         lines.append(

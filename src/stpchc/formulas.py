@@ -433,7 +433,52 @@ def subst_formula(f: Formula, mapping: Mapping[str, Term]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# rendering (surface syntax for printed models and reports)
+# SMT-LIB syntax (Barrett, Fontaine & Tinelli, The SMT-LIB Standard 2.6)
+
+# the sorts that no variable has: the set and multiset views, and an atom's
+ViewSort = Enum("ViewSort", [("SET", "Set"), ("BAG", "Bag"), ("BOOL", "Bool")])
+_ELEMS = (Sort.INT, Sort.LIST)
+_VIEWS = (ViewSort.SET, ViewSort.BAG)
+
+# Each operator written `(head arg ...)`, by its class (and a view's mode):
+# the head, the sorts of its arguments in `_TERM_CHILDREN` order (an atom's
+# `a` and `b`) and the sort of its result.  A tuple of sorts admits any one
+# of them, the same one at each such place of an application, and a result
+# given so is that one.  The renderer writes through this table and the
+# parser (`chc_core._Parser`) reads through it.
+SYNTAX = {
+    TCons: ("cons", (Sort.INT, Sort.LIST), Sort.LIST),
+    TAdd: ("+", (Sort.INT, Sort.INT), Sort.INT),
+    TSub: ("-", (Sort.INT, Sort.INT), Sort.INT),
+    TLen: ("seq.len", (Sort.LIST,), Sort.INT),
+    TConcat: ("seq.++", (Sort.LIST, Sort.LIST), Sort.LIST),
+    TRev: ("seq.rev", (Sort.LIST,), Sort.LIST),
+    TLdiff: ("ldiff", (Sort.LIST, Sort.LIST), Sort.LIST),
+    TRdiff: ("rdiff", (Sort.LIST, Sort.LIST), Sort.LIST),
+    (TCollOf, "set"): ("set.of", (_ELEMS,), ViewSort.SET),
+    (TCollOf, "multiset"): ("bag.of", (_ELEMS,), ViewSort.BAG),
+    TCollDiff: ("difference", (_VIEWS, _VIEWS), _VIEWS),
+    TCount: ("count", (Sort.INT, Sort.LIST), Sort.INT),
+    FEq: ("=", (_ELEMS + _VIEWS,) * 2, ViewSort.BOOL),
+    FLe: ("<=", (Sort.INT, Sort.INT), ViewSort.BOOL),
+    FLt: ("<", (Sort.INT, Sort.INT), ViewSort.BOOL),
+    FSubset: ("subset", (_VIEWS, _VIEWS), ViewSort.BOOL),
+}
+
+
+def sort_of(t: Term):
+    """The sort of a well-sorted term."""
+    tt = type(t)
+    if tt is TVar:
+        return t.sort
+    if tt is TIte or tt is TCollDiff:  # the sort of its branches, of its operands
+        return sort_of(t.then if tt is TIte else t.a)
+    if tt is TSeq:
+        return Sort.LIST
+    if tt is TCollOf:
+        return SYNTAX[tt, t.mode][2]
+    return Sort.INT if tt is TInt or tt is TMul else SYNTAX[tt][2]
+
 
 def render_term(t: Term, list_style: str = "seq") -> str:
     r = lambda x: render_term(x, list_style)
@@ -446,42 +491,22 @@ def render_term(t: Term, list_style: str = "seq") -> str:
         if list_style == "adt":
             out = "nil"
             for v in reversed(t.values):
-                out = f"(cons {v} {out})"
+                out = f"(cons {r(TInt(v))} {out})"
             return out
         if not t.values:
             return "(as seq.empty (Seq Int))"
-        inner = " ".join(f"(seq.unit {v})" for v in t.values)
+        inner = " ".join(f"(seq.unit {r(TInt(v))})" for v in t.values)
         return inner if len(t.values) == 1 else f"(seq.++ {inner})"
-    if tt is TCons:
-        if list_style == "adt":
-            return f"(cons {r(t.head)} {r(t.tail)})"
+    if tt is TCons and list_style == "seq":
         return f"(seq.++ (seq.unit {r(t.head)}) {r(t.tail)})"
-    if tt is TAdd:
-        return f"(+ {r(t.a)} {r(t.b)})"
-    if tt is TSub:
-        return f"(- {r(t.a)} {r(t.b)})"
     if tt is TMul:
         return f"(* {t.factor} {r(t.t)})"
     if tt is TIte:
         return f"(ite {render_formula(t.cond, list_style)} {r(t.then)} {r(t.other)})"
-    if tt is TLen:
-        return f"(seq.len {r(t.t)})"
-    if tt is TConcat:
-        return f"(seq.++ {r(t.a)} {r(t.b)})"
-    if tt is TRev:
-        return f"(seq.rev {r(t.t)})"
-    if tt is TLdiff:
-        return f"(ldiff {r(t.prefix)} {r(t.t)})"
-    if tt is TRdiff:
-        return f"(rdiff {r(t.t)} {r(t.suffix)})"
-    if tt is TCollOf:
-        fn = "set.of" if t.mode == "set" else "bag.of"
-        return f"({fn} {r(t.t)})"
-    if tt is TCollDiff:
-        return f"(difference {r(t.a)} {r(t.b)})"
-    if tt is TCount:
-        return f"(count {r(t.x)} {r(t.l)})"
-    raise TypeError(f"not a term: {t!r}")
+    if tt not in _TERM_CHILDREN:
+        raise TypeError(f"not a term: {t!r}")
+    args = " ".join(r(getattr(t, fn)) for fn in _TERM_CHILDREN[tt])
+    return f"({SYNTAX[(tt, t.mode) if tt is TCollOf else tt][0]} {args})"
 
 
 def render_formula(f: Formula, list_style: str = "seq") -> str:
@@ -498,5 +523,4 @@ def render_formula(f: Formula, list_style: str = "seq") -> str:
         return f"(not {render_formula(f.f, list_style)})"
     if ft is FImp:
         return f"(=> {render_formula(f.a, list_style)} {render_formula(f.b, list_style)})"
-    ops = {FEq: "=", FLe: "<=", FLt: "<", FSubset: "subset"}
-    return f"({ops[ft]} {render_term(f.a, list_style)} {render_term(f.b, list_style)})"
+    return f"({SYNTAX[ft][0]} {render_term(f.a, list_style)} {render_term(f.b, list_style)})"

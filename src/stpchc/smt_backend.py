@@ -57,7 +57,8 @@ its ordered list is exactly the full search's.
 
 The external checker drives an SMT process over the sequence theory, through
 `ask`, the one helper that runs an external solver; collection atoms have no
-encoding there.  Its counter-models are never trusted without re-evaluation.
+encoding there.  Its counter-models are read by the clause parser, as ground
+terms of their variables' sorts, and never trusted without re-evaluation.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .chc_core import match_term, numeral, read_sexps, symbol
+from .chc_core import _Parser, match_term, read_sexps, symbol
 from .formulas import (
     _ATOMS,
     _TERM_CHILDREN,
@@ -104,7 +105,7 @@ from .formulas import (
     Term,
     Undefined,
     eval_formula,
-    eval_term,  # not called here; kept as the name perfbench/tracing.py counts
+    eval_term,  # also the name perfbench/tracing.py counts
     formula_vars,
     render_formula,
     term_vars,
@@ -912,53 +913,22 @@ class ExternalSmtChecker:
 
 
 def _parse_model(text: str, variables: dict) -> Optional[dict]:
+    """Each of `variables` to its printed value, a ground term of its sort; else None."""
     try:
         sexp = list(read_sexps(text))
     except ValueError:
         return None
-    pairs = []
-    for node in sexp:
-        if isinstance(node, list):
-            for item in node:
-                if isinstance(item, list) and len(item) == 2:
-                    pairs.append(item)
+    pairs = [item for node in sexp if isinstance(node, list)
+             for item in node if isinstance(item, list) and len(item) == 2]
     out = {}
     for name_node, value_node in pairs:
         name = symbol(name_node)
         if name not in variables:
             continue
         try:
-            value = _decode_value(value_node)
-        except RecursionError:  # nested too deeply to read
-            return None
-        if value is None:
-            return None
-        out[name] = value
+            out[name] = eval_term(_Parser().typed(value_node, {}, variables[name]), {})
+        except (ValueError, LookupError, TypeError, RecursionError, Undefined):
+            return None  # not a value, or nested too deeply to read
     if set(out) != set(variables):
         return None
     return out
-
-
-def _decode_value(node):
-    text = symbol(node)
-    if text is not None:
-        return numeral(text)
-    if not node:
-        return None
-    head = symbol(node[0])
-    if head == "-" and len(node) == 2 and symbol(node[1]) is not None:
-        return numeral("-" + symbol(node[1]))
-    if head == "as" and len(node) >= 2 and symbol(node[1]) == "seq.empty":
-        return ()
-    if head == "seq.unit":
-        v = _decode_value(node[1]) if len(node) == 2 else None
-        return (v,) if isinstance(v, int) else None
-    if head == "seq.++":
-        out = ()
-        for part in node[1:]:
-            v = _decode_value(part)
-            if v is None or isinstance(v, int):
-                return None
-            out += v
-        return out
-    return None

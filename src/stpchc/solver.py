@@ -55,7 +55,6 @@ from .chc_core import (
     AtomTable,
     ChcSystem,
     Clause,
-    ParseError,
     PredicateAtom,
     Sample,
     SampleBudget,
@@ -861,20 +860,17 @@ def parse_int_model(text: str, predicates: dict) -> Optional[dict[str, Formula]]
     for node in defs:
         try:
             _, name_node, params, _ret, body = node
-        except ValueError:
-            return None
-        name = symbol(name_node)
-        if name not in predicates:
-            continue
-        if not isinstance(params, list) or not all(isinstance(p, list) and p for p in params):
-            return None
-        try:
+            name = symbol(name_node)
+            if name not in predicates:
+                continue
             scope = {symbol(p[0]): reader.parse_sort(p[1]) for p in params}
-            f = reader.parse_formula(body, scope)
+            if any(sort is not Sort.INT for sort in scope.values()):
+                return None
             out[name] = subst_formula(
-                f, {symbol(p[0]): _formal(i) for i, p in enumerate(params)}
+                reader.parse_formula(body, scope),
+                {symbol(p[0]): _formal(i) for i, p in enumerate(params)},
             )
-        except (ParseError, IndexError, RecursionError):  # the last: nested too deeply
+        except (ValueError, LookupError, TypeError, RecursionError):  # the last: nested too deeply
             return None
     if set(out) != set(predicates):
         return None
@@ -906,7 +902,10 @@ def solve_list_len_mode(
     def unknown(reason: str) -> Verdict:
         return Verdict(VerdictKind.UNKNOWN, reason=reason, stats=res.stats)
 
-    abstract = length_abstract(system)
+    try:
+        abstract = length_abstract(system)
+    except ValueError as exc:  # an operator the abstraction lacks
+        return unknown(str(exc))
     int_models = int_backend.solve(abstract, cfg, random.Random(cfg.seed + 1))
     if int_models is None:
         return unknown("no integer model for the length abstraction")

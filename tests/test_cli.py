@@ -241,6 +241,22 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", str(p))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("mode", ["auto", "list", "multiset", "list-len", "set"])
+    def test_operator_without_length_abstraction_is_no_traceback(self, capsys, tmp_path, mode):
+        # seq.len has no length abstraction: list-len mode answers unknown
+        # with that reason, and no mode raises
+        p = tmp_path / "seq_len.smt2"
+        p.write_text(
+            "(set-logic HORN)\n(declare-fun p ((Seq Int) Int) Bool)\n"
+            "(assert (forall ((l (Seq Int)) (n Int)) (=> (= n (seq.len l)) (p l n))))\n"
+            "(assert (forall ((l (Seq Int)) (n Int)) (=> (and (p l n) (< n 0)) false)))\n"
+        )
+        code, out, err = run(capsys, "solve", str(p), "--mode", mode)
+        assert code in (0, 1, 2) and "Traceback" not in out + err
+        if mode == "list-len":
+            assert (code, out.splitlines()[0]) == (2, "unknown")
+            assert out.splitlines()[1].startswith("; cannot length-abstract TLen(")
+
     @pytest.mark.parametrize("numeral", ["--5", "\u00b2"])
     def test_malformed_numeral_rejected(self, capsys, tmp_path, numeral):
         # a numeral is ASCII `-?[0-9]+`: anything else is a located parse

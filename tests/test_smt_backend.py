@@ -146,6 +146,20 @@ class TestExternalChecker:
         with pytest.raises(Unknown, match="^counter-model not parseable$"):
             checker.counterexamples(FEq(L1, L2))
 
+    def test_counter_model_is_read_as_ground_terms(self, tmp_path):
+        # the clause parser reads each value: a negative element is (- 1),
+        # and any operator of the syntax table evaluates
+        cmd = make_stub(
+            tmp_path,
+            """
+            sys.stdin.read()
+            print('sat')
+            print('((l1 (seq.++ (seq.unit (- 1)) (seq.rev (seq.unit 2)))) (l2 (ldiff (seq.unit 3) (seq.unit 3))))')
+            """,
+        )
+        checker = ExternalSmtChecker(cmd.split())
+        assert checker.counterexamples(FEq(L1, L2)) == [{"l1": (-1, 2), "l2": ()}]
+
     @pytest.mark.parametrize("value", ["--5", "\u00b2", "(- \u00b2)"])
     def test_malformed_numeral_rejected(self, tmp_path, value):
         # a numeral is ASCII `-?[0-9]+`
@@ -165,6 +179,8 @@ class TestExternalChecker:
         "(seq.unit)",                 # seq.unit takes one argument
         "(seq.unit 1 2)",
         "(seq.unit (seq.unit 1))",    # of an integer
+        "1",                          # an integer for a list
+        "(ldiff (seq.unit 1) (seq.unit 2))",  # undefined
         pytest.param("(seq.++ " * 3000 + "(seq.unit 1)" + ")" * 3000, id="deep"),
     ])
     def test_malformed_value_rejected(self, tmp_path, value):

@@ -458,6 +458,12 @@ class TestExternalIntBackend:
         text = f"(define-fun p ((a Int) (b Int)) Bool {body})"
         assert parse_int_model(text, {"p": (Sort.INT,) * 2}) is None
 
+    def test_parameter_that_is_not_int_is_none(self):
+        # the parser reads (Seq Int), but the model of the length
+        # abstraction has Int parameters only
+        text = "(define-fun p ((x (Seq Int)) (y Int)) Bool (= y (seq.len x)))"
+        assert parse_int_model(text, {"p": (Sort.INT,) * 2}) is None
+
     def test_subprocess_roundtrip(self, tmp_path, take_drop):
         stub = tmp_path / "intchc.py"
         stub.write_text(

@@ -1,10 +1,13 @@
 import random
+from functools import partial
 
 import pytest
 
+from stpchc.chc_core import _Parser, read_sexps
 from stpchc.formulas import (
     FEq,
     FLe,
+    FLt,
     FNot,
     FSubset,
     Sort,
@@ -27,6 +30,8 @@ from stpchc.formulas import (
     Undefined,
     eval_formula,
     eval_term,
+    render_formula,
+    render_term,
     subst_term,
 )
 from stpchc.pattern_core import Mode, NotSolvableError, TuplePattern, member, parse_pattern, var_atom
@@ -130,6 +135,9 @@ TERM_ROOTS = [
     ("cond", lambda rng, sub: FLe(sub("int"), sub("int"))),
     ("cond", lambda rng, sub: FNot(FEq(sub("list"), sub("list")))),
     ("cond", lambda rng, sub: FSubset(sub("multiset"), sub("multiset"))),
+    ("cond", lambda rng, sub: FLt(sub("int"), sub("int"))),
+    ("cond", lambda rng, sub: (lambda s: FEq(sub(s), sub(s)))(
+        rng.choice(["int", "list", "set", "multiset"]))),
 ]
 
 # total replacements, so that each substituted variable has a value
@@ -159,6 +167,12 @@ def outcome(t, env):
         return Undefined
 
 
+def random_env(rng):
+    return {"i": rng.randint(-1, 2), "j": rng.randint(0, 3),
+            "u": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))),
+            "v": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))}
+
+
 def test_subst_term_is_evaluation_under_the_replaced_values():
     rng = random.Random(3)
     roots = set()
@@ -166,10 +180,44 @@ def test_subst_term_is_evaluation_under_the_replaced_values():
         sort, make = rng.choice([r for r in TERM_ROOTS if r[0] != "cond"])
         t = make(rng, lambda s: random_term(rng, s, 2))
         roots.add(type(t))
-        env = {"i": rng.randint(-1, 2), "j": rng.randint(0, 3),
-               "u": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))),
-               "v": tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))}
+        env = random_env(rng)
         mapping = {n: rng.choice(reps) for n, reps in REPLACEMENTS.items() if rng.random() < 0.6}
         replaced = dict(env, **{n: eval_term(r, env) for n, r in mapping.items()})
         assert outcome(subst_term(t, mapping), env) == outcome(t, replaced), (t, mapping, env)
     assert len(roots) == 16
+
+
+def test_list_constant_elements_render_as_numerals():
+    # -1 is not an SMT-LIB numeral; (- 1) is, as for an Int constant
+    assert render_term(TSeq((-1, 2))) == "(seq.++ (seq.unit (- 1)) (seq.unit 2))"
+    assert render_term(TSeq((-1, 2)), "adt") == "(cons (- 1) (cons 2 nil))"
+
+
+def parse_back(text, cond):
+    """`text` read by the clause parser over the variables of `random_term`."""
+    (node,) = read_sexps(text)
+    scope = {"i": Sort.INT, "j": Sort.INT, "u": Sort.LIST, "v": Sort.LIST}
+    return (_Parser().parse_formula if cond else _Parser().parse_term)(node, scope)
+
+
+@pytest.mark.parametrize("list_style", ["seq", "adt"])
+def test_rendered_terms_parse_back(list_style):
+    # rendering is not injective: a cons and a concatenation with a unit
+    # both write (seq.++ (seq.unit h) t).  So the term read back evaluates
+    # like the rendered one, Undefined included, and is a fixed point: a
+    # second round trip changes no byte
+    rng = random.Random(5)
+    roots = set()
+    for _ in range(5000):
+        sort, make = rng.choice(TERM_ROOTS)
+        t = make(rng, lambda s: random_term(rng, s, 2))
+        roots.add(type(t))
+        cond = sort == "cond"
+        render = partial(render_formula if cond else render_term, list_style=list_style)
+        once = parse_back(render(t), cond)
+        assert render(parse_back(render(once), cond)) == render(once), t
+        env = random_env(rng)
+        value = partial(eval_formula, env=env) if cond else partial(outcome, env=env)
+        assert value(once) == value(t), (t, env)
+    atoms = {FEq, FLe, FLt, FSubset}
+    assert atoms <= roots and len(roots - atoms - {FNot}) == 16
